@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import struct
 import sys
 from dataclasses import replace
@@ -46,18 +45,6 @@ class UsageError(Exception):
     pass
 
 
-def worker_cap() -> int:
-    """Worker-count cap from IDGP_THREADS (default 1 for determinism)."""
-    raw = os.environ.get("IDGP_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"IDGP_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise UsageError(f"IDGP_THREADS must be a positive integer, got {raw!r}")
-    return cap
-
-
 # -- model file -------------------------------------------------------------
 
 def _pack_net(net: DenseNet) -> bytes:
@@ -73,6 +60,10 @@ def _pack_net(net: DenseNet) -> bytes:
 
 def _unpack_net(buf: bytes, pos: int):
     act_code, n_sizes = struct.unpack_from("<II", buf, pos)
+    if act_code not in _ACTIVATION_NAMES:
+        raise ValueError(f"unknown activation code {act_code}")
+    if n_sizes < 2:
+        raise ValueError(f"a net needs at least 2 layer sizes, got {n_sizes}")
     pos += 8
     sizes = struct.unpack_from(f"<{n_sizes}I", buf, pos)
     pos += 4 * n_sizes
@@ -105,13 +96,17 @@ def load_model(path):
     buf = Path(path).read_bytes()
     if buf[:8] != MODEL_MAGIC:
         raise DataFormatError(f"{path}: not a model file (bad magic)")
-    (version,) = struct.unpack_from("<I", buf, 8)
-    if version != MODEL_VERSION:
-        raise DataFormatError(f"{path}: unsupported model version {version}")
-    a, b, gamma = struct.unpack_from("<ddd", buf, 12)
-    net_f, pos = _unpack_net(buf, 36)
-    net_g, _ = _unpack_net(buf, pos)
-    return net_f, net_g, TransformConfig(a=a, b=b, gamma=gamma)
+    try:
+        (version,) = struct.unpack_from("<I", buf, 8)
+        if version != MODEL_VERSION:
+            raise DataFormatError(f"{path}: unsupported model version {version}")
+        a, b, gamma = struct.unpack_from("<ddd", buf, 12)
+        tc = TransformConfig(a=a, b=b, gamma=gamma)
+        net_f, pos = _unpack_net(buf, 36)
+        net_g, _ = _unpack_net(buf, pos)
+    except (struct.error, ValueError) as exc:
+        raise DataFormatError(f"{path}: truncated or corrupt model file ({exc})") from exc
+    return net_f, net_g, tc
 
 
 # -- config file ------------------------------------------------------------
@@ -399,7 +394,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        worker_cap()
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

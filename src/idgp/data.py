@@ -203,11 +203,7 @@ def load_dataset(path, fmt: str = TEXT_FORMAT) -> PLLDataset:
     """Parse a dataset file; raises with a line number on malformed input."""
     fmt = _resolve_format(fmt)
     path = Path(path)
-    try:
-        raw = path.read_text()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    lines = raw.splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise DataFormatError(f"{path}: empty file")
     if fmt == TEXT_FORMAT:
@@ -215,14 +211,35 @@ def load_dataset(path, fmt: str = TEXT_FORMAT) -> PLLDataset:
     return _parse_jsonl(lines, path)
 
 
+def _read_text(path: Path) -> str:
+    """The file decoded as UTF-8; failures name the path (and line)."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"{path}:{line}: not UTF-8 text") from exc
+
+
+def _header_dims(fields, path):
+    """``(n, q, c)`` from the three header fields of either format."""
+    try:
+        n, q, c = (int(v) for v in fields)
+    except (TypeError, ValueError):
+        raise DataFormatError(f"{path}:1: non-integer header field") from None
+    if n < 0 or q < 0:
+        raise DataFormatError(f"{path}:1: negative header field (n={n}, q={q})")
+    return n, q, c
+
+
 def _parse_text(lines, path) -> PLLDataset:
     header = lines[0].split()
     if len(header) != 3:
         raise DataFormatError(f"{path}:1: header must be 'n q c'")
-    try:
-        n, q, c = (int(t) for t in header)
-    except ValueError:
-        raise DataFormatError(f"{path}:1: non-integer header field") from None
+    n, q, c = _header_dims(header, path)
     if len(lines) - 1 < n:
         raise DataFormatError(f"{path}: header says n={n} but only {len(lines) - 1} rows")
     features = np.empty((n, q))
@@ -265,32 +282,38 @@ def _parse_text(lines, path) -> PLLDataset:
 
 
 def _parse_jsonl(lines, path) -> PLLDataset:
-    def parse_line(i, text):
+    def parse_object(lineno, text):
         try:
-            return json.loads(text)
+            obj = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}:{i + 1}: invalid JSON: {exc}") from exc
+            raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise DataFormatError(f"{path}:{lineno}: expected a JSON object")
+        return obj
 
-    header = parse_line(0, lines[0])
+    header = parse_object(1, lines[0])
     for key in ("n", "q", "c"):
         if key not in header:
             raise DataFormatError(f"{path}:1: header object missing {key!r}")
-    n, q, c = int(header["n"]), int(header["q"]), int(header["c"])
-    body = [ln for ln in lines[1:] if ln.strip()]
+    n, q, c = _header_dims((header["n"], header["q"], header["c"]), path)
+    body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) < n:
         raise DataFormatError(f"{path}: header says n={n} but only {len(body)} rows")
     features = np.empty((n, q))
     candidates = []
     labels = []
-    for i in range(n):
-        obj = parse_line(i + 1, body[i])
+    for i, (lineno, text) in enumerate(body[:n]):
+        obj = parse_object(lineno, text)
         feats = obj.get("features")
-        if feats is None or len(feats) != q:
-            raise DataFormatError(f"{path}:{i + 2}: expected {q} features")
-        features[i] = feats
-        candidates.append([int(j) - 1 for j in obj.get("candidates", [])])
-        if "true_label" in obj:
-            labels.append(int(obj["true_label"]) - 1)
+        if not isinstance(feats, list) or len(feats) != q:
+            raise DataFormatError(f"{path}:{lineno}: expected {q} features")
+        try:
+            features[i] = feats
+            candidates.append([int(j) - 1 for j in obj.get("candidates", [])])
+            if "true_label" in obj:
+                labels.append(int(obj["true_label"]) - 1)
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path}:{lineno}: malformed value ({exc})") from exc
     if labels and len(labels) != n:
         raise DataFormatError(f"{path}: true label present on some rows but not all")
     return PLLDataset(

@@ -8,23 +8,19 @@ are resampled until they sit away from the clamp and relu kinks that make
 finite differences meaningless.
 
 The checks deliberately call through the module objects (``objective.``,
-``distributions.``) rather than binding functions at import time, so a
-deliberately broken derivative injected by a test is picked up.
+``distributions.``, ``trainer.``) rather than binding functions at import
+time, so a deliberately broken derivative injected by a test is picked up.
+The MAP check runs the trainer's own batched step, so the gradients it
+verifies are the ones training applies.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import distributions, objective
-from .distributions import floor_params
-from .network import (
-    DenseNet,
-    TransformConfig,
-    lambda_transform,
-    lambda_transform_grad,
-    lambda_transform_pair,
-)
+from . import distributions, objective, trainer
+from .data import occurrence_vector
+from .network import DenseNet, TransformConfig, lambda_transform, lambda_transform_grad
 
 FD_STEP = 1e-5
 TOLERANCE = 1e-6
@@ -32,6 +28,7 @@ COMPONENTS = ("forward", "transform", "posterior_jacobians",
               "ml_loss", "reg_loss", "map_loss")
 
 _HARNESS_CLAMP = 8.0  # generous headroom: scores stay far inside [-A, A]
+_MAP_ROWS = 3  # batch rows of the MAP check: more than one exercises the 1/B mean
 
 
 def central_difference(fun, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
@@ -154,14 +151,17 @@ def check_reg_loss(rng) -> float:
     return max(rel_error(d_theta, num_t), rel_error(d_z, num_z))
 
 
-def _well_conditioned_net(rng, sizes, clamp=_HARNESS_CLAMP, max_tries=200):
-    """Net/input pair whose preactivations avoid relu kinks and the clamp."""
+def _well_conditioned_net(rng, sizes, clamp=_HARNESS_CLAMP, max_tries=200, x=None):
+    """Net/input pair whose preactivations avoid relu kinks and the clamp.
+
+    A given input ``x`` is kept and only the net is redrawn.
+    """
     for _ in range(max_tries):
         net = DenseNet(sizes, activation="relu", clamp=clamp,
                        rng=np.random.default_rng(rng.integers(2 ** 63)))
-        x = rng.normal(size=sizes[0])
-        if _margins_ok(net, x):
-            return net, x
+        x_try = rng.normal(size=sizes[0]) if x is None else x
+        if _margins_ok(net, x_try):
+            return net, x_try
     raise RuntimeError("could not draw a well-conditioned instance")
 
 
@@ -177,65 +177,56 @@ def _margins_ok(net, x, kink_margin=1e-3, score_bound=4.0):
 
 def check_map_end_to_end(rng, c: int | None = None, width: int | None = None,
                          max_coords: int = 300) -> float:
-    """Full-chain gradients of the MAP loss through both networks vs FD.
+    """The trainer's batched MAP step through both networks vs FD.
 
-    Checks every parameter coordinate of both networks when their total
-    count is at most ``max_coords``, otherwise a random subset.
+    Gradients of the batch-mean loss of :func:`trainer.map_step_batch` go
+    against central differences, on every parameter coordinate of a net with
+    at most ``max_coords`` of them, else a random subset; each row's loss
+    goes against the per-instance :func:`objective.map_loss`.
     """
     c = c if c is not None else int(rng.integers(3, 8))
     width = width if width is not None else int(rng.integers(4, 33))
     q = int(rng.integers(2, 6))
     tc = TransformConfig(a=1.0, b=float(rng.uniform(0.0, 0.5)),
                          gamma=float(rng.uniform(0.8, 1.5)))
-    net_f, x = _well_conditioned_net(rng, [q, width, c])
-    net_g = None
-    for _ in range(200):
-        cand_g = DenseNet([q, width, 2 * c], activation="relu", clamp=_HARNESS_CLAMP,
-                          rng=np.random.default_rng(rng.integers(2 ** 63)))
-        if _margins_ok(cand_g, x):
-            net_g = cand_g
-            break
-    if net_g is None:
-        raise RuntimeError("could not draw a well-conditioned auxiliary net")
-    cands = _random_candidates(rng, c)
-    prior = (rng.uniform(0.5, 3.0, size=c), rng.uniform(0.5, 3.0, size=c),
-             rng.uniform(0.5, 3.0, size=c))
+    x = rng.normal(size=(_MAP_ROWS, q))
+    net_f, _ = _well_conditioned_net(rng, [q, width, c], x=x)
+    net_g, _ = _well_conditioned_net(rng, [q, width, 2 * c], x=x)
+    cands = [_random_candidates(rng, c) for _ in range(_MAP_ROWS)]
+    mask = np.array([occurrence_vector(s, c) for s in cands])
+    prior = tuple(rng.uniform(0.5, 3.0, size=(_MAP_ROWS, c)) for _ in range(3))
 
-    def build_input():
-        sf, cf = net_f.forward(x)
-        sg, cg = net_g.forward(x)
-        lam = floor_params(lambda_transform(sf, tc))
-        alpha, beta = lambda_transform_pair(sg, tc)
-        inp = objective.PerInstanceLossInput.from_live_params(
-            lam, floor_params(alpha), floor_params(beta), *prior, cands)
-        return inp, sf, cf, sg, cg
+    def step():
+        lam, sf, cf = trainer._live_lambda(net_f, x, tc)
+        alpha, beta, sg, cg = trainer._live_alpha_beta(net_g, x, tc)
+        res = trainer.map_step_batch(lam, alpha, beta, mask, *prior, ml_only=False)
+        return (lam, alpha, beta), res, (sf, cf, sg, cg)
 
-    inp, sf, cf, sg, cg = build_input()
-    res = objective.map_loss(inp)
-    grads_f = net_f.flatten_grads(
-        net_f.backward(cf, res.d_lambda * lambda_transform_grad(sf, tc)))
-    d_sg = np.concatenate([res.d_alpha, res.d_beta]) * lambda_transform_grad(sg, tc)
-    grads_g = net_g.flatten_grads(net_g.backward(cg, d_sg))
-
-    def value_for(net):
-        def value(flat):
-            net.set_flat(flat)
-            return objective.map_loss(build_input()[0]).value
-        return value
-
+    live, (values, _, _, d_lam, d_alpha, d_beta), (sf, cf, sg, cg) = step()
     err = 0.0
-    for net, analytic in ((net_f, grads_f), (net_g, grads_g)):
+    for i, s in enumerate(cands):
+        inp = objective.PerInstanceLossInput.from_live_params(
+            *(v[i] for v in live), *(h[i] for h in prior), s)
+        err = max(err, rel_error(values[i], objective.map_loss(inp).value))
+    d_sg = np.concatenate([d_alpha, d_beta], axis=1) * lambda_transform_grad(sg, tc)
+    for net, cache, d_scores in ((net_f, cf, d_lam * lambda_transform_grad(sf, tc)),
+                                 (net_g, cg, d_sg)):
+        analytic = net.flatten_grads(net.backward(cache, d_scores))
         flat0 = net.get_flat()
         coords = np.arange(flat0.size)
         if flat0.size > max_coords:
             coords = rng.choice(flat0.size, size=max_coords, replace=False)
-        fun = value_for(net)
-        for i in coords:
-            step = np.zeros_like(flat0)
-            step[i] = FD_STEP
-            numeric = (fun(flat0 + step) - fun(flat0 - step)) / (2.0 * FD_STEP)
-            err = max(err, rel_error(analytic[i], numeric))
+
+        def mean_loss(sub):
+            flat = flat0.copy()
+            flat[coords] = sub
+            net.set_flat(flat)
+            _, res, _ = step()
+            return float(res[0].mean())
+
+        numeric = central_difference(mean_loss, flat0[coords])
         net.set_flat(flat0)
+        err = max(err, rel_error(analytic[coords], numeric))
     return err
 
 

@@ -58,7 +58,6 @@ from .rng import substream
 # Search grids named by the experimental protocol; selection is up to the
 # caller (see select_learning_rate).
 LR_GRID = (1e-4, 1e-3, 1e-2)
-WEIGHT_DECAY_GRID = (1e-5, 1e-4, 1e-3, 1e-2)
 
 
 @dataclass(frozen=True)
@@ -252,12 +251,36 @@ def _live_alpha_beta(net: DenseNet, X: np.ndarray, tc: TransformConfig):
     return floor_params(alpha), floor_params(beta), scores, cache
 
 
-def _batch_losses(theta, z, mask, lam_hat, a_hat, b_hat, ml_only: bool):
-    ml_v, ml_dt, ml_dz = ml_loss_batch(theta, z, mask)
-    if ml_only:
-        return ml_v, ml_dt, ml_dz
-    reg_v, reg_dt, reg_dz = reg_loss_batch(theta, z, lam_hat, a_hat, b_hat)
-    return ml_v + reg_v, ml_dt + reg_dt, ml_dz + reg_dz
+def map_step_batch(lam, alpha, beta, mask, lam_hat, a_hat, b_hat, ml_only: bool):
+    """Per-row MAP losses and the gradients of their batch mean to lam/alpha/beta.
+
+    Returns ``(values, theta, z, d_lam, d_alpha, d_beta)`` with z clamped;
+    clamped z entries and the frozen hats get no gradient.
+    """
+    theta = dirichlet_posterior_mean(lam, mask)
+    z_raw = beta_posterior_mean(alpha, beta, mask)
+    z = clamp_z(z_raw)
+    values, d_theta, d_z = ml_loss_batch(theta, z, mask)
+    if not ml_only:
+        reg_v, reg_dt, reg_dz = reg_loss_batch(theta, z, lam_hat, a_hat, b_hat)
+        values, d_theta, d_z = values + reg_v, d_theta + reg_dt, d_z + reg_dz
+    rows = lam.shape[0]
+    d_z = np.where((z_raw > Z_EPS) & (z_raw < 1.0 - Z_EPS), d_z, 0.0) / rows
+    d_lam = chain_to_lambda(d_theta / rows, lam, mask)
+    d_alpha, d_beta = chain_to_alpha_beta(d_z, alpha, beta, mask)
+    return values, theta, z, d_lam, d_alpha, d_beta
+
+
+def _located_step(t: int, k: int, idx: np.ndarray, *args):
+    """:func:`map_step_batch` whose numeric failures name epoch, batch and row."""
+    try:
+        step = map_step_batch(*args)
+    except NumericError as exc:
+        raise NumericError(f"epoch {t}, batch {k}: {exc}") from exc
+    if not np.all(np.isfinite(step[0])):
+        bad = int(idx[int(np.flatnonzero(~np.isfinite(step[0]))[0])])
+        raise NumericError(f"non-finite loss at epoch {t}, batch {k}, instance {bad}")
+    return step
 
 
 def train_epoch(state: TrainerState, t: int,
@@ -277,19 +300,12 @@ def train_epoch(state: TrainerState, t: int,
         lam0, _, _ = _live_lambda(state.f, X, tc)
         alpha0, beta0, _, _ = _live_alpha_beta(state.g, X, tc)
         lam_hat, a_hat, b_hat = state.cache.refresh(idx, lam0, alpha0, beta0, t)
+        fixed = (O, lam_hat, a_hat, b_hat, cfg.ml_only)  # shared by both sub-steps
 
         # Sub-step 1: main branch fixed, auxiliary branch updated.
         lam, _, _ = _live_lambda(state.f, X, tc)
-        theta = dirichlet_posterior_mean(lam, O)
         alpha, beta, sg, cache_g = _live_alpha_beta(state.g, X, tc)
-        z_raw = beta_posterior_mean(alpha, beta, O)
-        z = clamp_z(z_raw)
-        try:
-            _, _, d_z = _batch_losses(theta, z, O, lam_hat, a_hat, b_hat, cfg.ml_only)
-        except NumericError as exc:
-            raise NumericError(f"epoch {t}, batch {k}: {exc}") from exc
-        d_z = np.where((z_raw > Z_EPS) & (z_raw < 1.0 - Z_EPS), d_z, 0.0) / idx.size
-        d_alpha, d_beta = chain_to_alpha_beta(d_z, alpha, beta, O)
+        *_, d_alpha, d_beta = _located_step(t, k, idx, lam, alpha, beta, *fixed)
         d_scores_g = np.concatenate([d_alpha, d_beta], axis=1)
         d_scores_g *= lambda_transform_grad(sg, tc)
         sgd_step(state.opt_g, state.g, state.g.backward(cache_g, d_scores_g),
@@ -297,20 +313,9 @@ def train_epoch(state: TrainerState, t: int,
 
         # Sub-step 2: auxiliary branch (just updated) fixed, main branch updated.
         alpha2, beta2, _, _ = _live_alpha_beta(state.g, X, tc)
-        z2 = clamp_z(beta_posterior_mean(alpha2, beta2, O))
         lam2, sf, cache_f = _live_lambda(state.f, X, tc)
-        theta2 = dirichlet_posterior_mean(lam2, O)
-        try:
-            values, d_theta, _ = _batch_losses(theta2, z2, O, lam_hat, a_hat, b_hat,
-                                               cfg.ml_only)
-        except NumericError as exc:
-            raise NumericError(f"epoch {t}, batch {k}: {exc}") from exc
-        if not np.all(np.isfinite(values)):
-            bad = int(idx[int(np.flatnonzero(~np.isfinite(values))[0])])
-            raise NumericError(
-                f"non-finite loss at epoch {t}, batch {k}, instance {bad}"
-            )
-        d_lam = chain_to_lambda(d_theta / idx.size, lam2, O)
+        values, theta2, z2, d_lam, _, _ = _located_step(t, k, idx, lam2, alpha2,
+                                                        beta2, *fixed)
         d_scores_f = d_lam * lambda_transform_grad(sf, tc)
         sgd_step(state.opt_f, state.f, state.f.backward(cache_f, d_scores_f),
                  cfg.weight_decay)

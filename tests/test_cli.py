@@ -1,11 +1,13 @@
 """Command surface: exit codes, determinism, file artifacts."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 import idgp.distributions
+import idgp.trainer
 from idgp import cli
 from idgp.cli import (
     EXIT_GRADCHECK,
@@ -213,6 +215,24 @@ class TestModelFile:
         assert main(["eval", "--model", str(path), "--data", str(path),
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("damage", ["cut_10", "cut_40", "cut_8_short",
+                                        "activation_7", "transform_a_0"])
+    def test_corrupt_model_exits_1(self, tmp_path, clean_path, capsys, damage):
+        path = tmp_path / "model.bin"
+        save_model(path, DenseNet([2, 4, 3], rng=np.random.default_rng(0)),
+                   DenseNet([2, 4, 6], rng=np.random.default_rng(1)), TransformConfig())
+        buf = bytearray(path.read_bytes())
+        if damage == "activation_7":
+            buf[36:40] = struct.pack("<I", 7)  # f's activation code follows the header
+        elif damage == "transform_a_0":
+            buf[12:20] = struct.pack("<d", 0.0)  # a, b, gamma follow the version
+        else:
+            buf = buf[:{"cut_10": 10, "cut_40": 40, "cut_8_short": len(buf) - 8}[damage]]
+        path.write_bytes(bytes(buf))
+        assert main(["eval", "--model", str(path), "--data", str(clean_path),
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert f"{path}: truncated or corrupt model file" in capsys.readouterr().err
+
 
 class TestGradcheckCommand:
     def test_default_run_passes(self, capsys):
@@ -230,6 +250,13 @@ class TestGradcheckCommand:
                             lambda lam, o: -real(lam, o))
         assert main(["gradcheck", "--trials", "2", "--seed", "1"]) == EXIT_GRADCHECK
         assert "posterior_jacobians" in capsys.readouterr().err
+
+    def test_fault_in_trainer_step_detected(self, monkeypatch, capsys):
+        real = idgp.trainer.chain_to_lambda
+        monkeypatch.setattr(idgp.trainer, "chain_to_lambda",
+                            lambda *args: 2.0 * real(*args))
+        assert main(["gradcheck", "--trials", "2", "--seed", "1"]) == EXIT_GRADCHECK
+        assert "map_loss" in capsys.readouterr().err
 
     def test_zero_trials_is_usage_error(self):
         assert main(["gradcheck", "--trials", "0"]) == EXIT_USAGE
@@ -283,12 +310,3 @@ class TestReport:
     def test_no_action_is_usage_error(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "o.csv")]) == EXIT_USAGE
 
-
-class TestEnvironment:
-    def test_invalid_worker_cap(self, monkeypatch):
-        monkeypatch.setenv("IDGP_THREADS", "zero")
-        assert main(["gradcheck", "--trials", "1"]) == EXIT_USAGE
-
-    def test_valid_worker_cap(self, monkeypatch):
-        monkeypatch.setenv("IDGP_THREADS", "4")
-        assert main(["gradcheck", "--trials", "1"]) == 0

@@ -130,6 +130,10 @@ class TestRoundTrip:
         assert row.endswith("| 1 | 1")
 
 
+HEAD = '{"n": 1, "q": 1, "c": 3}\n'
+ROW = '{"n": 2, "q": 1, "c": 3}\n{"features": [0.5], "candidates": [1]}\n'
+
+
 class TestParseErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError):
@@ -164,6 +168,30 @@ class TestParseErrors:
         path.write_text('{"n": 1, "q": 1, "c": 2}\n{oops\n')
         with pytest.raises(DataFormatError, match=":2"):
             load_dataset(path, "jsonl")
+
+    @pytest.mark.parametrize("fmt, text, line", [
+        pytest.param("jsonl", ROW + "3\n", 3, id="jsonl-row-not-object"),
+        pytest.param("jsonl", HEAD + '{"features": [0.5], "candidates": ["x"]}\n', 2,
+                     id="jsonl-candidate-string"),
+        pytest.param("jsonl", HEAD + '{"features": ["a"], "candidates": [1]}\n', 2,
+                     id="jsonl-feature-string"),
+        pytest.param("jsonl", HEAD + '{"features": [[1.0]], "candidates": [1]}\n', 2,
+                     id="jsonl-feature-nested"),
+        pytest.param("jsonl", HEAD + '{"features": [0.5], "candidates": null}\n', 2,
+                     id="jsonl-candidates-null"),
+        pytest.param("jsonl", '{"n": "x", "q": 1, "c": 3}\n', 1, id="jsonl-header-string"),
+        pytest.param("jsonl", '{"n": -1, "q": 1, "c": 3}\n', 1, id="jsonl-negative-n"),
+        pytest.param("jsonl", '{"n": 1, "q": -1, "c": 3}\n{"features": []}\n', 1,
+                     id="jsonl-negative-q"),
+        pytest.param("text", "-1 2 3\n", 1, id="text-negative-n"),
+        pytest.param("text", "1 -2 3\n0.5 | 1\n", 1, id="text-negative-q"),
+        pytest.param("text", "1 1 3\n0.\udcff | 1\n", 2, id="text-not-utf8"),
+    ])
+    def test_malformed_input_names_line(self, tmp_path, fmt, text, line):
+        path = tmp_path / "d.data"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(DataFormatError, match=rf"d\.data:{line}: "):
+            load_dataset(path, fmt)
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(DataFormatError, match="unknown format"):
