@@ -16,14 +16,14 @@ import hashlib
 import json
 import struct
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluation, gradcheck, generation, trainer
-from .data import load_dataset, write_dataset, write_sidecar
+from .data import FORMATS, load_dataset, read_text, write_dataset, write_sidecar
 from .errors import DataFormatError, DataInvariantError, NumericError
 from .network import DenseNet, TransformConfig
 from .trainer import TrainConfig
@@ -116,10 +116,7 @@ _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False}
 
 def parse_config_file(path) -> TrainConfig:
     """Flat key=value file; every key must be a TrainConfig field."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read config {path}: {exc}") from exc
+    text = read_text(path)
     known = {f.name: f.type for f in TrainConfig.__dataclass_fields__.values()}
     defaults = TrainConfig()
     values = {}
@@ -212,8 +209,7 @@ def cmd_train(args) -> int:
         for record in history:
             fh.write(json.dumps(record) + "\n")
     inputs = [args.data] + ([args.config] if args.config else [])
-    write_manifest(out_dir / "manifest.json", "train",
-                   {name: getattr(config, name) for name in TrainConfig.field_names()},
+    write_manifest(out_dir / "manifest.json", "train", asdict(config),
                    config.seed, inputs, [model_path, history_path])
     final = history[-1] if history else {}
     print(f"trained {config.epochs} epochs; final loss "
@@ -269,29 +265,30 @@ def cmd_report(args) -> int:
     if args.history:
         rows = []
         for hist_path in args.history:
-            try:
-                lines = Path(hist_path).read_text().splitlines()
-            except OSError as exc:
-                raise DataFormatError(f"cannot read {hist_path}: {exc}") from exc
             series = Path(hist_path).stem
-            for line in lines:
+            for lineno, line in enumerate(read_text(hist_path).splitlines(), 1):
                 if not line.strip():
                     continue
-                rec = json.loads(line)
-                rows.append((rec["epoch"], rec["train_loss"], series))
+                try:
+                    rec = json.loads(line)
+                    rows.append((rec["epoch"], rec["train_loss"], series))
+                except (ValueError, RecursionError, TypeError, KeyError):
+                    raise DataFormatError(f"{hist_path}:{lineno}: expected a JSON record "
+                                          "with 'epoch' and 'train_loss'") from None
         _write_xy_csv(args.out, rows)
         print(f"wrote loss curves ({len(rows)} rows) -> {args.out}")
         did_anything = True
     if args.merge:
         groups = {}
         for metrics_path in args.merge:
-            if not Path(metrics_path).exists():
-                raise DataFormatError(f"cannot read {metrics_path}: no such file")
             for row in evaluation.read_report_csv(metrics_path):
                 key = (row["method"], row["dataset"])
                 groups.setdefault(key, []).append(float(row["mean_acc"]))
         merged = []
         for (method, dataset), values in sorted(groups.items()):
+            if len(values) < 2:
+                raise DataInvariantError(f"{method}/{dataset}: a merge needs at least "
+                                         "2 rows per method and dataset, got 1")
             mean, std = evaluation.aggregate(values)
             merged.append({"method": method, "dataset": dataset,
                            "seed_count": len(values), "mean_acc": mean,
@@ -305,14 +302,18 @@ def cmd_report(args) -> int:
         config = parse_config_file(args.config) if args.config else TrainConfig()
         if args.seed is not None:
             config = replace(config, seed=args.seed)
+        try:
+            grid = [replace(config, a=a, gamma=gamma)
+                    for gamma in _parse_grid(args.sweep_gamma, "--sweep-gamma")
+                    for a in _parse_grid(args.sweep_a, "--sweep-a")]
+        except ValueError as exc:
+            raise UsageError(f"sensitivity sweep: {exc}") from None
         ds = load_dataset(args.data, args.format)
         rows = []
-        for gamma in _parse_grid(args.sweep_gamma, "--sweep-gamma"):
-            for a in _parse_grid(args.sweep_a, "--sweep-a"):
-                cfg = replace(config, a=a, gamma=gamma)
-                _, _, history = trainer.fit(cfg, ds)
-                acc = history[-1]["val_acc"] if history else None
-                rows.append((a, acc if acc is not None else "nan", f"gamma={gamma}"))
+        for cfg in grid:
+            _, _, history = trainer.fit(cfg, ds)
+            acc = history[-1]["val_acc"] if history else None
+            rows.append((cfg.a, acc if acc is not None else "nan", f"gamma={cfg.gamma}"))
         _write_xy_csv(args.out, rows)
         print(f"wrote sensitivity grid ({len(rows)} rows) -> {args.out}")
         did_anything = True
@@ -333,6 +334,13 @@ def _parse_grid(raw: str, flag: str):
 
 # -- parser -----------------------------------------------------------------
 
+def _seed(raw: str) -> int:
+    """A --seed value: random substreams need a nonnegative integer."""
+    if not (raw.isascii() and raw.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {raw!r}")
+    return int(raw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="idgp",
@@ -345,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["instance", "uniform"], default="instance")
     p.add_argument("--p", type=float, default=None,
                    help="flip probability for --mode uniform")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", default="text", choices=["text", "jsonl"])
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--format", default="text", choices=FORMATS)
     p.add_argument("--scorer-hidden", type=int, default=64)
     p.add_argument("--scorer-epochs", type=int, default=50)
     p.add_argument("--scorer-lr", type=float, default=0.1)
@@ -356,11 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit the two-network model")
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--ml-only", action="store_true",
                    help="drop the prior regularizer (ablation)")
-    p.add_argument("--format", default="text", choices=["text", "jsonl"])
+    p.add_argument("--format", default="text", choices=FORMATS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="accuracy of a trained model on labelled data")
@@ -368,11 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--method", default="idgp")
-    p.add_argument("--format", default="text", choices=["text", "jsonl"])
+    p.add_argument("--format", default="text", choices=FORMATS)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=int, default=20)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -383,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-gamma", default=None)
     p.add_argument("--data", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", default="text", choices=["text", "jsonl"])
+    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--format", default="text", choices=FORMATS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
     return parser

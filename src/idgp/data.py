@@ -25,7 +25,7 @@ from .errors import DataFormatError, DataInvariantError
 
 TEXT_FORMAT = "text"
 JSONL_FORMAT = "jsonl"
-_FORMAT_ALIASES = {"text": TEXT_FORMAT, "jsonl": JSONL_FORMAT, "json-lines": JSONL_FORMAT}
+FORMATS = (TEXT_FORMAT, JSONL_FORMAT)
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,10 @@ class PLLDataset:
                 )
         labels = self.true_labels
         if labels is not None:
-            labels = np.asarray(labels, dtype=np.int64)
+            try:
+                labels = np.asarray(labels, dtype=np.int64)
+            except OverflowError:
+                raise DataInvariantError("true label out of the int64 range") from None
             if labels.shape != (n,):
                 raise DataInvariantError(
                     f"true_labels shape {labels.shape} does not match n={n}"
@@ -163,18 +166,14 @@ def _format_float(v: float) -> str:
     return repr(float(v))
 
 
-def _resolve_format(fmt: str) -> str:
-    try:
-        return _FORMAT_ALIASES[fmt]
-    except KeyError:
-        raise DataFormatError(
-            f"unknown format {fmt!r}; expected 'text' or 'jsonl'"
-        ) from None
+def _check_format(fmt: str) -> None:
+    if fmt not in FORMATS:
+        raise DataFormatError(f"unknown format {fmt!r}; expected 'text' or 'jsonl'")
 
 
 def write_dataset(ds: PLLDataset, path, fmt: str = TEXT_FORMAT) -> None:
     """Serialize a dataset so that :func:`load_dataset` inverts it exactly."""
-    fmt = _resolve_format(fmt)
+    _check_format(fmt)
     path = Path(path)
     lines = []
     if fmt == TEXT_FORMAT:
@@ -201,9 +200,9 @@ def write_dataset(ds: PLLDataset, path, fmt: str = TEXT_FORMAT) -> None:
 
 def load_dataset(path, fmt: str = TEXT_FORMAT) -> PLLDataset:
     """Parse a dataset file; raises with a line number on malformed input."""
-    fmt = _resolve_format(fmt)
+    _check_format(fmt)
     path = Path(path)
-    lines = _read_text(path).splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataFormatError(f"{path}: empty file")
     if fmt == TEXT_FORMAT:
@@ -211,10 +210,10 @@ def load_dataset(path, fmt: str = TEXT_FORMAT) -> PLLDataset:
     return _parse_jsonl(lines, path)
 
 
-def _read_text(path: Path) -> str:
+def read_text(path) -> str:
     """The file decoded as UTF-8; failures name the path (and line)."""
     try:
-        data = path.read_bytes()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     try:
@@ -224,14 +223,17 @@ def _read_text(path: Path) -> str:
         raise DataFormatError(f"{path}:{line}: not UTF-8 text") from exc
 
 
-def _header_dims(fields, path):
+def _header_dims(fields, path, lines, to_int=int):
     """``(n, q, c)`` from the three header fields of either format."""
     try:
-        n, q, c = (int(v) for v in fields)
+        n, q, c = (to_int(v) for v in fields)
     except (TypeError, ValueError):
         raise DataFormatError(f"{path}:1: non-integer header field") from None
     if n < 0 or q < 0:
         raise DataFormatError(f"{path}:1: negative header field (n={n}, q={q})")
+    # each feature takes at least one character: this bounds the allocation
+    if max(n, 1) * q > sum(map(len, lines)):
+        raise DataFormatError(f"{path}:1: n={n} rows of q={q} features cannot fit in the file")
     return n, q, c
 
 
@@ -239,7 +241,7 @@ def _parse_text(lines, path) -> PLLDataset:
     header = lines[0].split()
     if len(header) != 3:
         raise DataFormatError(f"{path}:1: header must be 'n q c'")
-    n, q, c = _header_dims(header, path)
+    n, q, c = _header_dims(header, path, lines)
     if len(lines) - 1 < n:
         raise DataFormatError(f"{path}: header says n={n} but only {len(lines) - 1} rows")
     features = np.empty((n, q))
@@ -277,15 +279,29 @@ def _parse_text(lines, path) -> PLLDataset:
         features=features,
         candidates=tuple(tuple(s) for s in candidates),
         c=c,
-        true_labels=np.array(labels, dtype=np.int64) if labels else None,
+        true_labels=labels or None,
     )
+
+
+def _json_int(value) -> int:
+    """A JSON integer; floats, booleans and strings are not read as one."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _json_number(value):
+    """A JSON number; booleans and strings are not read as one."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
 
 
 def _parse_jsonl(lines, path) -> PLLDataset:
     def parse_object(lineno, text):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise DataFormatError(f"{path}:{lineno}: expected a JSON object")
@@ -295,7 +311,8 @@ def _parse_jsonl(lines, path) -> PLLDataset:
     for key in ("n", "q", "c"):
         if key not in header:
             raise DataFormatError(f"{path}:1: header object missing {key!r}")
-    n, q, c = _header_dims((header["n"], header["q"], header["c"]), path)
+    n, q, c = _header_dims([header[key] for key in ("n", "q", "c")], path, lines,
+                           _json_int)
     body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) < n:
         raise DataFormatError(f"{path}: header says n={n} but only {len(body)} rows")
@@ -308,11 +325,11 @@ def _parse_jsonl(lines, path) -> PLLDataset:
         if not isinstance(feats, list) or len(feats) != q:
             raise DataFormatError(f"{path}:{lineno}: expected {q} features")
         try:
-            features[i] = feats
-            candidates.append([int(j) - 1 for j in obj.get("candidates", [])])
+            features[i] = [_json_number(v) for v in feats]
+            candidates.append([_json_int(j) - 1 for j in obj.get("candidates", [])])
             if "true_label" in obj:
-                labels.append(int(obj["true_label"]) - 1)
-        except (TypeError, ValueError) as exc:
+                labels.append(_json_int(obj["true_label"]) - 1)
+        except (TypeError, OverflowError) as exc:
             raise DataFormatError(f"{path}:{lineno}: malformed value ({exc})") from exc
     if labels and len(labels) != n:
         raise DataFormatError(f"{path}: true label present on some rows but not all")
@@ -320,7 +337,7 @@ def _parse_jsonl(lines, path) -> PLLDataset:
         features=features,
         candidates=tuple(tuple(s) for s in candidates),
         c=c,
-        true_labels=np.array(labels, dtype=np.int64) if labels else None,
+        true_labels=labels or None,
     )
 
 

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import PLLDataset
-from .errors import DataInvariantError
+from .data import PLLDataset, read_text
+from .errors import DataFormatError, DataInvariantError
 from .network import DenseNet, TransformConfig
 from .rng import substream
 from .trainer import TrainConfig, fit, predict_batch
@@ -107,5 +108,19 @@ def write_report_csv(path, rows) -> None:
 
 
 def read_report_csv(path):
-    with Path(path).open(newline="") as fh:
-        return [dict(row) for row in csv.DictReader(fh)]
+    """Rows of a report CSV; a missing field or non-numeric accuracy names its line."""
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    rows = []
+    try:
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if any(row.get(k) is None for k in CSV_COLUMNS):
+                raise DataFormatError(f"{where}: expected columns {', '.join(CSV_COLUMNS)}")
+            try:
+                float(row["mean_acc"]), float(row["std_acc"])
+            except ValueError:
+                raise DataFormatError(f"{where}: non-numeric accuracy") from None
+            rows.append(row)
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from exc
+    return rows

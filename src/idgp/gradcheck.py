@@ -5,7 +5,9 @@ analytic derivative, and compares against (f(x+h) - f(x-h)) / 2h at
 h = 1e-5 in 64-bit.  Errors are reported as |a - b| / max(1, |a|, |b|),
 i.e. relative for large gradients and absolute near zero, and instances
 are resampled until they sit away from the clamp and relu kinks that make
-finite differences meaningless.
+finite differences meaningless.  One routine, :func:`central_difference`,
+gives every numeric derivative: the gradient of a scalar function or the
+Jacobian of a vector one.
 
 The checks deliberately call through the module objects (``objective.``,
 ``distributions.``, ``trainer.``) rather than binding functions at import
@@ -32,14 +34,17 @@ _MAP_ROWS = 3  # batch rows of the MAP check: more than one exercises the 1/B me
 
 
 def central_difference(fun, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function, coordinate-wise."""
+    """Central differences of ``fun`` at ``x``, shaped ``fun(x).shape + x.shape``.
+
+    The gradient of a scalar function, the Jacobian of a vector one.
+    """
     x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
+    cols = []
     for i in range(x.size):
         step = np.zeros_like(x)
         step.flat[i] = h
-        grad.flat[i] = (fun(x + step) - fun(x - step)) / (2.0 * h)
-    return grad
+        cols.append((np.asarray(fun(x + step)) - np.asarray(fun(x - step))) / (2.0 * h))
+    return np.stack(cols, axis=-1).reshape(cols[0].shape + x.shape)
 
 
 def rel_error(a, b) -> float:
@@ -71,18 +76,10 @@ def check_forward(rng, width: int = 16) -> float:
     c = int(rng.integers(2, 6))
     net, x = _well_conditioned_net(rng, [q, width, c])
     v = rng.normal(size=c)
-
-    def value(flat):
-        net.set_flat(flat)
-        scores, _ = net.forward(x)
-        return float(scores @ v)
-
-    flat0 = net.get_flat()
-    scores, cache = net.forward(x)
+    _, cache = net.forward(x)
     analytic = net.flatten_grads(net.backward(cache, v))
-    numeric = central_difference(value, flat0)
-    net.set_flat(flat0)
-    return rel_error(analytic, numeric)
+    return _net_error(net, analytic, np.arange(analytic.size),
+                      lambda: float(net.forward(x)[0] @ v))
 
 
 def check_transform(rng) -> float:
@@ -96,31 +93,31 @@ def check_transform(rng) -> float:
 
 
 def check_posterior_jacobians(rng) -> float:
+    """The full Dirichlet Jacobian and the diagonal Beta Jacobians vs FD."""
     c = int(rng.integers(2, 8))
     lam = rng.uniform(0.3, 4.0, size=c)
     o = np.zeros(c)
     o[list(_random_candidates(rng, c))] = 1.0
     jac = distributions.dirichlet_posterior_mean_jacobian(lam, o)
-    err = 0.0
-    for j in range(c):
-        numeric = central_difference(
-            lambda l, j=j: float(distributions.dirichlet_posterior_mean(l, o)[j]), lam)
-        err = max(err, rel_error(jac[j], numeric))
+    err = rel_error(jac, central_difference(
+        lambda l: distributions.dirichlet_posterior_mean(l, o), lam))
     alpha = rng.uniform(0.3, 4.0, size=c)
     beta = rng.uniform(0.3, 4.0, size=c)
     dz_da, dz_db = distributions.beta_posterior_mean_grads(alpha, beta, o)
-    num_da = np.array([
-        central_difference(
-            lambda a_j, j=j: float(distributions.beta_posterior_mean(
-                a_j, beta[j:j + 1], o[j:j + 1])[0]), alpha[j:j + 1])[0]
-        for j in range(c)])
-    num_db = np.array([
-        central_difference(
-            lambda b_j, j=j: float(distributions.beta_posterior_mean(
-                alpha[j:j + 1], b_j, o[j:j + 1])[0]), beta[j:j + 1])[0]
-        for j in range(c)])
-    err = max(err, rel_error(dz_da, num_da), rel_error(dz_db, num_db))
-    return err
+    num_da = central_difference(
+        lambda a: distributions.beta_posterior_mean(a, beta, o), alpha)
+    num_db = central_difference(
+        lambda b: distributions.beta_posterior_mean(alpha, b, o), beta)
+    return max(err, rel_error(dz_da, np.diagonal(num_da)),
+               rel_error(dz_db, np.diagonal(num_db)))
+
+
+def _theta_z_error(loss, theta, z) -> float:
+    """Partials of ``loss(theta, z) -> (value, d_theta, d_z)`` vs FD."""
+    _, d_theta, d_z = loss(theta, z)
+    num_t = central_difference(lambda th: loss(th, z)[0], theta)
+    num_z = central_difference(lambda zz: loss(theta, zz)[0], z)
+    return max(rel_error(d_theta, num_t), rel_error(d_z, num_z))
 
 
 def check_ml_loss(rng) -> float:
@@ -128,27 +125,30 @@ def check_ml_loss(rng) -> float:
     cands = _random_candidates(rng, c)
     theta = _random_simplexish(rng, c)
     z = _random_z(rng, c)
-    _, d_theta, d_z = objective.ml_loss(theta, z, cands)
-    num_t = central_difference(
-        lambda th: objective.ml_loss(th, z, cands)[0], theta)
-    num_z = central_difference(
-        lambda zz: objective.ml_loss(theta, zz, cands)[0], z)
-    return max(rel_error(d_theta, num_t), rel_error(d_z, num_z))
+    return _theta_z_error(lambda th, zz: objective.ml_loss(th, zz, cands), theta, z)
 
 
 def check_reg_loss(rng) -> float:
     c = int(rng.integers(2, 9))
     theta = _random_simplexish(rng, c)
     z = _random_z(rng, c)
-    lam_hat = rng.uniform(0.5, 3.0, size=c)
-    a_hat = rng.uniform(0.5, 3.0, size=c)
-    b_hat = rng.uniform(0.5, 3.0, size=c)
-    _, d_theta, d_z = objective.reg_loss(theta, z, lam_hat, a_hat, b_hat)
-    num_t = central_difference(
-        lambda th: objective.reg_loss(th, z, lam_hat, a_hat, b_hat)[0], theta)
-    num_z = central_difference(
-        lambda zz: objective.reg_loss(theta, zz, lam_hat, a_hat, b_hat)[0], z)
-    return max(rel_error(d_theta, num_t), rel_error(d_z, num_z))
+    hats = tuple(rng.uniform(0.5, 3.0, size=c) for _ in range(3))
+    return _theta_z_error(lambda th, zz: objective.reg_loss(th, zz, *hats), theta, z)
+
+
+def _net_error(net, analytic, coords, loss) -> float:
+    """``analytic`` vs FD of ``loss()`` over the flat parameters ``coords`` of ``net``."""
+    flat0 = net.get_flat()
+
+    def perturbed(sub):
+        flat = flat0.copy()
+        flat[coords] = sub
+        net.set_flat(flat)
+        return loss()
+
+    numeric = central_difference(perturbed, flat0[coords])
+    net.set_flat(flat0)
+    return rel_error(analytic[coords], numeric)
 
 
 def _well_conditioned_net(rng, sizes, clamp=_HARNESS_CLAMP, max_tries=200, x=None):
@@ -212,21 +212,11 @@ def check_map_end_to_end(rng, c: int | None = None, width: int | None = None,
     for net, cache, d_scores in ((net_f, cf, d_lam * lambda_transform_grad(sf, tc)),
                                  (net_g, cg, d_sg)):
         analytic = net.flatten_grads(net.backward(cache, d_scores))
-        flat0 = net.get_flat()
-        coords = np.arange(flat0.size)
-        if flat0.size > max_coords:
-            coords = rng.choice(flat0.size, size=max_coords, replace=False)
-
-        def mean_loss(sub):
-            flat = flat0.copy()
-            flat[coords] = sub
-            net.set_flat(flat)
-            _, res, _ = step()
-            return float(res[0].mean())
-
-        numeric = central_difference(mean_loss, flat0[coords])
-        net.set_flat(flat0)
-        err = max(err, rel_error(analytic[coords], numeric))
+        coords = np.arange(analytic.size)
+        if analytic.size > max_coords:
+            coords = rng.choice(analytic.size, size=max_coords, replace=False)
+        err = max(err, _net_error(net, analytic, coords,
+                                  lambda: float(step()[1][0].mean())))
     return err
 
 

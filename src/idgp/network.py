@@ -142,8 +142,7 @@ class DenseNet:
         inputs.append(h)
         pre_out = h @ self.weights[-1] + self.biases[-1]
         scores = np.clip(pre_out, -self.clamp, self.clamp)
-        cache = {"inputs": inputs, "preacts": preacts, "pre_out": pre_out,
-                 "single": single}
+        cache = {"inputs": inputs, "preacts": preacts, "pre_out": pre_out}
         return (scores[0] if single else scores), cache
 
     def backward(self, cache, grad_scores: np.ndarray):
@@ -190,15 +189,6 @@ class DenseNet:
             parts.append(gW.ravel())
             parts.append(gb.ravel())
         return np.concatenate(parts)
-
-    def copy(self) -> "DenseNet":
-        dup = DenseNet.__new__(DenseNet)
-        dup.layer_sizes = self.layer_sizes
-        dup.activation = self.activation
-        dup.clamp = self.clamp
-        dup.weights = [W.copy() for W in self.weights]
-        dup.biases = [b.copy() for b in self.biases]
-        return dup
 
 
 @dataclass

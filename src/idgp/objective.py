@@ -28,8 +28,10 @@ import numpy as np
 
 from .data import occurrence_vector
 from .distributions import (
+    _require_positive,
     beta_posterior_mean,
     beta_posterior_mean_grads,
+    check_unit_open,
     dirichlet_posterior_mean,
 )
 from .errors import NumericError
@@ -70,11 +72,11 @@ def ml_loss_batch(theta: np.ndarray, z: np.ndarray, mask: np.ndarray):
     return values, d_theta, d_z
 
 
-def reg_loss_batch(theta, z, lambda_hat, alpha_hat, beta_hat, mask=None):
+def reg_loss_batch(theta, z, lambda_hat, alpha_hat, beta_hat):
     """Per-row prior regularizer and its partials w.r.t. theta and z.
 
     The hat parameters are constants: they shape the gradient but receive
-    none.  ``mask`` is accepted for signature symmetry and ignored.
+    none.
     """
     theta = np.asarray(theta, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
@@ -113,18 +115,10 @@ def chain_to_alpha_beta(d_z, alpha, beta, mask):
     return d_z * beta / denom_sq, d_z * (-(mask + alpha)) / denom_sq
 
 
-def _check_domains(theta, z):
-    if np.any(theta <= 0.0) or not np.all(np.isfinite(theta)):
-        raise ValueError("theta_hat entries must be finite and strictly positive")
-    if np.any(z <= 0.0) or np.any(z >= 1.0):
-        raise ValueError("z_hat entries must lie strictly inside (0, 1)")
-
-
 def ml_loss(theta_hat, z_hat, candidates: Sequence[int]):
     """Single-instance likelihood loss: (value, d/d theta_hat, d/d z_hat)."""
-    theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    z_hat = np.asarray(z_hat, dtype=np.float64)
-    _check_domains(theta_hat, z_hat)
+    theta_hat = _require_positive(theta_hat, "theta_hat")
+    z_hat = check_unit_open(z_hat, "z_hat")
     mask = occurrence_vector(candidates, theta_hat.shape[0])
     values, d_theta, d_z = ml_loss_batch(theta_hat[None], z_hat[None], mask[None])
     return float(values[0]), d_theta[0], d_z[0]
@@ -132,12 +126,11 @@ def ml_loss(theta_hat, z_hat, candidates: Sequence[int]):
 
 def reg_loss(theta_hat, z_hat, lambda_hat, alpha_hat, beta_hat):
     """Single-instance regularizer: (value, d/d theta_hat, d/d z_hat)."""
-    _check_domains(np.asarray(theta_hat, dtype=np.float64),
-                   np.asarray(z_hat, dtype=np.float64))
+    theta_hat = _require_positive(theta_hat, "theta_hat")
+    z_hat = check_unit_open(z_hat, "z_hat")
     values, d_theta, d_z = reg_loss_batch(
-        np.asarray(theta_hat)[None], np.asarray(z_hat)[None],
-        np.asarray(lambda_hat)[None], np.asarray(alpha_hat)[None],
-        np.asarray(beta_hat)[None])
+        theta_hat[None], z_hat[None], np.asarray(lambda_hat)[None],
+        np.asarray(alpha_hat)[None], np.asarray(beta_hat)[None])
     return float(values[0]), d_theta[0], d_z[0]
 
 
@@ -167,8 +160,7 @@ class PerInstanceLossInput:
         lam = np.asarray(lam, dtype=np.float64)
         for name, prior in (("lambda_hat", lambda_hat), ("alpha_hat", alpha_hat),
                             ("beta_hat", beta_hat)):
-            if np.any(np.asarray(prior) <= 0.0):
-                raise ValueError(f"{name} entries must be strictly positive")
+            _require_positive(prior, name)
         o = occurrence_vector(candidates, lam.shape[0])
         return cls(
             theta_hat=dirichlet_posterior_mean(lam, o),
@@ -242,7 +234,6 @@ class BoundConfig:
 @dataclass(frozen=True)
 class UpperBound:
     value: float
-    k_term: float
     weights: np.ndarray
     weights_preclamp: np.ndarray
 
@@ -273,7 +264,7 @@ def map_upper_bound(inp: PerInstanceLossInput, cfg: BoundConfig) -> UpperBound:
     w_pre = np.where(in_s, inp.lam - 1.0 + 1.0 / size, inp.lam - 1.0)
     w = np.clip(w_pre, 0.0, cfg.rho)
     value = -(k_term + float((w * np.log(inp.theta_hat)).sum()))
-    return UpperBound(value=value, k_term=k_term, weights=w, weights_preclamp=w_pre)
+    return UpperBound(value=value, weights=w, weights_preclamp=w_pre)
 
 
 def map_upper_bound_batch(theta, z, lam, alpha, beta, mask, rho: float) -> np.ndarray:

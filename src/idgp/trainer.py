@@ -22,7 +22,7 @@ themselves would be the identity, which is exactly what the fallback does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -116,15 +116,13 @@ class TrainConfig:
             raise ValueError("hidden width must be nonnegative (0 means linear)")
         if not (0.0 <= self.val_fraction < 1.0):
             raise ValueError("val_fraction must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         validate_transform_clamp(self.transform_config, self.clamp)
 
     @property
     def transform_config(self) -> TransformConfig:
         return TransformConfig(a=self.a, b=self.b, gamma=self.gamma)
-
-    @classmethod
-    def field_names(cls):
-        return tuple(f.name for f in fields(cls))
 
 
 @dataclass
@@ -135,11 +133,7 @@ class PriorCache:
     alpha_hat: np.ndarray
     beta_hat: np.ndarray
     mask: np.ndarray
-    epsilon: float
-    m: float
-    d: float
-    r: int
-    q: int
+    config: TrainConfig  # epsilon, m, d, r and q of the mixing rules
     lambda_snapshot: Optional[np.ndarray] = None
     alpha_snapshot: Optional[np.ndarray] = None
     beta_snapshot: Optional[np.ndarray] = None
@@ -152,26 +146,24 @@ class PriorCache:
             alpha_hat=np.ones((n, c)),
             beta_hat=np.ones((n, c)),
             mask=dataset.occurrence_matrix(),
-            epsilon=config.epsilon,
-            m=config.m,
-            d=config.d,
-            r=config.r,
-            q=config.q,
+            config=config,
         )
 
     def lambda_hat_values(self, idx: np.ndarray, live_lam: np.ndarray,
                           t: int) -> np.ndarray:
         """Frozen lambda constants for the given rows at epoch t."""
-        if t >= self.r and self.lambda_snapshot is not None:
-            mixed = self.m * self.lambda_snapshot[idx] + (1.0 - self.m) * live_lam
+        cfg = self.config
+        if t >= cfg.r and self.lambda_snapshot is not None:
+            mixed = cfg.m * self.lambda_snapshot[idx] + (1.0 - cfg.m) * live_lam
         else:
             mixed = live_lam
-        return np.where(self.mask[idx] > 0.0, mixed, 1.0 + self.epsilon)
+        return np.where(self.mask[idx] > 0.0, mixed, 1.0 + cfg.epsilon)
 
     def alpha_beta_hat_values(self, idx, live_alpha, live_beta, t: int):
-        if t >= self.q and self.alpha_snapshot is not None:
-            a_hat = self.d * self.alpha_snapshot[idx] + (1.0 - self.d) * live_alpha
-            b_hat = self.d * self.beta_snapshot[idx] + (1.0 - self.d) * live_beta
+        d = self.config.d
+        if t >= self.config.q and self.alpha_snapshot is not None:
+            a_hat = d * self.alpha_snapshot[idx] + (1.0 - d) * live_alpha
+            b_hat = d * self.beta_snapshot[idx] + (1.0 - d) * live_beta
             return a_hat, b_hat
         return live_alpha.copy(), live_beta.copy()
 

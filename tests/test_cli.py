@@ -154,6 +154,17 @@ class TestTrainEval:
                      str(corrupted_path), "--out", str(tmp_path / "m.csv")])
         assert code == EXIT_INVARIANT
 
+    def test_eval_into_malformed_csv_exits_1_unchanged(self, tmp_path, clean_path, capsys):
+        model = tmp_path / "m.bin"
+        save_model(model, DenseNet([2, 4, 3], rng=np.random.default_rng(0)),
+                   DenseNet([2, 4, 6], rng=np.random.default_rng(1)), TransformConfig())
+        metrics = tmp_path / "m.csv"
+        metrics.write_text("method,dataset\nidgp,toy\n")
+        assert main(["eval", "--model", str(model), "--data", str(clean_path),
+                     "--out", str(metrics)]) == 1
+        assert f"{metrics}:2: expected columns" in capsys.readouterr().err
+        assert metrics.read_text() == "method,dataset\nidgp,toy\n"
+
     def test_untrained_net_near_chance(self, tmp_path, corrupted_path):
         out_dir = tmp_path / "run0"
         cfg = tiny_config(tmp_path, epochs=0)
@@ -186,6 +197,21 @@ class TestConfigFile:
         cfg.write_text("epochs=soon\n")
         with pytest.raises(cli.UsageError, match=":1"):
             parse_config_file(cfg)
+
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed=-1\n")
+        with pytest.raises(cli.UsageError, match="seed must be nonnegative"):
+            parse_config_file(cfg)
+
+    def test_non_utf8_config_exits_1(self, tmp_path, corrupted_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"epochs=2\nhidden=\xff\n")
+        out_dir = tmp_path / "x"
+        assert main(["train", "--data", str(corrupted_path), "--config", str(cfg),
+                     "--out-dir", str(out_dir)]) == 1
+        assert f"{cfg}:2: not UTF-8" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_constraint_violation_is_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -261,6 +287,13 @@ class TestGradcheckCommand:
     def test_zero_trials_is_usage_error(self):
         assert main(["gradcheck", "--trials", "0"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_is_usage_error(self, seed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--trials", "1", "--seed", seed])
+        assert exc.value.code == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+
 
 class TestReport:
     def test_single_history_loss_curve(self, tmp_path):
@@ -306,6 +339,41 @@ class TestReport:
     def test_unreadable_history_exits_1(self, tmp_path):
         assert main(["report", "--history", str(tmp_path / "ghost.jsonl"),
                      "--out", str(tmp_path / "o.csv")]) == 1
+
+    @pytest.mark.parametrize("bad", [b'{"epoch": 2, "train_loss"', b'{"epoch": 2}',
+                                     b"[2, 0.5]", b'{"epoch": 2, "train_loss": 0.\xff}'],
+                             ids=["not-json", "no-train-loss", "not-object", "not-utf8"])
+    def test_malformed_history_exits_1(self, tmp_path, capsys, bad):
+        hist = tmp_path / "history.jsonl"
+        hist.write_bytes(b'{"epoch": 1, "train_loss": 0.5}\n' + bad + b"\n")
+        out = tmp_path / "curve.csv"
+        assert main(["report", "--history", str(hist), "--out", str(out)]) == 1
+        assert f"{hist}:2: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_merge_without_mean_acc_exits_1(self, tmp_path, capsys):
+        src = tmp_path / "m.csv"
+        src.write_text("method,dataset,seed_count,std_acc\nidgp,toy,1,0.0\n")
+        out = tmp_path / "merged.csv"
+        assert main(["report", "--merge", str(src), str(src), "--out", str(out)]) == 1
+        assert f"{src}:2: expected columns" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_merge_of_one_row_exits_3(self, tmp_path, capsys):
+        from idgp.evaluation import write_report_csv
+        src = tmp_path / "m.csv"
+        write_report_csv(src, [{"method": "idgp", "dataset": "toy", "seed_count": 1,
+                                "mean_acc": 0.8, "std_acc": 0.0}])
+        out = tmp_path / "merged.csv"
+        assert main(["report", "--merge", str(src), "--out", str(out)]) == EXIT_INVARIANT
+        assert "idgp/toy" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_outside_config_domain_is_usage_error(self, tmp_path, corrupted_path):
+        out = tmp_path / "grid.csv"
+        assert main(["report", "--sweep-a", "1,0", "--sweep-gamma", "1",
+                     "--data", str(corrupted_path), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
 
     def test_no_action_is_usage_error(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "o.csv")]) == EXIT_USAGE

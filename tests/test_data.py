@@ -186,6 +186,27 @@ class TestParseErrors:
         pytest.param("text", "-1 2 3\n", 1, id="text-negative-n"),
         pytest.param("text", "1 -2 3\n0.5 | 1\n", 1, id="text-negative-q"),
         pytest.param("text", "1 1 3\n0.\udcff | 1\n", 2, id="text-not-utf8"),
+        pytest.param("jsonl", HEAD + '{"features": [0.5], "candidates": "12"}\n', 2,
+                     id="jsonl-candidates-string"),
+        pytest.param("jsonl", HEAD + '{"features": ["1.5"], "candidates": [1]}\n', 2,
+                     id="jsonl-feature-numeric-string"),
+        pytest.param("jsonl", HEAD + '{"features": [true], "candidates": [1]}\n', 2,
+                     id="jsonl-feature-bool"),
+        pytest.param("jsonl", HEAD + '{"features": [0.5], "candidates": [1.5]}\n', 2,
+                     id="jsonl-candidate-float"),
+        pytest.param("jsonl", HEAD + '{"features": [0.5], "candidates": [true]}\n', 2,
+                     id="jsonl-candidate-bool"),
+        pytest.param("jsonl", HEAD + '{"features": [0.5], "candidates": [1], '
+                     '"true_label": "1"}\n', 2, id="jsonl-label-string"),
+        pytest.param("jsonl", '{"n": 1.7, "q": 1, "c": 3}\n'
+                     '{"features": [0.5], "candidates": [1]}\n', 1, id="jsonl-header-float"),
+        pytest.param("jsonl", HEAD + "[" * 100000 + "\n", 2, id="jsonl-deep-nesting"),
+        pytest.param("jsonl", '{"n": ' + "1" * 5000 + ', "q": 1, "c": 3}\n', 1,
+                     id="jsonl-header-too-many-digits"),
+        pytest.param("jsonl", HEAD + '{"features": [' + "1" * 400 + '], "candidates": [1]}\n',
+                     2, id="jsonl-feature-overflows-float"),
+        pytest.param("text", "0 100000000000000000000 3\n", 1, id="text-huge-q-no-rows"),
+        pytest.param("text", "1 1000000000000 3\n0.5 | 1\n", 1, id="text-huge-q"),
     ])
     def test_malformed_input_names_line(self, tmp_path, fmt, text, line):
         path = tmp_path / "d.data"
@@ -193,9 +214,19 @@ class TestParseErrors:
         with pytest.raises(DataFormatError, match=rf"d\.data:{line}: "):
             load_dataset(path, fmt)
 
+    def test_huge_true_label_is_out_of_range(self, tmp_path):
+        path = tmp_path / "d.pll"
+        path.write_text("1 1 3\n0.5 | 1 | " + "9" * 30 + "\n")
+        with pytest.raises(DataInvariantError, match="true label out of"):
+            load_dataset(path)
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(DataFormatError, match="unknown format"):
             load_dataset(tmp_path / "d.pll", "parquet")
+
+    def test_json_lines_is_not_a_format(self, tmp_path):
+        with pytest.raises(DataFormatError, match="unknown format"):
+            load_dataset(tmp_path / "d.pll", "json-lines")
 
 
 class TestOccurrence:

@@ -1,0 +1,165 @@
+"""Property tests of the file boundary: round trips and arbitrary input bytes.
+
+Dataset and model files must round-trip bit for bit, and any bytes given to
+``load_dataset`` or ``load_model`` may only raise a package error, never a
+bare Python exception.  The runs are derandomized so tier-1 stays repeatable.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from idgp.cli import MODEL_MAGIC, load_model, save_model
+from idgp.data import PLLDataset, load_dataset, write_dataset
+from idgp.errors import IdgpError
+from idgp.network import DenseNet, TransformConfig
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=150,
+                    database=None)
+FORMATS = ("text", "jsonl")
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(1, 6))
+    q = draw(st.integers(1, 4))
+    c = draw(st.integers(2, 6))
+    features = np.array(draw(st.lists(finite, min_size=n * q, max_size=n * q)),
+                        dtype=np.float64).reshape(n, q)
+    candidates = tuple(
+        tuple(draw(st.lists(st.integers(0, c - 1), min_size=1, max_size=c - 1,
+                            unique=True)))
+        for _ in range(n))
+    labels = None
+    if draw(st.booleans()):
+        labels = np.array([draw(st.sampled_from(sorted(s))) for s in candidates])
+    return PLLDataset(features=features, candidates=candidates, c=c,
+                      true_labels=labels)
+
+
+@st.composite
+def models(draw):
+    q = draw(st.integers(1, 4))
+    c = draw(st.integers(2, 4))
+    hidden = draw(st.lists(st.integers(1, 5), max_size=2))
+    nets = []
+    for out in (c, 2 * c):
+        net = DenseNet([q, *hidden, out],
+                       activation=draw(st.sampled_from(["relu", "identity"])),
+                       clamp=draw(st.floats(1e-3, 1e3)),
+                       rng=np.random.default_rng(0))
+        net.weights = [np.array(draw(st.lists(finite, min_size=W.size, max_size=W.size)),
+                                dtype=np.float64).reshape(W.shape) for W in net.weights]
+        net.biases = [np.array(draw(st.lists(finite, min_size=b.size, max_size=b.size)),
+                               dtype=np.float64) for b in net.biases]
+        nets.append(net)
+    tc = TransformConfig(a=draw(st.floats(1e-3, 1e3)), b=draw(st.floats(0.0, 1e3)),
+                         gamma=draw(st.floats(1e-3, 1e3)))
+    return (*nets, tc)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+# fragments of both dataset syntaxes and integers of any size, spliced into valid files
+SYNTAX = st.one_of(st.text(alphabet='0123456789-+.eE[]{}":, |truefalsnNIy\n', max_size=30),
+                   st.integers().map(str))
+
+
+def _damaged(valid: bytes, draw) -> bytes:
+    """``valid`` with a few bytes overwritten or spliced in, perhaps cut short."""
+    buf = bytearray(valid)
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(buf)))
+        if draw(st.booleans()):
+            buf[at:at] = draw(SYNTAX).encode()
+        elif at < len(buf):
+            buf[at] = draw(st.integers(0, 255))
+    return bytes(buf[:draw(st.integers(0, len(buf)))])
+
+
+@st.composite
+def damaged_datasets(draw, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.data"
+        write_dataset(draw(datasets()), path, fmt)
+        return _damaged(path.read_bytes(), draw)
+
+
+@st.composite
+def damaged_models(draw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        save_model(path, *draw(models()))
+        return _damaged(path.read_bytes(), draw)
+
+
+def _load_bytes(loader, data: bytes, *args):
+    """``loader`` on a file holding ``data``; only package errors may escape."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(data)
+        try:
+            loader(path, *args)
+        except IdgpError:
+            pass
+
+
+@PROPERTY
+@given(datasets(), st.sampled_from(FORMATS))
+def test_dataset_roundtrip_is_bitwise(ds, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "d.data", Path(tmp) / "again.data"
+        write_dataset(ds, path, fmt)
+        back = load_dataset(path, fmt)
+        write_dataset(back, again, fmt)
+        assert again.read_bytes() == path.read_bytes()
+    assert np.array_equal(_bits(back.features), _bits(ds.features))
+    assert back.candidates == ds.candidates and back.c == ds.c
+    if ds.true_labels is None:
+        assert back.true_labels is None
+    else:
+        assert np.array_equal(back.true_labels, ds.true_labels)
+
+
+@PROPERTY
+@given(models())
+def test_model_roundtrip_is_bitwise(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "model.bin", Path(tmp) / "again.bin"
+        save_model(path, *model)
+        back = load_model(path)
+        save_model(again, *back)
+        assert again.read_bytes() == path.read_bytes()
+    assert back[2] == model[2]
+    for net, net_back in zip(model[:2], back[:2]):
+        assert net_back.layer_sizes == net.layer_sizes
+        assert net_back.activation == net.activation and net_back.clamp == net.clamp
+        for a, b in zip(net.weights + net.biases, net_back.weights + net_back.biases):
+            assert np.array_equal(_bits(a), _bits(b))
+
+
+@PROPERTY
+@given(st.binary(max_size=200), st.sampled_from(FORMATS))
+def test_arbitrary_bytes_load_dataset_raise_only_package_errors(data, fmt):
+    _load_bytes(load_dataset, data, fmt)
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from(FORMATS))
+def test_damaged_dataset_files_raise_only_package_errors(data, fmt):
+    _load_bytes(load_dataset, data.draw(damaged_datasets(fmt)), fmt)
+
+
+@PROPERTY
+@given(st.one_of(st.binary(max_size=200),
+                 st.binary(max_size=200).map(lambda b: MODEL_MAGIC + b),
+                 damaged_models()))
+def test_arbitrary_bytes_load_model_raise_only_package_errors(data):
+    _load_bytes(load_model, data)
