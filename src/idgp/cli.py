@@ -172,6 +172,12 @@ def write_manifest(path, command: str, config: dict, seed: int, inputs, outputs)
 # -- subcommands ------------------------------------------------------------
 
 def cmd_corrupt(args) -> int:
+    try:
+        scorer_cfg = generation.CleanScorerConfig(
+            hidden=args.scorer_hidden, epochs=args.scorer_epochs,
+            lr=args.scorer_lr, clamp=args.scorer_clamp, seed=args.seed)
+    except ValueError as exc:  # each message opens with the field, e.g. "lr must ..."
+        raise UsageError(f"--scorer-{exc}") from None
     ds = load_dataset(args.data, args.format)
     if args.mode == "uniform":
         if args.p is None:
@@ -180,9 +186,6 @@ def cmd_corrupt(args) -> int:
             raise UsageError(f"--p must lie strictly inside (0, 1), got {args.p}")
         corrupted, report = generation.corrupt_uniform(ds, args.p, args.seed)
     else:
-        scorer_cfg = generation.CleanScorerConfig(
-            hidden=args.scorer_hidden, epochs=args.scorer_epochs,
-            lr=args.scorer_lr, clamp=args.scorer_clamp, seed=args.seed)
         scores, _ = generation.train_clean_scorer(ds, scorer_cfg)
         corrupted, report = generation.corrupt_instance_dependent(
             ds, scores, args.seed, scorer_params=scorer_cfg.to_metadata())
@@ -261,7 +264,9 @@ def _write_xy_csv(path, rows) -> None:
 
 
 def cmd_report(args) -> int:
-    did_anything = False
+    if sum(map(bool, (args.history, args.merge, args.sweep_a or args.sweep_gamma))) != 1:
+        raise UsageError("report needs exactly one of --history, --merge "
+                         "or a sweep spec")
     if args.history:
         rows = []
         for hist_path in args.history:
@@ -277,8 +282,7 @@ def cmd_report(args) -> int:
                                           "with 'epoch' and 'train_loss'") from None
         _write_xy_csv(args.out, rows)
         print(f"wrote loss curves ({len(rows)} rows) -> {args.out}")
-        did_anything = True
-    if args.merge:
+    elif args.merge:
         groups = {}
         for metrics_path in args.merge:
             for row in evaluation.read_report_csv(metrics_path):
@@ -295,8 +299,7 @@ def cmd_report(args) -> int:
                            "std_acc": std})
         evaluation.write_report_csv(args.out, merged)
         print(f"merged {len(merged)} method/dataset groups -> {args.out}")
-        did_anything = True
-    if args.sweep_a or args.sweep_gamma:
+    else:
         if not (args.sweep_a and args.sweep_gamma and args.data):
             raise UsageError("sensitivity sweep needs --sweep-a, --sweep-gamma and --data")
         config = parse_config_file(args.config) if args.config else TrainConfig()
@@ -316,9 +319,6 @@ def cmd_report(args) -> int:
             rows.append((cfg.a, acc if acc is not None else "nan", f"gamma={cfg.gamma}"))
         _write_xy_csv(args.out, rows)
         print(f"wrote sensitivity grid ({len(rows)} rows) -> {args.out}")
-        did_anything = True
-    if not did_anything:
-        raise UsageError("report needs --history, --merge, or a sweep spec")
     return EXIT_OK
 
 

@@ -30,7 +30,7 @@ from scipy.special import expit
 
 from .data import PLLDataset
 from .errors import DataInvariantError, NumericError
-from .network import DenseNet, SGDState, sgd_step
+from .network import ACTIVATIONS, DenseNet, SGDState, sgd_step
 from .rng import substream
 
 MODE_INSTANCE = "instance_dependent"
@@ -69,6 +69,22 @@ class CleanScorerConfig:
     lr: float = 0.1
     momentum: float = 0.9
     seed: int = 0
+
+    def __post_init__(self):
+        if self.hidden < 0:
+            raise ValueError("hidden must be nonnegative (0 means linear)")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}")
+        if not (self.clamp > 0.0):
+            raise ValueError("clamp must be strictly positive")
+        if self.epochs < 0:
+            raise ValueError("epochs must be nonnegative")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        if not (self.lr > 0.0):
+            raise ValueError("lr must be strictly positive")
+        if not (0.0 <= self.momentum < 1.0):
+            raise ValueError("momentum must lie in [0, 1)")
 
     def to_metadata(self) -> dict:
         return {k: getattr(self, k) for k in

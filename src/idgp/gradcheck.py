@@ -179,10 +179,11 @@ def check_map_end_to_end(rng, c: int | None = None, width: int | None = None,
                          max_coords: int = 300) -> float:
     """The trainer's batched MAP step through both networks vs FD.
 
-    Gradients of the batch-mean loss of :func:`trainer.map_step_batch` go
-    against central differences, on every parameter coordinate of a net with
-    at most ``max_coords`` of them, else a random subset; each row's loss
-    goes against the per-instance :func:`objective.map_loss`.
+    The parameter gradients that :func:`trainer.map_step_batch` gives each
+    net, the ones training applies, go against central differences of its
+    batch-mean loss, on every coordinate of a net with at most ``max_coords``
+    of them, else a random subset; each row's loss goes against the
+    per-instance :func:`objective.map_loss`.
     """
     c = c if c is not None else int(rng.integers(3, 8))
     width = width if width is not None else int(rng.integers(4, 33))
@@ -197,26 +198,21 @@ def check_map_end_to_end(rng, c: int | None = None, width: int | None = None,
     prior = tuple(rng.uniform(0.5, 3.0, size=(_MAP_ROWS, c)) for _ in range(3))
 
     def step():
-        lam, sf, cf = trainer._live_lambda(net_f, x, tc)
-        alpha, beta, sg, cg = trainer._live_alpha_beta(net_g, x, tc)
-        res = trainer.map_step_batch(lam, alpha, beta, mask, *prior, ml_only=False)
-        return (lam, alpha, beta), res, (sf, cf, sg, cg)
+        return trainer.map_step_batch(net_f, net_g, x, tc, mask, *prior, ml_only=False)
 
-    live, (values, _, _, d_lam, d_alpha, d_beta), (sf, cf, sg, cg) = step()
+    values, _, _, *live, grads_f, grads_g = step()
     err = 0.0
     for i, s in enumerate(cands):
         inp = objective.PerInstanceLossInput.from_live_params(
             *(v[i] for v in live), *(h[i] for h in prior), s)
         err = max(err, rel_error(values[i], objective.map_loss(inp).value))
-    d_sg = np.concatenate([d_alpha, d_beta], axis=1) * lambda_transform_grad(sg, tc)
-    for net, cache, d_scores in ((net_f, cf, d_lam * lambda_transform_grad(sf, tc)),
-                                 (net_g, cg, d_sg)):
-        analytic = net.flatten_grads(net.backward(cache, d_scores))
+    for net, grads in ((net_f, grads_f), (net_g, grads_g)):
+        analytic = net.flatten_grads(grads())
         coords = np.arange(analytic.size)
         if analytic.size > max_coords:
             coords = rng.choice(analytic.size, size=max_coords, replace=False)
         err = max(err, _net_error(net, analytic, coords,
-                                  lambda: float(step()[1][0].mean())))
+                                  lambda: float(step()[0].mean())))
     return err
 
 

@@ -37,6 +37,7 @@ from .distributions import (
 )
 from .errors import NumericError
 from .network import (
+    ACTIVATIONS,
     DenseNet,
     SGDState,
     TransformConfig,
@@ -98,8 +99,8 @@ class TrainConfig:
         for name in ("momentum_f", "momentum_g"):
             if not (0.0 <= getattr(self, name) < 1.0):
                 raise ValueError(f"{name} must lie in [0, 1)")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be nonnegative")
+        if not (0.0 <= self.weight_decay < np.inf):
+            raise ValueError("weight_decay must be finite and nonnegative")
         for name in ("m", "d"):
             if not (0.0 < getattr(self, name) < 1.0):
                 raise ValueError(f"{name} must lie strictly inside (0, 1)")
@@ -114,6 +115,8 @@ class TrainConfig:
             raise ValueError("rho must be strictly positive")
         if self.hidden < 0:
             raise ValueError("hidden width must be nonnegative (0 means linear)")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if not (0.0 <= self.val_fraction < 1.0):
             raise ValueError("val_fraction must lie in [0, 1)")
         if self.seed < 0:
@@ -243,12 +246,17 @@ def _live_alpha_beta(net: DenseNet, X: np.ndarray, tc: TransformConfig):
     return floor_params(alpha), floor_params(beta), scores, cache
 
 
-def map_step_batch(lam, alpha, beta, mask, lam_hat, a_hat, b_hat, ml_only: bool):
-    """Per-row MAP losses and the gradients of their batch mean to lam/alpha/beta.
+def map_step_batch(f: DenseNet, g: DenseNet, X: np.ndarray, tc: TransformConfig,
+                   mask, lam_hat, a_hat, b_hat, ml_only: bool):
+    """Forward both nets on ``X`` and take the MAP loss of their posterior means.
 
-    Returns ``(values, theta, z, d_lam, d_alpha, d_beta)`` with z clamped;
+    Returns ``(values, theta, z, lam, alpha, beta, grads_f, grads_g)`` with z
+    clamped.  ``grads_f()``/``grads_g()`` give one net's parameter gradients of
+    the batch-mean loss, running only that net's chain rule and backward;
     clamped z entries and the frozen hats get no gradient.
     """
+    lam, sf, cache_f = _live_lambda(f, X, tc)
+    alpha, beta, sg, cache_g = _live_alpha_beta(g, X, tc)
     theta = dirichlet_posterior_mean(lam, mask)
     z_raw = beta_posterior_mean(alpha, beta, mask)
     z = clamp_z(z_raw)
@@ -256,11 +264,17 @@ def map_step_batch(lam, alpha, beta, mask, lam_hat, a_hat, b_hat, ml_only: bool)
     if not ml_only:
         reg_v, reg_dt, reg_dz = reg_loss_batch(theta, z, lam_hat, a_hat, b_hat)
         values, d_theta, d_z = values + reg_v, d_theta + reg_dt, d_z + reg_dz
-    rows = lam.shape[0]
-    d_z = np.where((z_raw > Z_EPS) & (z_raw < 1.0 - Z_EPS), d_z, 0.0) / rows
-    d_lam = chain_to_lambda(d_theta / rows, lam, mask)
-    d_alpha, d_beta = chain_to_alpha_beta(d_z, alpha, beta, mask)
-    return values, theta, z, d_lam, d_alpha, d_beta
+
+    def grads_f():
+        d_lam = chain_to_lambda(d_theta / len(X), lam, mask)
+        return f.backward(cache_f, d_lam * lambda_transform_grad(sf, tc))
+
+    def grads_g():
+        d_zc = np.where((z_raw > Z_EPS) & (z_raw < 1.0 - Z_EPS), d_z, 0.0) / len(X)
+        d_ab = np.concatenate(chain_to_alpha_beta(d_zc, alpha, beta, mask), axis=1)
+        return g.backward(cache_g, d_ab * lambda_transform_grad(sg, tc))
+
+    return values, theta, z, lam, alpha, beta, grads_f, grads_g
 
 
 def _located_step(t: int, k: int, idx: np.ndarray, *args):
@@ -282,8 +296,7 @@ def train_epoch(state: TrainerState, t: int,
     tc = cfg.transform_config
     ds = state.dataset
     order = substream(cfg.seed, "shuffle", t).permutation(ds.n)
-    losses = []
-    gaps = []
+    losses, gaps = [], []
     for k, start in enumerate(range(0, ds.n, cfg.batch_size)):
         idx = order[start:start + cfg.batch_size]
         X = ds.features[idx]
@@ -292,28 +305,18 @@ def train_epoch(state: TrainerState, t: int,
         lam0, _, _ = _live_lambda(state.f, X, tc)
         alpha0, beta0, _, _ = _live_alpha_beta(state.g, X, tc)
         lam_hat, a_hat, b_hat = state.cache.refresh(idx, lam0, alpha0, beta0, t)
-        fixed = (O, lam_hat, a_hat, b_hat, cfg.ml_only)  # shared by both sub-steps
+        step = (state.f, state.g, X, tc, O, lam_hat, a_hat, b_hat, cfg.ml_only)
 
         # Sub-step 1: main branch fixed, auxiliary branch updated.
-        lam, _, _ = _live_lambda(state.f, X, tc)
-        alpha, beta, sg, cache_g = _live_alpha_beta(state.g, X, tc)
-        *_, d_alpha, d_beta = _located_step(t, k, idx, lam, alpha, beta, *fixed)
-        d_scores_g = np.concatenate([d_alpha, d_beta], axis=1)
-        d_scores_g *= lambda_transform_grad(sg, tc)
-        sgd_step(state.opt_g, state.g, state.g.backward(cache_g, d_scores_g),
-                 cfg.weight_decay)
+        *_, grads_g = _located_step(t, k, idx, *step)
+        sgd_step(state.opt_g, state.g, grads_g(), cfg.weight_decay)
 
         # Sub-step 2: auxiliary branch (just updated) fixed, main branch updated.
-        alpha2, beta2, _, _ = _live_alpha_beta(state.g, X, tc)
-        lam2, sf, cache_f = _live_lambda(state.f, X, tc)
-        values, theta2, z2, d_lam, _, _ = _located_step(t, k, idx, lam2, alpha2,
-                                                        beta2, *fixed)
-        d_scores_f = d_lam * lambda_transform_grad(sf, tc)
-        sgd_step(state.opt_f, state.f, state.f.backward(cache_f, d_scores_f),
-                 cfg.weight_decay)
+        values, theta, z, lam, alpha, beta, grads_f, _ = _located_step(t, k, idx, *step)
+        sgd_step(state.opt_f, state.f, grads_f(), cfg.weight_decay)
 
         batch_loss = float(values.mean())
-        bounds = map_upper_bound_batch(theta2, z2, lam2, alpha2, beta2, O, cfg.rho)
+        bounds = map_upper_bound_batch(theta, z, lam, alpha, beta, O, cfg.rho)
         gaps.append(float(bounds.mean()) - batch_loss)
         losses.append(batch_loss)
         if batch_hook is not None:

@@ -75,6 +75,18 @@ class TestCorrupt:
         assert code == EXIT_USAGE
         assert "--p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--scorer-hidden", "-1"),
+                                             ("--scorer-epochs", "-1"),
+                                             ("--scorer-lr", "-1"),
+                                             ("--scorer-clamp", "0")])
+    def test_bad_scorer_flag_exits_2_naming_flag(self, tmp_path, clean_path, capsys,
+                                                 flag, value):
+        out = tmp_path / "i.pll"
+        assert main(["corrupt", "--data", str(clean_path), "--out", str(out),
+                     "--mode", "instance", flag, value]) == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, tmp_path, clean_path):
         outs = []
         for name in ("a.pll", "b.pll"):
@@ -213,6 +225,17 @@ class TestConfigFile:
         assert f"{cfg}:2: not UTF-8" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("key, value", [("activation", "tanh"),
+                                            ("weight_decay", "nan")])
+    def test_out_of_domain_value_exits_2(self, tmp_path, corrupted_path, capsys,
+                                         key, value):
+        cfg = tiny_config(tmp_path, **{key: value})
+        out_dir = tmp_path / "x"
+        assert main(["train", "--data", str(corrupted_path), "--config", str(cfg),
+                     "--out-dir", str(out_dir)]) == EXIT_USAGE
+        assert key in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_constraint_violation_is_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("m=1.5\n")
@@ -277,10 +300,16 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--trials", "2", "--seed", "1"]) == EXIT_GRADCHECK
         assert "posterior_jacobians" in capsys.readouterr().err
 
-    def test_fault_in_trainer_step_detected(self, monkeypatch, capsys):
-        real = idgp.trainer.chain_to_lambda
-        monkeypatch.setattr(idgp.trainer, "chain_to_lambda",
-                            lambda *args: 2.0 * real(*args))
+    @pytest.mark.parametrize("binding", ["chain_to_lambda", "chain_to_alpha_beta",
+                                         "lambda_transform_grad"])
+    def test_fault_in_trainer_step_detected(self, monkeypatch, capsys, binding):
+        real = getattr(idgp.trainer, binding)
+
+        def doubled(*args):
+            out = real(*args)
+            return tuple(2.0 * o for o in out) if isinstance(out, tuple) else 2.0 * out
+
+        monkeypatch.setattr(idgp.trainer, binding, doubled)
         assert main(["gradcheck", "--trials", "2", "--seed", "1"]) == EXIT_GRADCHECK
         assert "map_loss" in capsys.readouterr().err
 
@@ -377,4 +406,12 @@ class TestReport:
 
     def test_no_action_is_usage_error(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "o.csv")]) == EXIT_USAGE
+
+    def test_two_modes_are_usage_error(self, tmp_path):
+        hist = tmp_path / "h.jsonl"
+        hist.write_text(json.dumps({"epoch": 1, "train_loss": 0.5}) + "\n")
+        out = tmp_path / "x.csv"
+        assert main(["report", "--history", str(hist), "--merge", "a.csv", "b.csv",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
 

@@ -255,6 +255,25 @@ class TestTrainingLoop:
         # fixing one network really fixes it: the partner is bitwise untouched
         assert all(other_fixed for _, _, other_fixed in touched)
 
+    def test_each_chain_rule_runs_once_per_batch(self, monkeypatch):
+        ds = toy_dataset(n_per=10)
+        cfg = small_config(epochs=1, batch_size=8, r=1, q=1)
+        calls = {"chain_to_lambda": 0, "chain_to_alpha_beta": 0}
+
+        def counting(name):
+            real = getattr(trainer_mod, name)
+
+            def spy(*args):
+                calls[name] += 1
+                return real(*args)
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(trainer_mod, name, counting(name))
+        train_epoch(init_state(cfg, ds), 1)
+        batches = -(-ds.n // cfg.batch_size)
+        assert calls == {"chain_to_lambda": batches, "chain_to_alpha_beta": batches}
+
     def test_nonfinite_loss_reports_location(self, monkeypatch):
         ds = toy_dataset(n_per=10)
         cfg = small_config(epochs=1, batch_size=30, r=1, q=1)
