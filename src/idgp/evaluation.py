@@ -1,10 +1,10 @@
-"""Accuracy metrics, deterministic splits and multi-seed aggregation."""
+"""Accuracy metrics, deterministic splits, multi-seed aggregation and report CSVs."""
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -14,7 +14,7 @@ from .data import PLLDataset, read_text
 from .errors import DataFormatError, DataInvariantError
 from .network import DenseNet, TransformConfig
 from .rng import substream
-from .trainer import TrainConfig, fit, predict_batch
+from .trainer import predict_batch
 
 CSV_COLUMNS = ("method", "dataset", "seed_count", "mean_acc", "std_acc")
 
@@ -69,34 +69,6 @@ def aggregate(values: Sequence[float]):
     if values.size < 2:
         raise ValueError("need at least 2 values to aggregate")
     return float(values.mean()), float(values.std(ddof=1))
-
-
-def multi_seed_report(config: TrainConfig, dataset: PLLDataset,
-                      seeds: Sequence[int], method: str = "idgp",
-                      dataset_name: str = "dataset"):
-    """Train/evaluate once per seed on fresh 80/10/10 splits.
-
-    Returns ``(row, per_seed_acc)`` where ``row`` follows the CSV contract
-    (method, dataset, seed_count, mean_acc, std_acc).
-    """
-    seeds = [int(s) for s in seeds]
-    if len(seeds) < 2:
-        raise ValueError("need at least 2 seeds for a mean/std report")
-    accs = []
-    for seed in seeds:
-        train_ds, val_ds, test_ds = split(dataset, SplitSpec(seed=seed))
-        cfg = replace(config, seed=seed)
-        net_f, _, _ = fit(cfg, train_ds, val_dataset=val_ds)
-        accs.append(accuracy(net_f, test_ds, cfg.transform_config))
-    mean, std = aggregate(accs)
-    row = {
-        "method": method,
-        "dataset": dataset_name,
-        "seed_count": len(seeds),
-        "mean_acc": mean,
-        "std_acc": std,
-    }
-    return row, accs
 
 
 def write_report_csv(path, rows) -> None:

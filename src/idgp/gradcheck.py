@@ -13,14 +13,17 @@ The checks deliberately call through the module objects (``objective.``,
 ``distributions.``, ``trainer.``) rather than binding functions at import
 time, so a deliberately broken derivative injected by a test is picked up.
 The MAP check runs the trainer's own batched step, so the gradients it
-verifies are the ones training applies.
+verifies are the ones training applies, and checks the loss value of each
+row against the generation model itself: minus the log candidate-set
+density of :func:`generation.candidate_set_density` plus the prior term,
+code that shares nothing with the batched losses.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import distributions, objective, trainer
+from . import distributions, generation, objective, trainer
 from .data import occurrence_vector
 from .network import DenseNet, TransformConfig, lambda_transform, lambda_transform_grad
 
@@ -175,6 +178,13 @@ def _margins_ok(net, x, kink_margin=1e-3, score_bound=4.0):
     return bool(np.max(np.abs(cache["pre_out"])) < score_bound)
 
 
+def _generation_map_value(theta, z, cands, lambda_hat, alpha_hat, beta_hat) -> float:
+    """MAP loss of one instance straight from the generation model and the prior."""
+    prior = ((lambda_hat - 1.0) * np.log(theta) + (alpha_hat - 1.0) * np.log(z)
+             + (beta_hat - 1.0) * np.log1p(-z)).sum()
+    return float(-np.log(generation.candidate_set_density(cands, theta, z)) - prior)
+
+
 def check_map_end_to_end(rng, c: int | None = None, width: int | None = None,
                          max_coords: int = 300) -> float:
     """The trainer's batched MAP step through both networks vs FD.
@@ -182,8 +192,9 @@ def check_map_end_to_end(rng, c: int | None = None, width: int | None = None,
     The parameter gradients that :func:`trainer.map_step_batch` gives each
     net, the ones training applies, go against central differences of its
     batch-mean loss, on every coordinate of a net with at most ``max_coords``
-    of them, else a random subset; each row's loss goes against the
-    per-instance :func:`objective.map_loss`.
+    of them, else a random subset.  Each row's loss, from the step and from
+    the per-instance :func:`objective.map_loss`, goes against
+    :func:`_generation_map_value`.
     """
     c = c if c is not None else int(rng.integers(3, 8))
     width = width if width is not None else int(rng.integers(4, 33))
@@ -203,9 +214,11 @@ def check_map_end_to_end(rng, c: int | None = None, width: int | None = None,
     values, _, _, *live, grads_f, grads_g = step()
     err = 0.0
     for i, s in enumerate(cands):
-        inp = objective.PerInstanceLossInput.from_live_params(
-            *(v[i] for v in live), *(h[i] for h in prior), s)
-        err = max(err, rel_error(values[i], objective.map_loss(inp).value))
+        hats = [h[i] for h in prior]
+        inp = objective.PerInstanceLossInput.from_live_params(*(v[i] for v in live), *hats, s)
+        reference = _generation_map_value(inp.theta_hat, inp.z_hat, s, *hats)
+        err = max(err, rel_error(values[i], reference),
+                  rel_error(objective.map_loss(inp).value, reference))
     for net, grads in ((net_f, grads_f), (net_g, grads_g)):
         analytic = net.flatten_grads(grads())
         coords = np.arange(analytic.size)

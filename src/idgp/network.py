@@ -31,12 +31,11 @@ class TransformConfig:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not (self.a > 0.0):
-            raise ValueError("a must be strictly positive")
-        if self.b < 0.0:
-            raise ValueError("b must be nonnegative")
-        if not (self.gamma > 0.0):
-            raise ValueError("gamma must be strictly positive")
+        for name in ("a", "gamma"):
+            if not (0.0 < getattr(self, name) < np.inf):
+                raise ValueError(f"{name} must be finite and strictly positive")
+        if not (0.0 <= self.b < np.inf):
+            raise ValueError("b must be finite and nonnegative")
 
 
 def validate_transform_clamp(cfg: TransformConfig, clamp: float) -> None:

@@ -30,7 +30,6 @@ from .data import occurrence_vector
 from .distributions import (
     _require_positive,
     beta_posterior_mean,
-    beta_posterior_mean_grads,
     check_unit_open,
     dirichlet_posterior_mean,
 )
@@ -197,26 +196,28 @@ class MapLossResult:
 def map_loss(inp: PerInstanceLossInput) -> MapLossResult:
     """Full MAP loss and its gradients to the live lam/alpha/beta.
 
-    The value decomposes exactly as ml + reg.  Prior-cache constants affect
-    the value but by construction receive zero gradient.
+    The 1-row view of the trainer's composition: :func:`ml_loss` plus
+    :func:`reg_loss`, chained to the live parameters by the same
+    :func:`chain_to_lambda` and :func:`chain_to_alpha_beta` that training
+    applies.  Prior-cache constants affect the value but by construction
+    receive zero gradient.
     """
-    o = inp.occurrence()
+    o = inp.occurrence()[None]
     ml_v, ml_dt, ml_dz = ml_loss(inp.theta_hat, inp.z_hat, inp.candidates)
     reg_v, reg_dt, reg_dz = reg_loss(inp.theta_hat, inp.z_hat,
                                      inp.lambda_hat, inp.alpha_hat, inp.beta_hat)
     d_theta = ml_dt + reg_dt
     d_z = ml_dz + reg_dz
-    d_lambda = chain_to_lambda(d_theta[None], inp.lam[None], o[None])[0]
-    dz_da, dz_db = beta_posterior_mean_grads(inp.alpha, inp.beta, o)
+    d_alpha, d_beta = chain_to_alpha_beta(d_z[None], inp.alpha[None], inp.beta[None], o)
     return MapLossResult(
         value=ml_v + reg_v,
         ml_value=ml_v,
         reg_value=reg_v,
         d_theta=d_theta,
         d_z=d_z,
-        d_lambda=d_lambda,
-        d_alpha=d_z * dz_da,
-        d_beta=d_z * dz_db,
+        d_lambda=chain_to_lambda(d_theta[None], inp.lam[None], o)[0],
+        d_alpha=d_alpha[0],
+        d_beta=d_beta[0],
     )
 
 
@@ -233,13 +234,19 @@ class BoundConfig:
 
 @dataclass(frozen=True)
 class UpperBound:
+    """Bound values with the clamped and the pre-clamp candidate weights.
+
+    Batched, (B,), (B, c) and (B, c), from :func:`map_upper_bound_batch`; one
+    row, a float and two (c,) arrays, from :func:`map_upper_bound`.
+    """
+
     value: float
     weights: np.ndarray
     weights_preclamp: np.ndarray
 
 
-def map_upper_bound(inp: PerInstanceLossInput, cfg: BoundConfig) -> UpperBound:
-    """Concavity (AM-GM) upper bound on the per-instance MAP loss.
+def map_upper_bound_batch(theta, z, lam, alpha, beta, mask, rho: float) -> UpperBound:
+    """Concavity (AM-GM) upper bound on the MAP loss of each row.
 
     Uses the live lambda for the per-label weights
     ``w_j = lam_j - 1 + 1/|S|`` (j in S, else ``lam_j - 1``), clamped into
@@ -248,27 +255,6 @@ def map_upper_bound(inp: PerInstanceLossInput, cfg: BoundConfig) -> UpperBound:
     provably dominates the loss.  The bound's likelihood component matches
     the ML loss exactly for singleton candidate sets.
     """
-    o = inp.occurrence()
-    in_s = o > 0.0
-    size = float(o.sum())
-    z = np.asarray(inp.z_hat, dtype=np.float64)
-    log_z = np.log(z)
-    log_1mz = np.log1p(-z)
-    # log prod_{k in S\{j}} z_k prod_{k not in S\{j}} (1-z_k), for each j in S
-    log_q = (log_z * o).sum() - log_z + (log_1mz * (1.0 - o)).sum() + log_1mz
-    k_term = float(
-        np.log(size)
-        + (log_q[in_s]).sum() / size
-        + ((inp.alpha - 1.0) * log_z + (inp.beta - 1.0) * log_1mz).sum()
-    )
-    w_pre = np.where(in_s, inp.lam - 1.0 + 1.0 / size, inp.lam - 1.0)
-    w = np.clip(w_pre, 0.0, cfg.rho)
-    value = -(k_term + float((w * np.log(inp.theta_hat)).sum()))
-    return UpperBound(value=value, weights=w, weights_preclamp=w_pre)
-
-
-def map_upper_bound_batch(theta, z, lam, alpha, beta, mask, rho: float) -> np.ndarray:
-    """Vectorized bound values for a batch; see :func:`map_upper_bound`."""
     theta = np.asarray(theta, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
@@ -276,6 +262,7 @@ def map_upper_bound_batch(theta, z, lam, alpha, beta, mask, rho: float) -> np.nd
     sizes = mask.sum(axis=1, keepdims=True)
     log_z = np.log(z)
     log_1mz = np.log1p(-z)
+    # log prod_{k in S\{j}} z_k prod_{k not in S\{j}} (1-z_k), for each j
     log_q = ((log_z * mask).sum(axis=1, keepdims=True) - log_z
              + (log_1mz * (1.0 - mask)).sum(axis=1, keepdims=True) + log_1mz)
     k_term = (np.log(sizes[:, 0])
@@ -283,7 +270,16 @@ def map_upper_bound_batch(theta, z, lam, alpha, beta, mask, rho: float) -> np.nd
               + ((alpha - 1.0) * log_z + (beta - 1.0) * log_1mz).sum(axis=1))
     w_pre = np.where(mask > 0.0, lam - 1.0 + 1.0 / sizes, lam - 1.0)
     w = np.clip(w_pre, 0.0, rho)
-    return -(k_term + (w * np.log(theta)).sum(axis=1))
+    return UpperBound(value=-(k_term + (w * np.log(theta)).sum(axis=1)),
+                      weights=w, weights_preclamp=w_pre)
+
+
+def map_upper_bound(inp: PerInstanceLossInput, cfg: BoundConfig) -> UpperBound:
+    """The bound of one instance: a 1-row view of :func:`map_upper_bound_batch`."""
+    rows = (inp.theta_hat, inp.z_hat, inp.lam, inp.alpha, inp.beta, inp.occurrence())
+    bound = map_upper_bound_batch(*(np.asarray(v)[None] for v in rows), cfg.rho)
+    return UpperBound(value=float(bound.value[0]), weights=bound.weights[0],
+                      weights_preclamp=bound.weights_preclamp[0])
 
 
 def degenerate_uniform_loss(theta_hat, candidates: Sequence[int], p: float,

@@ -22,7 +22,7 @@ themselves would be the identity, which is exactly what the fallback does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,11 +56,6 @@ from .objective import (
 )
 from .rng import substream
 
-# Search grids named by the experimental protocol; selection is up to the
-# caller (see select_learning_rate).
-LR_GRID = (1e-4, 1e-3, 1e-2)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Every knob the training procedure exposes."""
@@ -93,9 +88,9 @@ class TrainConfig:
             raise ValueError("epochs must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        for name in ("lr_f", "lr_g"):
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be strictly positive")
+        for name in ("lr_f", "lr_g", "epsilon", "rho"):
+            if not (0.0 < getattr(self, name) < np.inf):
+                raise ValueError(f"{name} must be finite and strictly positive")
         for name in ("momentum_f", "momentum_g"):
             if not (0.0 <= getattr(self, name) < 1.0):
                 raise ValueError(f"{name} must lie in [0, 1)")
@@ -109,10 +104,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be at least 1")
             if self.epochs >= 1 and getattr(self, name) > self.epochs:
                 raise ValueError(f"{name} must not exceed epochs")
-        if not (self.epsilon > 0.0):
-            raise ValueError("epsilon must be strictly positive")
-        if not (self.rho > 0.0):
-            raise ValueError("rho must be strictly positive")
         if self.hidden < 0:
             raise ValueError("hidden width must be nonnegative (0 means linear)")
         if self.activation not in ACTIVATIONS:
@@ -191,19 +182,6 @@ class PriorCache:
         self.beta_snapshot = beta.copy()
 
 
-def refine_lambda_hat(cache: PriorCache, i: int, live_lam: np.ndarray,
-                      t: int) -> np.ndarray:
-    """Frozen lambda constants for one instance (pure; no cache write)."""
-    return cache.lambda_hat_values(np.array([i]), np.asarray(live_lam)[None], t)[0]
-
-
-def refine_alpha_beta_hat(cache: PriorCache, i: int, live_alpha, live_beta, t: int):
-    """Frozen (alpha, beta) constants for one instance (pure)."""
-    a, b = cache.alpha_beta_hat_values(
-        np.array([i]), np.asarray(live_alpha)[None], np.asarray(live_beta)[None], t)
-    return a[0], b[0]
-
-
 @dataclass
 class TrainerState:
     config: TrainConfig
@@ -277,21 +255,43 @@ def map_step_batch(f: DenseNet, g: DenseNet, X: np.ndarray, tc: TransformConfig,
     return values, theta, z, lam, alpha, beta, grads_f, grads_g
 
 
-def _located_step(t: int, k: int, idx: np.ndarray, *args):
-    """:func:`map_step_batch` whose numeric failures name epoch, batch and row."""
-    try:
-        step = map_step_batch(*args)
-    except NumericError as exc:
-        raise NumericError(f"epoch {t}, batch {k}: {exc}") from exc
-    if not np.all(np.isfinite(step[0])):
-        bad = int(idx[int(np.flatnonzero(~np.isfinite(step[0]))[0])])
-        raise NumericError(f"non-finite loss at epoch {t}, batch {k}, instance {bad}")
-    return step
+def _train_batch(state: TrainerState, t: int, idx: np.ndarray):
+    """Both alternating sub-steps on the rows ``idx`` of epoch ``t``.
+
+    Returns the MAP loss values of the rows after the auxiliary update, their
+    upper-bound values and the batch's live and frozen prior parameters.
+    """
+    cfg = state.config
+    tc = cfg.transform_config
+    X = state.dataset.features[idx]
+    O = state.cache.mask[idx]
+    # Batch-start forwards feed the prior constants for both sub-steps.
+    lam0, _, _ = _live_lambda(state.f, X, tc)
+    alpha0, beta0, _, _ = _live_alpha_beta(state.g, X, tc)
+    lam_hat, a_hat, b_hat = state.cache.refresh(idx, lam0, alpha0, beta0, t)
+    step = (state.f, state.g, X, tc, O, lam_hat, a_hat, b_hat, cfg.ml_only)
+
+    # Sub-step 1: main branch fixed, auxiliary branch updated.
+    *_, grads_g = map_step_batch(*step)
+    sgd_step(state.opt_g, state.g, grads_g(), cfg.weight_decay)
+
+    # Sub-step 2: auxiliary branch (just updated) fixed, main branch updated.
+    values, theta, z, lam, alpha, beta, grads_f, _ = map_step_batch(*step)
+    sgd_step(state.opt_f, state.f, grads_f(), cfg.weight_decay)
+
+    bounds = map_upper_bound_batch(theta, z, lam, alpha, beta, O, cfg.rho).value
+    priors = {"live_lambda": lam0, "live_alpha": alpha0, "live_beta": beta0,
+              "lambda_hat": lam_hat, "alpha_hat": a_hat, "beta_hat": b_hat}
+    return values, bounds, priors
 
 
 def train_epoch(state: TrainerState, t: int,
                batch_hook: Optional[Callable[[dict], None]] = None) -> dict:
-    """One pass over the shuffled dataset; returns the epoch metrics record."""
+    """One pass over the shuffled dataset; returns the epoch metrics record.
+
+    A numeric failure in a batch names its epoch and batch, and a non-finite
+    loss also the dataset index of its row.
+    """
     cfg = state.config
     tc = cfg.transform_config
     ds = state.dataset
@@ -299,32 +299,18 @@ def train_epoch(state: TrainerState, t: int,
     losses, gaps = [], []
     for k, start in enumerate(range(0, ds.n, cfg.batch_size)):
         idx = order[start:start + cfg.batch_size]
-        X = ds.features[idx]
-        O = state.cache.mask[idx]
-        # Batch-start forwards feed the prior constants for both sub-steps.
-        lam0, _, _ = _live_lambda(state.f, X, tc)
-        alpha0, beta0, _, _ = _live_alpha_beta(state.g, X, tc)
-        lam_hat, a_hat, b_hat = state.cache.refresh(idx, lam0, alpha0, beta0, t)
-        step = (state.f, state.g, X, tc, O, lam_hat, a_hat, b_hat, cfg.ml_only)
-
-        # Sub-step 1: main branch fixed, auxiliary branch updated.
-        *_, grads_g = _located_step(t, k, idx, *step)
-        sgd_step(state.opt_g, state.g, grads_g(), cfg.weight_decay)
-
-        # Sub-step 2: auxiliary branch (just updated) fixed, main branch updated.
-        values, theta, z, lam, alpha, beta, grads_f, _ = _located_step(t, k, idx, *step)
-        sgd_step(state.opt_f, state.f, grads_f(), cfg.weight_decay)
-
+        try:
+            values, bounds, priors = _train_batch(state, t, idx)
+        except NumericError as exc:
+            raise NumericError(f"epoch {t}, batch {k}: {exc}") from exc
+        if not np.all(np.isfinite(values)):
+            bad = int(idx[int(np.flatnonzero(~np.isfinite(values))[0])])
+            raise NumericError(f"non-finite loss at epoch {t}, batch {k}, instance {bad}")
         batch_loss = float(values.mean())
-        bounds = map_upper_bound_batch(theta, z, lam, alpha, beta, O, cfg.rho)
         gaps.append(float(bounds.mean()) - batch_loss)
         losses.append(batch_loss)
         if batch_hook is not None:
-            batch_hook({
-                "epoch": t, "batch": k, "indices": idx.copy(),
-                "live_lambda": lam0, "live_alpha": alpha0, "live_beta": beta0,
-                "lambda_hat": lam_hat, "alpha_hat": a_hat, "beta_hat": b_hat,
-            })
+            batch_hook({"epoch": t, "batch": k, "indices": idx.copy(), **priors})
 
     if t == cfg.r:
         lam_all, _, _ = _live_lambda(state.f, ds.features, tc)
@@ -391,20 +377,3 @@ def predict(net_f: DenseNet, x: np.ndarray, tc: TransformConfig):
     """
     labels, theta = predict_batch(net_f, np.asarray(x, dtype=np.float64)[None], tc)
     return int(labels[0]), theta[0]
-
-
-def select_learning_rate(config: TrainConfig, dataset: PLLDataset,
-                         grid=LR_GRID):
-    """Pick the grid learning rate with the best final validation accuracy.
-
-    Returns (best_config, {lr: final_val_acc}).  Requires true labels.
-    """
-    if dataset.true_labels is None:
-        raise ValueError("learning-rate selection needs validation labels")
-    results = {}
-    for lr in grid:
-        cand = replace(config, lr_f=lr, lr_g=lr)
-        _, _, history = fit(cand, dataset)
-        results[lr] = history[-1]["val_acc"] if history else 0.0
-    best = max(results, key=lambda lr: results[lr])
-    return replace(config, lr_f=best, lr_g=best), results

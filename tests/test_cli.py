@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import idgp.distributions
+import idgp.objective
 import idgp.trainer
 from idgp import cli
 from idgp.cli import (
@@ -225,8 +226,9 @@ class TestConfigFile:
         assert f"{cfg}:2: not UTF-8" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("key, value", [("activation", "tanh"),
-                                            ("weight_decay", "nan")])
+    @pytest.mark.parametrize("key, value", [
+        ("activation", "tanh"), ("weight_decay", "nan"), ("lr_f", "inf"), ("lr_g", "inf"),
+        ("epsilon", "inf"), ("rho", "inf"), ("a", "inf"), ("b", "inf"), ("gamma", "inf")])
     def test_out_of_domain_value_exits_2(self, tmp_path, corrupted_path, capsys,
                                          key, value):
         cfg = tiny_config(tmp_path, **{key: value})
@@ -265,7 +267,8 @@ class TestModelFile:
                      "--out", str(tmp_path / "x.csv")]) == 1
 
     @pytest.mark.parametrize("damage", ["cut_10", "cut_40", "cut_8_short",
-                                        "activation_7", "transform_a_0"])
+                                        "activation_7", "transform_a_0",
+                                        "transform_gamma_inf"])
     def test_corrupt_model_exits_1(self, tmp_path, clean_path, capsys, damage):
         path = tmp_path / "model.bin"
         save_model(path, DenseNet([2, 4, 3], rng=np.random.default_rng(0)),
@@ -275,6 +278,8 @@ class TestModelFile:
             buf[36:40] = struct.pack("<I", 7)  # f's activation code follows the header
         elif damage == "transform_a_0":
             buf[12:20] = struct.pack("<d", 0.0)  # a, b, gamma follow the version
+        elif damage == "transform_gamma_inf":
+            buf[28:36] = struct.pack("<d", float("inf"))
         else:
             buf = buf[:{"cut_10": 10, "cut_40": 40, "cut_8_short": len(buf) - 8}[damage]]
         path.write_bytes(bytes(buf))
@@ -310,6 +315,18 @@ class TestGradcheckCommand:
             return tuple(2.0 * o for o in out) if isinstance(out, tuple) else 2.0 * out
 
         monkeypatch.setattr(idgp.trainer, binding, doubled)
+        assert main(["gradcheck", "--trials", "2", "--seed", "1"]) == EXIT_GRADCHECK
+        assert "map_loss" in capsys.readouterr().err
+
+    def test_offset_in_loss_value_detected(self, monkeypatch, capsys):
+        real = idgp.objective.ml_loss_batch
+
+        def shifted(theta, z, mask):
+            values, d_theta, d_z = real(theta, z, mask)
+            return values + 1e-3, d_theta, d_z
+
+        monkeypatch.setattr(idgp.objective, "ml_loss_batch", shifted)
+        monkeypatch.setattr(idgp.trainer, "ml_loss_batch", shifted)
         assert main(["gradcheck", "--trials", "2", "--seed", "1"]) == EXIT_GRADCHECK
         assert "map_loss" in capsys.readouterr().err
 

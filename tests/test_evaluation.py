@@ -8,7 +8,6 @@ from idgp.evaluation import (
     SplitSpec,
     accuracy,
     aggregate,
-    multi_seed_report,
     read_report_csv,
     split,
     write_report_csv,
@@ -125,25 +124,6 @@ class TestAggregate:
     def test_needs_two(self):
         with pytest.raises(ValueError):
             aggregate([0.5])
-
-
-class TestMultiSeedReport:
-    def test_row_contract_and_aggregation(self):
-        ds = toy_dataset(n=80)
-        cfg = TrainConfig(epochs=2, batch_size=32, hidden=4, r=1, q=1, seed=0,
-                          clamp=3.0, b=1.0)
-        row, accs = multi_seed_report(cfg, ds, seeds=[1, 2], method="idgp",
-                                      dataset_name="toy")
-        assert set(row) == {"method", "dataset", "seed_count", "mean_acc", "std_acc"}
-        assert row["seed_count"] == 2
-        mean, std = aggregate(accs)
-        assert row["mean_acc"] == mean and row["std_acc"] == std
-
-    def test_requires_two_seeds(self):
-        ds = toy_dataset()
-        cfg = TrainConfig(epochs=1, r=1, q=1, seed=0)
-        with pytest.raises(ValueError):
-            multi_seed_report(cfg, ds, seeds=[1])
 
 
 def test_report_csv_roundtrip(tmp_path):

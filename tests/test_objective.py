@@ -34,6 +34,22 @@ def brute_force_ml(theta, z, cands):
     return -np.log(total)
 
 
+def brute_force_bound(inp, rho):
+    """The concavity bound from its definition, one label at a time."""
+    cands, z, size = inp.candidates, inp.z_hat, len(inp.candidates)
+
+    def log_q(j):  # log prod_{k in S\{j}} z_k prod_{k not in S\{j}} (1 - z_k)
+        return sum(np.log(z[k]) if k in cands and k != j else np.log1p(-z[k])
+                   for k in range(inp.c))
+
+    k_term = (np.log(size) + sum(log_q(j) for j in cands) / size
+              + sum((inp.alpha[k] - 1.0) * np.log(z[k])
+                    + (inp.beta[k] - 1.0) * np.log1p(-z[k]) for k in range(inp.c)))
+    weights = [min(max(inp.lam[j] - 1.0 + (1.0 / size if j in cands else 0.0), 0.0), rho)
+               for j in range(inp.c)]
+    return -(k_term + sum(w * np.log(t) for w, t in zip(weights, inp.theta_hat)))
+
+
 def random_instance(rng, c=None, lam_range=(1.0, 5.0)):
     c = c or int(rng.integers(2, 9))
     size = int(rng.integers(1, c))
@@ -299,8 +315,9 @@ class TestUpperBound:
         mask = np.stack([i.occurrence() for i in instances])
         batch = map_upper_bound_batch(theta, z, lam, alpha, beta, mask, cfg.rho)
         for i, inp in enumerate(instances):
-            assert batch[i] == pytest.approx(map_upper_bound(inp, cfg).value,
-                                             rel=1e-12)
+            expected = brute_force_bound(inp, cfg.rho)
+            assert batch.value[i] == pytest.approx(expected, rel=1e-12)
+            assert map_upper_bound(inp, cfg).value == pytest.approx(expected, rel=1e-12)
 
     def test_rho_validation(self):
         with pytest.raises(ValueError):

@@ -16,9 +16,6 @@ from idgp.trainer import (
     init_state,
     predict,
     predict_batch,
-    refine_alpha_beta_hat,
-    refine_lambda_hat,
-    select_learning_rate,
     train_epoch,
 )
 
@@ -77,7 +74,7 @@ class TestPriorCacheRules:
         cache = self._cache(ds)
         cache.take_lambda_snapshot(np.full((ds.n, ds.c), 2.0))
         live = np.full(ds.c, 4.0)
-        lam_hat = refine_lambda_hat(cache, 0, live, t=2)
+        lam_hat = cache.lambda_hat_values(np.array([0]), live[None], t=2)[0]
         on_s = list(ds.candidates[0])
         assert np.all(lam_hat[on_s] == 0.5 * 2.0 + 0.5 * 4.0)  # = 3.0
 
@@ -86,7 +83,7 @@ class TestPriorCacheRules:
         cache = self._cache(ds, epsilon=1e-3)
         live = np.full(ds.c, 7.0)
         for t in (1, 2, 3):
-            lam_hat = refine_lambda_hat(cache, 0, live, t)
+            lam_hat = cache.lambda_hat_values(np.array([0]), live[None], t)[0]
             off = [j for j in range(ds.c) if j not in ds.candidates[0]]
             assert np.all(lam_hat[off] == 1.0 + 1e-3)
 
@@ -94,7 +91,7 @@ class TestPriorCacheRules:
         ds = toy_dataset()
         cache = self._cache(ds, r=2, q=2)
         live = np.linspace(1.0, 2.0, ds.c)
-        lam_hat = refine_lambda_hat(cache, 0, live, t=1)
+        lam_hat = cache.lambda_hat_values(np.array([0]), live[None], t=1)[0]
         on_s = list(ds.candidates[0])
         assert np.array_equal(lam_hat[on_s], live[on_s])  # bitwise
 
@@ -103,8 +100,8 @@ class TestPriorCacheRules:
         cache = self._cache(ds, d=0.9)
         cache.take_alpha_beta_snapshot(np.ones((ds.n, ds.c)),
                                        np.full((ds.n, ds.c), 3.0))
-        a_hat, b_hat = refine_alpha_beta_hat(
-            cache, 0, np.full(ds.c, 11.0), np.full(ds.c, 13.0), t=2)
+        a_hat, b_hat = cache.alpha_beta_hat_values(
+            np.array([0]), np.full((1, ds.c), 11.0), np.full((1, ds.c), 13.0), t=2)
         assert np.allclose(a_hat, 2.0, rtol=1e-12)  # 0.9*1 + 0.1*11
         assert np.allclose(b_hat, 0.9 * 3.0 + 0.1 * 13.0, rtol=1e-12)
 
@@ -113,8 +110,9 @@ class TestPriorCacheRules:
         cache = self._cache(ds)
         alpha = np.linspace(0.5, 1.5, ds.c)
         beta = np.linspace(2.0, 3.0, ds.c)
-        a_hat, b_hat = refine_alpha_beta_hat(cache, 0, alpha, beta, t=1)
-        assert np.array_equal(a_hat, alpha) and np.array_equal(b_hat, beta)
+        a_hat, b_hat = cache.alpha_beta_hat_values(np.array([0]), alpha[None],
+                                                   beta[None], t=1)
+        assert np.array_equal(a_hat[0], alpha) and np.array_equal(b_hat[0], beta)
 
     def test_snapshots_taken_once(self):
         ds = toy_dataset()
@@ -294,6 +292,13 @@ class TestTrainingLoop:
                            match=rf"epoch 1, batch 0, instance {bad}$"):
             train_epoch(state, 1)
 
+    def test_nonfinite_weights_report_epoch_and_batch(self):
+        ds = toy_dataset(n_per=10)
+        state = init_state(small_config(epochs=1, batch_size=30, r=1, q=1), ds)
+        state.f.weights[0][:] = np.nan
+        with pytest.raises(NumericError, match=r"^epoch 1, batch 0: "):
+            train_epoch(state, 1)
+
     def test_smoke_training_reduces_loss(self):
         ds = toy_dataset(seed=3, n_per=17, p=0.3)  # ~50 instances
         cfg = small_config(epochs=200, batch_size=64, r=5, q=5, lr_f=2e-2,
@@ -366,11 +371,3 @@ class TestPredict:
             assert l == labels[i]
             assert np.allclose(th, thetas[i], rtol=1e-13)
 
-
-def test_select_learning_rate_picks_best():
-    ds = toy_dataset(n_per=20, p=0.2)
-    cfg = small_config(epochs=2, val_fraction=0.2)
-    best, results = select_learning_rate(cfg, ds, grid=(1e-3, 1e-2))
-    assert best.lr_f in (1e-3, 1e-2)
-    assert set(results) == {1e-3, 1e-2}
-    assert results[best.lr_f] == max(results.values())
