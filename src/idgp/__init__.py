@@ -1,25 +1,14 @@
 """Instance-dependent partial-label learning via a decompositional generation process."""
 
 from .data import (
-    LogicalVectors,
     PLLDataset,
     load_dataset,
-    logical_vectors,
     occurrence_vector,
     read_sidecar,
     write_dataset,
     write_sidecar,
 )
-from .distributions import (
-    bernoulli_vec_log_density,
-    beta_log_density,
-    beta_posterior_mean,
-    categorical_log_density,
-    dirichlet_log_density,
-    dirichlet_posterior_mean,
-    sample_bernoulli_vec,
-    sample_categorical,
-)
+from .distributions import beta_posterior_mean, dirichlet_posterior_mean
 from .errors import DataFormatError, DataInvariantError, IdgpError, NumericError
 from .evaluation import SplitSpec, accuracy, aggregate, split
 from .generation import (
@@ -52,7 +41,6 @@ from .trainer import (
     PriorCache,
     TrainConfig,
     fit,
-    predict,
     train_epoch,
 )
 
@@ -66,7 +54,6 @@ __all__ = [
     "DataInvariantError",
     "DenseNet",
     "IdgpError",
-    "LogicalVectors",
     "NumericError",
     "PLLDataset",
     "PerInstanceLossInput",
@@ -77,31 +64,23 @@ __all__ = [
     "TransformConfig",
     "accuracy",
     "aggregate",
-    "bernoulli_vec_log_density",
-    "beta_log_density",
     "beta_posterior_mean",
     "candidate_set_density",
-    "categorical_log_density",
     "corrupt_instance_dependent",
     "corrupt_uniform",
     "degenerate_uniform_loss",
-    "dirichlet_log_density",
     "dirichlet_posterior_mean",
     "fit",
     "lambda_transform",
     "lambda_transform_pair",
     "load_dataset",
-    "logical_vectors",
     "make_clean_dataset",
     "map_loss",
     "map_upper_bound",
     "ml_loss",
     "occurrence_vector",
-    "predict",
     "read_sidecar",
     "reg_loss",
-    "sample_bernoulli_vec",
-    "sample_categorical",
     "sgd_step",
     "split",
     "train_clean_scorer",

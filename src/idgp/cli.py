@@ -1,7 +1,8 @@
 """Command-line surface: corrupt, train, eval, gradcheck, report.
 
 Exit codes: 0 success, 1 I/O or unreadable input, 2 usage, 3 data
-invariant violation, 4 numeric failure, 5 gradient-check failure.
+invariant violation or a failed allocation, 4 numeric failure, 5
+gradient-check failure.
 
 Every training run writes a manifest (resolved config, seed, SHA-256
 digests of the inputs, artifact paths, timestamps) so outputs can be
@@ -60,28 +61,21 @@ def _pack_net(net: DenseNet) -> bytes:
 
 def _unpack_net(buf: bytes, pos: int):
     act_code, n_sizes = struct.unpack_from("<II", buf, pos)
-    if act_code not in _ACTIVATION_NAMES:
-        raise ValueError(f"unknown activation code {act_code}")
-    if n_sizes < 2:
-        raise ValueError(f"a net needs at least 2 layer sizes, got {n_sizes}")
     pos += 8
     sizes = struct.unpack_from(f"<{n_sizes}I", buf, pos)
     pos += 4 * n_sizes
     (clamp,) = struct.unpack_from("<d", buf, pos)
     pos += 8
-    net = DenseNet.__new__(DenseNet)
-    net.layer_sizes = tuple(sizes)
-    net.activation = _ACTIVATION_NAMES[act_code]
-    net.clamp = clamp
-    net.weights, net.biases = [], []
+    weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         W = np.frombuffer(buf, dtype="<f8", count=fan_in * fan_out, offset=pos)
         pos += 8 * fan_in * fan_out
         b = np.frombuffer(buf, dtype="<f8", count=fan_out, offset=pos)
         pos += 8 * fan_out
-        net.weights.append(W.reshape(fan_in, fan_out).astype(np.float64))
-        net.biases.append(b.astype(np.float64))
-    return net, pos
+        weights.append(W.reshape(fan_in, fan_out).astype(np.float64))
+        biases.append(b.astype(np.float64))
+    return DenseNet.from_params(sizes, _ACTIVATION_NAMES.get(act_code), clamp,
+                                weights, biases), pos
 
 
 def save_model(path, net_f: DenseNet, net_g: DenseNet, tc: TransformConfig) -> None:
@@ -188,7 +182,7 @@ def cmd_corrupt(args) -> int:
     else:
         scores, _ = generation.train_clean_scorer(ds, scorer_cfg)
         corrupted, report = generation.corrupt_instance_dependent(
-            ds, scores, args.seed, scorer_params=scorer_cfg.to_metadata())
+            ds, scores, args.seed, scorer_params=asdict(scorer_cfg))
     write_dataset(corrupted, args.out, args.format)
     write_sidecar(args.out, report.to_metadata())
     print(f"wrote {args.out} (avg |S| = {report.avg_set_size:.3f})")
@@ -415,6 +409,9 @@ def main(argv=None) -> int:
     except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -124,20 +124,6 @@ class PLLDataset:
         )
 
 
-@dataclass(frozen=True)
-class LogicalVectors:
-    """Binary encodings of one labelled instance.
-
-    ``l`` is the one-hot correct label, ``s_bar`` flags incorrect candidates
-    and ``o`` flags candidate-set membership; all are length-c float vectors
-    with entries in {0, 1}.
-    """
-
-    l: np.ndarray
-    s_bar: np.ndarray
-    o: np.ndarray
-
-
 def occurrence_vector(candidates: Sequence[int], c: int) -> np.ndarray:
     """0/1 vector marking candidate-set membership among ``c`` labels."""
     o = np.zeros(c)
@@ -147,18 +133,6 @@ def occurrence_vector(candidates: Sequence[int], c: int) -> np.ndarray:
             raise DataInvariantError(f"label index {j} out of range [0, {c})")
         o[j] = 1.0
     return o
-
-
-def logical_vectors(y: int, candidates: Sequence[int], c: int) -> LogicalVectors:
-    """One-hot / incorrect-candidate / occurrence encodings for one instance."""
-    if y not in set(int(j) for j in candidates):
-        raise DataInvariantError("true label must belong to the candidate set")
-    o = occurrence_vector(candidates, c)
-    l = np.zeros(c)
-    l[int(y)] = 1.0
-    s_bar = o.copy()
-    s_bar[int(y)] = 0.0
-    return LogicalVectors(l=l, s_bar=s_bar, o=o)
 
 
 def _format_float(v: float) -> str:
@@ -229,6 +203,8 @@ def _header_dims(fields, path, lines, to_int=int):
         n, q, c = (to_int(v) for v in fields)
     except (TypeError, ValueError):
         raise DataFormatError(f"{path}:1: non-integer header field") from None
+    if max(n, q, c) > np.iinfo(np.intp).max:
+        raise DataFormatError(f"{path}:1: header field above {np.iinfo(np.intp).max}")
     if n < 0 or q < 0:
         raise DataFormatError(f"{path}:1: negative header field (n={n}, q={q})")
     # each feature takes at least one character: this bounds the allocation

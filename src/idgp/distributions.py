@@ -10,16 +10,16 @@ vector ``o`` of an observed candidate set:
     theta_hat_j = (o_j + lam_j) / sum_k (lam_k + o_k)
     z_hat_j     = (o_j + alpha_j) / (alpha_j + beta_j + o_j)
 
-Those two estimators, their exact partial derivatives, and the log
-densities (used by test oracles; the training loss drops the log-Gamma
-normalizer, which is constant once the prior parameters are frozen) live
-here.  All densities are computed in log space.
+Those two estimators, their exact partial derivatives, the parameter
+floors and the domain checks the losses apply live here.  The log
+densities themselves are written out where they are used: the losses in
+:mod:`idgp.objective` and the candidate-set density in
+:mod:`idgp.generation`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
 # Floor applied to Dirichlet/Beta parameters after any arithmetic: the prior
 # refinement can push entries arbitrarily close to 0 from above.
@@ -45,43 +45,12 @@ def _require_positive(x: np.ndarray, name: str) -> np.ndarray:
     return x
 
 
-def _require_binary(x: np.ndarray, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all((x == 0.0) | (x == 1.0)):
-        raise ValueError(f"{name} entries must be exactly 0 or 1")
-    return x
-
-
-def check_simplex(theta: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-    """Validate a point on the label simplex (strictly positive entries)."""
-    theta = _require_positive(theta, "theta")
-    if abs(float(theta.sum()) - 1.0) > atol:
-        raise ValueError(f"theta sums to {theta.sum()!r}, not 1")
-    return theta
-
-
 def check_unit_open(z: np.ndarray, name: str = "z") -> np.ndarray:
     """Validate entries strictly inside (0, 1)."""
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)) or np.any(z <= 0.0) or np.any(z >= 1.0):
         raise ValueError(f"{name} entries must lie strictly inside (0, 1)")
     return z
-
-
-def categorical_log_density(l: np.ndarray, theta: np.ndarray) -> float:
-    """log Cat(l | theta) = sum_j l_j * log theta_j for a one-hot ``l``."""
-    l = _require_binary(l, "l")
-    if float(l.sum()) != 1.0:
-        raise ValueError("l must be one-hot")
-    theta = check_simplex(theta)
-    return float(np.sum(l * np.log(theta)))
-
-
-def bernoulli_vec_log_density(s_bar: np.ndarray, z: np.ndarray) -> float:
-    """log of the factorized Bernoulli density of a binary vector."""
-    s_bar = _require_binary(s_bar, "s_bar")
-    z = check_unit_open(z)
-    return float(np.sum(s_bar * np.log(z) + (1.0 - s_bar) * np.log1p(-z)))
 
 
 def dirichlet_posterior_mean(lam: np.ndarray, o: np.ndarray) -> np.ndarray:
@@ -120,34 +89,3 @@ def beta_posterior_mean_grads(alpha, beta, o):
     o = np.asarray(o, dtype=np.float64)
     denom_sq = (alpha + beta + o) ** 2
     return beta / denom_sq, -(o + alpha) / denom_sq
-
-
-def dirichlet_log_density(theta: np.ndarray, lam: np.ndarray) -> float:
-    """Full Dirichlet log pdf, normalizer included (test-oracle use only)."""
-    theta = check_simplex(theta)
-    lam = _require_positive(lam, "lam")
-    log_norm = gammaln(float(lam.sum())) - float(gammaln(lam).sum())
-    return log_norm + float(np.sum((lam - 1.0) * np.log(theta)))
-
-
-def beta_log_density(z: float, alpha: float, beta: float) -> float:
-    """Full Beta log pdf at a scalar z in (0, 1)."""
-    if alpha <= 0.0 or beta <= 0.0:
-        raise ValueError("alpha and beta must be strictly positive")
-    if not (0.0 < z < 1.0):
-        raise ValueError("z must lie strictly inside (0, 1)")
-    log_norm = gammaln(alpha + beta) - gammaln(alpha) - gammaln(beta)
-    return float(log_norm + (alpha - 1.0) * np.log(z) + (beta - 1.0) * np.log1p(-z))
-
-
-def sample_categorical(theta: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one label index from Cat(theta)."""
-    theta = check_simplex(theta, atol=1e-9)
-    u = rng.random()
-    return int(np.searchsorted(np.cumsum(theta), u, side="right").clip(0, theta.size - 1))
-
-
-def sample_bernoulli_vec(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw a binary vector with independent per-coordinate success probs."""
-    z = check_unit_open(z)
-    return (rng.random(z.shape) < z).astype(np.float64)

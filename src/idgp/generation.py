@@ -81,15 +81,10 @@ class CleanScorerConfig:
             raise ValueError("epochs must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if not (self.lr > 0.0):
-            raise ValueError("lr must be strictly positive")
+        if not (0.0 < self.lr < np.inf):
+            raise ValueError("lr must be finite and strictly positive")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must lie in [0, 1)")
-
-    def to_metadata(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("hidden", "activation", "clamp", "epochs", "batch_size",
-                 "lr", "momentum", "seed")}
 
 
 def candidate_set_density(candidates: Sequence[int], theta: np.ndarray,

@@ -75,6 +75,15 @@ def lambda_transform_pair(scores: np.ndarray, cfg: TransformConfig):
     return lam[..., :half], lam[..., half:]
 
 
+def _check_net_spec(layer_sizes, activation: str, clamp: float) -> None:
+    if len(layer_sizes) < 2:
+        raise ValueError("need at least input and output sizes")
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"activation must be one of {ACTIVATIONS}")
+    if not (clamp > 0.0):
+        raise ValueError("clamp bound must be strictly positive")
+
+
 class DenseNet:
     """Fully connected scorer; hidden activations relu or identity.
 
@@ -85,12 +94,7 @@ class DenseNet:
 
     def __init__(self, layer_sizes, activation: str = "relu", clamp: float = 20.0,
                  rng: np.random.Generator | None = None):
-        if len(layer_sizes) < 2:
-            raise ValueError("need at least input and output sizes")
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
-        if not (clamp > 0.0):
-            raise ValueError("clamp bound must be strictly positive")
+        _check_net_spec(layer_sizes, activation, clamp)
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         self.activation = activation
         self.clamp = float(clamp)
@@ -101,6 +105,23 @@ class DenseNet:
             bound = 1.0 / np.sqrt(fan_in)
             self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
             self.biases.append(rng.uniform(-bound, bound, size=fan_out))
+
+    @classmethod
+    def from_params(cls, layer_sizes, activation: str, clamp: float,
+                    weights, biases) -> "DenseNet":
+        """A net holding the given parameters, under the checks of ``__init__``.
+
+        Every weight and bias must also be finite.
+        """
+        _check_net_spec(layer_sizes, activation, clamp)
+        if not all(np.all(np.isfinite(p)) for p in (*weights, *biases)):
+            raise ValueError("weights and biases must be finite")
+        net = cls.__new__(cls)
+        net.layer_sizes = tuple(int(s) for s in layer_sizes)
+        net.activation = activation
+        net.clamp = float(clamp)
+        net.weights, net.biases = list(weights), list(biases)
+        return net
 
     @property
     def in_dim(self) -> int:

@@ -360,20 +360,14 @@ def _maybe_accuracy(net_f, dataset, tc) -> Optional[float]:
 
 
 def predict_batch(net_f: DenseNet, X: np.ndarray, tc: TransformConfig):
-    """Labels and label-confidence rows for a feature matrix."""
-    scores, _ = net_f.forward(np.atleast_2d(X))
-    lam = lambda_transform(scores, tc)
-    theta = lam / lam.sum(axis=1, keepdims=True)
-    return np.argmax(theta, axis=1), theta
-
-
-def predict(net_f: DenseNet, x: np.ndarray, tc: TransformConfig):
-    """Predicted label (ties go to the lowest index) and its confidence vector.
+    """Labels and label-confidence rows for a feature matrix.
 
     At test time there is no candidate set, so the occurrence vector is
     zero and the posterior mean reduces to lam / sum(lam); its argmax
     coincides with the raw score argmax because the transform is strictly
-    increasing coordinate-wise.
+    increasing coordinate-wise.  Ties go to the lowest label index.
     """
-    labels, theta = predict_batch(net_f, np.asarray(x, dtype=np.float64)[None], tc)
-    return int(labels[0]), theta[0]
+    scores, _ = net_f.forward(np.atleast_2d(X))
+    lam = lambda_transform(scores, tc)
+    theta = lam / lam.sum(axis=1, keepdims=True)
+    return np.argmax(theta, axis=1), theta

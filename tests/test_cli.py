@@ -79,6 +79,7 @@ class TestCorrupt:
     @pytest.mark.parametrize("flag, value", [("--scorer-hidden", "-1"),
                                              ("--scorer-epochs", "-1"),
                                              ("--scorer-lr", "-1"),
+                                             ("--scorer-lr", "inf"),
                                              ("--scorer-clamp", "0")])
     def test_bad_scorer_flag_exits_2_naming_flag(self, tmp_path, clean_path, capsys,
                                                  flag, value):
@@ -178,6 +179,16 @@ class TestTrainEval:
         assert f"{metrics}:2: expected columns" in capsys.readouterr().err
         assert metrics.read_text() == "method,dataset\nidgp,toy\n"
 
+    def test_failed_allocation_exits_3(self, tmp_path, corrupted_path, capsys,
+                                       monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.0 EiB for an array")
+
+        monkeypatch.setattr(idgp.trainer, "fit", no_memory)
+        assert main(["train", "--data", str(corrupted_path),
+                     "--out-dir", str(tmp_path / "run")]) == EXIT_INVARIANT
+        assert "error: Unable to allocate 8.0 EiB" in capsys.readouterr().err
+
     def test_untrained_net_near_chance(self, tmp_path, corrupted_path):
         out_dir = tmp_path / "run0"
         cfg = tiny_config(tmp_path, epochs=0)
@@ -268,7 +279,8 @@ class TestModelFile:
 
     @pytest.mark.parametrize("damage", ["cut_10", "cut_40", "cut_8_short",
                                         "activation_7", "transform_a_0",
-                                        "transform_gamma_inf"])
+                                        "transform_gamma_inf", "clamp_neg",
+                                        "clamp_0", "clamp_nan", "weight_nan"])
     def test_corrupt_model_exits_1(self, tmp_path, clean_path, capsys, damage):
         path = tmp_path / "model.bin"
         save_model(path, DenseNet([2, 4, 3], rng=np.random.default_rng(0)),
@@ -280,6 +292,12 @@ class TestModelFile:
             buf[12:20] = struct.pack("<d", 0.0)  # a, b, gamma follow the version
         elif damage == "transform_gamma_inf":
             buf[28:36] = struct.pack("<d", float("inf"))
+        elif damage.startswith("clamp_"):
+            # f's activation code, size count and 3 sizes come before its clamp
+            value = {"clamp_neg": -3.0, "clamp_0": 0.0, "clamp_nan": float("nan")}[damage]
+            buf[56:64] = struct.pack("<d", value)
+        elif damage == "weight_nan":
+            buf[64:72] = struct.pack("<d", float("nan"))  # f's first weight
         else:
             buf = buf[:{"cut_10": 10, "cut_40": 40, "cut_8_short": len(buf) - 8}[damage]]
         path.write_bytes(bytes(buf))

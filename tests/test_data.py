@@ -6,7 +6,6 @@ import pytest
 from idgp.data import (
     PLLDataset,
     load_dataset,
-    logical_vectors,
     occurrence_vector,
     read_sidecar,
     write_dataset,
@@ -207,6 +206,10 @@ class TestParseErrors:
                      2, id="jsonl-feature-overflows-float"),
         pytest.param("text", "0 100000000000000000000 3\n", 1, id="text-huge-q-no-rows"),
         pytest.param("text", "1 1000000000000 3\n0.5 | 1\n", 1, id="text-huge-q"),
+        pytest.param("text", "1 1 100000000000000000000000\n0.5 | 1\n", 1,
+                     id="text-huge-c"),
+        pytest.param("jsonl", '{"n": 1, "q": 1, "c": 100000000000000000000000}\n'
+                     '{"features": [0.5], "candidates": [1]}\n', 1, id="jsonl-huge-c"),
     ])
     def test_malformed_input_names_line(self, tmp_path, fmt, text, line):
         path = tmp_path / "d.data"
@@ -245,13 +248,6 @@ class TestOccurrence:
     def test_out_of_range(self):
         with pytest.raises(DataInvariantError):
             occurrence_vector([3], 3)
-
-    def test_logical_vectors(self):
-        lv = logical_vectors(1, [0, 1], 4)
-        assert lv.l.tolist() == [0.0, 1.0, 0.0, 0.0]
-        assert lv.s_bar.tolist() == [1.0, 0.0, 0.0, 0.0]
-        assert lv.o.tolist() == [1.0, 1.0, 0.0, 0.0]
-        assert lv.l.sum() == 1.0
 
 
 def test_sidecar_roundtrip(tmp_path):

@@ -1,11 +1,9 @@
-"""Densities, posterior means and samplers against independent oracles.
+"""Posterior means, their derivatives and the clamps against independent oracles.
 
-Closed forms are checked three ways: frozen hand arithmetic, exhaustive
-enumeration (densities must sum to one), and numerical integration of the
-prior-times-likelihood definition of a posterior mean.
+Closed forms are checked three ways: frozen hand arithmetic, numerical
+integration of the prior-times-likelihood definition of a posterior mean,
+and Monte Carlo draws from the posterior.
 """
-
-import itertools
 
 import numpy as np
 import pytest
@@ -14,74 +12,13 @@ from scipy import integrate
 from idgp.distributions import (
     PARAM_FLOOR,
     Z_EPS,
-    bernoulli_vec_log_density,
-    beta_log_density,
     beta_posterior_mean,
     beta_posterior_mean_grads,
-    categorical_log_density,
-    check_simplex,
     clamp_z,
-    dirichlet_log_density,
     dirichlet_posterior_mean,
     dirichlet_posterior_mean_jacobian,
     floor_params,
-    sample_bernoulli_vec,
-    sample_categorical,
 )
-
-
-class TestCategorical:
-    def test_hand_value(self):
-        theta = np.array([0.5, 0.3, 0.2])
-        assert categorical_log_density(np.array([1.0, 0, 0]), theta) == pytest.approx(
-            np.log(0.5), rel=1e-12)
-
-    def test_uniform_symmetry(self):
-        theta = np.full(4, 0.25)
-        for j in range(4):
-            l = np.zeros(4)
-            l[j] = 1.0
-            assert categorical_log_density(l, theta) == pytest.approx(np.log(0.25))
-
-    def test_enumeration_sums_to_one(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            c = int(rng.integers(2, 7))
-            theta = rng.dirichlet(np.ones(c))
-            total = 0.0
-            for j in range(c):
-                l = np.zeros(c)
-                l[j] = 1.0
-                total += np.exp(categorical_log_density(l, theta))
-            assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_non_one_hot(self):
-        with pytest.raises(ValueError):
-            categorical_log_density(np.array([1.0, 1.0]), np.array([0.5, 0.5]))
-
-
-class TestBernoulliVec:
-    def test_hand_value(self):
-        val = bernoulli_vec_log_density(np.array([1.0, 0.0]), np.array([0.2, 0.4]))
-        assert val == pytest.approx(np.log(0.2) + np.log(0.6), rel=1e-12)
-
-    def test_half_symmetry(self):
-        z = np.full(5, 0.5)
-        for s in (np.zeros(5), np.ones(5), np.array([1, 0, 1, 0, 1.0])):
-            assert bernoulli_vec_log_density(s, z) == pytest.approx(5 * np.log(0.5))
-
-    @pytest.mark.parametrize("c", [2, 5, 10])
-    def test_enumeration_sums_to_one(self, c):
-        rng = np.random.default_rng(c)
-        z = rng.uniform(0.05, 0.95, size=c)
-        total = sum(
-            np.exp(bernoulli_vec_log_density(np.array(bits, dtype=float), z))
-            for bits in itertools.product([0, 1], repeat=c))
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            bernoulli_vec_log_density(np.array([0.5]), np.array([0.5]))
 
 
 class TestPosteriorMeans:
@@ -105,7 +42,8 @@ class TestPosteriorMeans:
             lam = rng.uniform(1e-6, 50.0, size=c)
             o = (rng.random(c) < 0.4).astype(float)
             theta = dirichlet_posterior_mean(lam, o)
-            check_simplex(theta, atol=1e-9)
+            assert np.all(np.isfinite(theta)) and np.all(theta > 0.0)
+            assert abs(theta.sum() - 1.0) <= 1e-9
 
     def test_beta_output_strictly_inside(self):
         rng = np.random.default_rng(2)
@@ -188,84 +126,6 @@ class TestJacobians:
         da, db = beta_posterior_mean_grads(alpha, beta, o)
         assert da[0] == pytest.approx(3.0 / 36.0, rel=1e-14)
         assert db[0] == pytest.approx(-3.0 / 36.0, rel=1e-14)
-
-
-class TestFullDensities:
-    def test_uniform_dirichlet_zero(self):
-        for theta in ([0.3, 0.7], [0.9, 0.1]):
-            assert dirichlet_log_density(np.array(theta), np.ones(2)) == pytest.approx(
-                0.0, abs=1e-14)
-
-    def test_dirichlet_hand_value(self):
-        val = dirichlet_log_density(np.array([0.5, 0.5]), np.array([2.0, 1.0]))
-        assert val == pytest.approx(np.log(2 * 0.5), abs=1e-14)
-
-    def test_dirichlet_integrates_to_one_c2(self):
-        lam = np.array([2.5, 1.7])
-        total, _ = integrate.quad(
-            lambda t: np.exp(dirichlet_log_density(np.array([t, 1 - t]), lam)),
-            0.0, 1.0, epsabs=1e-12)
-        assert total == pytest.approx(1.0, abs=1e-8)
-
-    def test_dirichlet_integrates_to_one_c3(self):
-        lam = np.array([2.0, 3.0, 2.5])
-        n = 600
-        ts = (np.arange(n) + 0.5) / n
-        total = 0.0
-        for t1 in ts:
-            t2 = ts * (1 - t1)
-            vals = [np.exp(dirichlet_log_density(
-                np.array([t1, v, 1 - t1 - v]), lam)) for v in t2]
-            total += np.trapezoid(vals, t2) / n
-        assert total == pytest.approx(1.0, abs=1e-3)
-
-    def test_beta_log_density(self):
-        assert beta_log_density(0.3, 1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
-        assert beta_log_density(0.5, 2.0, 2.0) == pytest.approx(np.log(1.5), abs=1e-14)
-        total, _ = integrate.quad(
-            lambda z: np.exp(beta_log_density(z, 2.3, 3.1)), 0.0, 1.0, epsabs=1e-12)
-        assert total == pytest.approx(1.0, abs=1e-8)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            beta_log_density(1.5, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            dirichlet_log_density(np.array([0.6, 0.6]), np.ones(2))
-
-
-class TestSamplers:
-    def test_degenerate_categorical(self):
-        rng = np.random.default_rng(6)
-        theta = np.array([1.0 - 2e-9, 1e-9, 1e-9])
-        assert all(sample_categorical(theta, rng) == 0 for _ in range(100))
-
-    def test_near_zero_bernoulli(self):
-        rng = np.random.default_rng(7)
-        z = np.full(6, 1e-9)
-        draws = np.array([sample_bernoulli_vec(z, rng) for _ in range(1000)])
-        assert draws.sum() == 0
-
-    def test_categorical_frequencies_within_3_sigma(self):
-        rng = np.random.default_rng(8)
-        theta = np.array([0.6, 0.2, 0.2])
-        n = 10 ** 5
-        counts = np.zeros(3)
-        for _ in range(n):
-            counts[sample_categorical(theta, rng)] += 1
-        freq = counts / n
-        band = 3 * np.sqrt(theta * (1 - theta) / n)
-        assert np.all(np.abs(freq - theta) <= band)
-
-    def test_bernoulli_frequencies_within_3_sigma(self):
-        rng = np.random.default_rng(9)
-        z = np.array([0.1, 0.5, 0.9])
-        n = 10 ** 5
-        draws = rng.random((n, 3)) < z  # same scheme as the sampler
-        got = np.array([sample_bernoulli_vec(z, np.random.default_rng(9))])
-        freq = draws.mean(axis=0)
-        band = 3 * np.sqrt(z * (1 - z) / n)
-        assert np.all(np.abs(freq - z) <= band)
-        assert got.shape == (1, 3)
 
 
 class TestClamps:

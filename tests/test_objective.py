@@ -290,9 +290,10 @@ class TestUpperBound:
         inp = self._bound_ready_instance(rng, c=5)
         bound = map_upper_bound(inp, cfg)
         assert np.all(bound.weights <= cfg.rho)
-        # the loss itself is computed from unclamped parameters
-        assert map_loss(inp).value == pytest.approx(
-            map_loss(inp).value, rel=0)
+        # the clamp is active here, and it changes the bound's value
+        assert np.any(bound.weights_preclamp > cfg.rho)
+        unclamped = BoundConfig(rho=float(bound.weights_preclamp.max()) + 1.0)
+        assert map_upper_bound(inp, unclamped).value != bound.value
 
     def test_degenerate_theta_keeps_bound_finite(self):
         lam = np.array([1.0 + 1e-8, 8.9, 1.0 + 1e-8, 1.0 + 1e-8])

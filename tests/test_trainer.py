@@ -14,7 +14,6 @@ from idgp.trainer import (
     TrainConfig,
     fit,
     init_state,
-    predict,
     predict_batch,
     train_epoch,
 )
@@ -341,15 +340,15 @@ class TestPredict:
     def test_hand_value(self):
         net = self._const_net([1.0, 0.0, -1.0])
         tc = TransformConfig(a=1.0, b=0.0, gamma=1.0)
-        label, theta = predict(net, np.array([0.3, -0.2]), tc)
+        labels, theta = predict_batch(net, np.array([[0.3, -0.2]]), tc)
         lam = np.exp(np.array([1.0, 0.0, -1.0]))
-        assert label == 0
-        assert np.allclose(theta, lam / lam.sum(), rtol=1e-12)
+        assert labels.tolist() == [0]
+        assert np.allclose(theta[0], lam / lam.sum(), rtol=1e-12)
 
     def test_tie_breaks_to_lowest_index(self):
         net = self._const_net([0.5, 0.5, 0.1])
-        label, _ = predict(net, np.zeros(2), TransformConfig())
-        assert label == 0
+        labels, _ = predict_batch(net, np.zeros((1, 2)), TransformConfig())
+        assert labels.tolist() == [0]
 
     def test_argmax_invariant_to_transform(self):
         rng = np.random.default_rng(20)
@@ -361,13 +360,4 @@ class TestPredict:
             theta = lam / lam.sum(axis=1, keepdims=True)
             assert np.array_equal(theta.argmax(axis=1), raw_argmax)
 
-    def test_batch_matches_single(self):
-        ds = toy_dataset()
-        state = init_state(small_config(), ds)
-        tc = TransformConfig()
-        labels, thetas = predict_batch(state.f, ds.features[:5], tc)
-        for i in range(5):
-            l, th = predict(state.f, ds.features[i], tc)
-            assert l == labels[i]
-            assert np.allclose(th, thetas[i], rtol=1e-13)
 
