@@ -9,13 +9,17 @@ well-conditioned instances.
 import numpy as np
 
 from idgp.gradcheck import COMPONENTS, TOLERANCE, central_difference, run_suite
-from idgp.objective import ml_loss
+from idgp.objective import ml_loss_batch
 
 print("hand check first: likelihood-loss gradient on one instance")
 theta = np.array([0.5, 0.3, 0.2])
 z = np.array([0.1, 0.2, 0.3])
-_, d_theta, _ = ml_loss(theta, z, (0, 1))
-numeric = central_difference(lambda t: ml_loss(t, z, (0, 1))[0], theta)
+mask = np.array([[1.0, 1.0, 0.0]])  # candidate set {1, 2}
+_, d_theta, _ = ml_loss_batch(theta[None], z[None], mask)
+d_theta = d_theta[0]
+# central_difference hands over every perturbed theta at once, as the rows
+# of one (6, 3) stack; the batch loss returns one value per row
+numeric = central_difference(lambda t: ml_loss_batch(t, z[None], mask)[0], theta)
 for j in range(3):
     print(f"  d/d theta_{j + 1}: analytic {d_theta[j]:+.8f}   "
           f"numeric {numeric[j]:+.8f}")

@@ -207,6 +207,9 @@ def _header_dims(fields, path, lines, to_int=int):
         raise DataFormatError(f"{path}:1: header field above {np.iinfo(np.intp).max}")
     if n < 0 or q < 0:
         raise DataFormatError(f"{path}:1: negative header field (n={n}, q={q})")
+    # training holds (n, c) float64 arrays, whose byte count must be addressable
+    if max(n, 1) * c > np.iinfo(np.intp).max // 8:
+        raise DataFormatError(f"{path}:1: n={n} rows of c={c} classes cannot be addressed")
     # each feature takes at least one character: this bounds the allocation
     if max(n, 1) * q > sum(map(len, lines)):
         raise DataFormatError(f"{path}:1: n={n} rows of q={q} features cannot fit in the file")

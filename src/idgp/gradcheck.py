@@ -7,7 +7,10 @@ i.e. relative for large gradients and absolute near zero, and instances
 are resampled until they sit away from the clamp and relu kinks that make
 finite differences meaningless.  One routine, :func:`central_difference`,
 gives every numeric derivative: the gradient of a scalar function or the
-Jacobian of a vector one.
+Jacobian of a vector one.  It passes the 2n points x +- h e_i of an
+n-coordinate x to the function as stacks of up to 64, so each coordinate
+keeps its own difference but a check makes a few calls, not 2n; the network
+checks run each stack as one :meth:`DenseNet.stacked` net.
 
 The checks deliberately call through the module objects (``objective.``,
 ``distributions.``, ``trainer.``) rather than binding functions at import
@@ -34,20 +37,28 @@ COMPONENTS = ("forward", "transform", "posterior_jacobians",
 
 _HARNESS_CLAMP = 8.0  # generous headroom: scores stay far inside [-A, A]
 _MAP_ROWS = 3  # batch rows of the MAP check: more than one exercises the 1/B mean
+_FD_CHUNK = 64  # most points handed to one call of the differenced function
 
 
 def central_difference(fun, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     """Central differences of ``fun`` at ``x``, shaped ``fun(x).shape + x.shape``.
 
-    The gradient of a scalar function, the Jacobian of a vector one.
+    The gradient of a scalar function, the Jacobian of a vector one.  ``fun``
+    takes a stack of m points, shaped ``(m,) + x.shape``, and returns one
+    value per point, shaped ``(m,) + fun(x).shape``.  The 2 ``x.size``
+    points x + h e_i and x - h e_i go to it in chunks of at most 64.
     """
     x = np.asarray(x, dtype=np.float64)
-    cols = []
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step.flat[i] = h
-        cols.append((np.asarray(fun(x + step)) - np.asarray(fun(x - step))) / (2.0 * h))
-    return np.stack(cols, axis=-1).reshape(cols[0].shape + x.shape)
+    n = x.size
+    values = []
+    for start in range(0, 2 * n, _FD_CHUNK):
+        k = np.arange(start, min(start + _FD_CHUNK, 2 * n))  # point k moves x_{k mod n}
+        points = np.tile(x.ravel(), (k.size, 1))
+        points[np.arange(k.size), k % n] += np.where(k < n, h, -h)
+        values.append(np.asarray(fun(points.reshape((-1,) + x.shape))))
+    values = np.concatenate(values)
+    diff = (values[:n] - values[n:]) / (2.0 * h)
+    return np.moveaxis(diff, 0, -1).reshape(diff.shape[1:] + x.shape)
 
 
 def rel_error(a, b) -> float:
@@ -82,7 +93,7 @@ def check_forward(rng, width: int = 16) -> float:
     _, cache = net.forward(x)
     analytic = net.flatten_grads(net.backward(cache, v))
     return _net_error(net, analytic, np.arange(analytic.size),
-                      lambda: float(net.forward(x)[0] @ v))
+                      lambda nets: (nets.forward(x[None])[0] @ v)[:, 0])
 
 
 def check_transform(rng) -> float:
@@ -91,7 +102,7 @@ def check_transform(rng) -> float:
     scores = rng.uniform(-3.0, 3.0, size=int(rng.integers(2, 8)))
     analytic = lambda_transform_grad(scores, cfg)
     numeric = central_difference(
-        lambda s: float(lambda_transform(s, cfg).sum()), scores)
+        lambda s: lambda_transform(s, cfg).sum(axis=-1), scores)
     return rel_error(analytic, numeric)
 
 
@@ -116,42 +127,46 @@ def check_posterior_jacobians(rng) -> float:
 
 
 def _theta_z_error(loss, theta, z) -> float:
-    """Partials of ``loss(theta, z) -> (value, d_theta, d_z)`` vs FD."""
-    _, d_theta, d_z = loss(theta, z)
-    num_t = central_difference(lambda th: loss(th, z)[0], theta)
-    num_z = central_difference(lambda zz: loss(theta, zz)[0], z)
-    return max(rel_error(d_theta, num_t), rel_error(d_z, num_z))
+    """Partials of the batch ``loss(theta, z) -> (values, d_theta, d_z)`` vs FD.
+
+    ``theta`` and ``z`` are one (c,) row; the loss is called on (m, c) stacks.
+    """
+    _, d_theta, d_z = loss(theta[None], z[None])
+    num_t = central_difference(lambda th: loss(th, z[None])[0], theta)
+    num_z = central_difference(lambda zz: loss(theta[None], zz)[0], z)
+    return max(rel_error(d_theta[0], num_t), rel_error(d_z[0], num_z))
 
 
 def check_ml_loss(rng) -> float:
     c = int(rng.integers(2, 9))
-    cands = _random_candidates(rng, c)
+    mask = occurrence_vector(_random_candidates(rng, c), c)[None]
     theta = _random_simplexish(rng, c)
     z = _random_z(rng, c)
-    return _theta_z_error(lambda th, zz: objective.ml_loss(th, zz, cands), theta, z)
+    return _theta_z_error(lambda th, zz: objective.ml_loss_batch(th, zz, mask), theta, z)
 
 
 def check_reg_loss(rng) -> float:
     c = int(rng.integers(2, 9))
     theta = _random_simplexish(rng, c)
     z = _random_z(rng, c)
-    hats = tuple(rng.uniform(0.5, 3.0, size=c) for _ in range(3))
-    return _theta_z_error(lambda th, zz: objective.reg_loss(th, zz, *hats), theta, z)
+    hats = tuple(rng.uniform(0.5, 3.0, size=(1, c)) for _ in range(3))
+    return _theta_z_error(lambda th, zz: objective.reg_loss_batch(th, zz, *hats), theta, z)
 
 
 def _net_error(net, analytic, coords, loss) -> float:
-    """``analytic`` vs FD of ``loss()`` over the flat parameters ``coords`` of ``net``."""
+    """``analytic`` vs FD over the flat parameters ``coords`` of ``net``.
+
+    ``loss(nets)`` takes K stacked copies of ``net`` with perturbed
+    parameters and returns their K loss values.
+    """
     flat0 = net.get_flat()
 
     def perturbed(sub):
-        flat = flat0.copy()
-        flat[coords] = sub
-        net.set_flat(flat)
-        return loss()
+        rows = np.tile(flat0, (len(sub), 1))
+        rows[:, coords] = sub
+        return loss(net.stacked(rows))
 
-    numeric = central_difference(perturbed, flat0[coords])
-    net.set_flat(flat0)
-    return rel_error(analytic[coords], numeric)
+    return rel_error(analytic[coords], central_difference(perturbed, flat0[coords]))
 
 
 def _well_conditioned_net(rng, sizes, clamp=_HARNESS_CLAMP, max_tries=200, x=None):
@@ -208,10 +223,10 @@ def check_map_end_to_end(rng, c: int | None = None, width: int | None = None,
     mask = np.array([occurrence_vector(s, c) for s in cands])
     prior = tuple(rng.uniform(0.5, 3.0, size=(_MAP_ROWS, c)) for _ in range(3))
 
-    def step():
-        return trainer.map_step_batch(net_f, net_g, x, tc, mask, *prior, ml_only=False)
+    def step(f, g):
+        return trainer.map_step_batch(f, g, x, tc, mask, *prior, ml_only=False)
 
-    values, _, _, *live, grads_f, grads_g = step()
+    values, _, _, *live, grads_f, grads_g = step(net_f, net_g)
     err = 0.0
     for i, s in enumerate(cands):
         hats = [h[i] for h in prior]
@@ -219,13 +234,14 @@ def check_map_end_to_end(rng, c: int | None = None, width: int | None = None,
         reference = _generation_map_value(inp.theta_hat, inp.z_hat, s, *hats)
         err = max(err, rel_error(values[i], reference),
                   rel_error(objective.map_loss(inp).value, reference))
-    for net, grads in ((net_f, grads_f), (net_g, grads_g)):
+    for net, grads, loss in (
+            (net_f, grads_f, lambda nets: step(nets, net_g)[0].mean(axis=-1)),
+            (net_g, grads_g, lambda nets: step(net_f, nets)[0].mean(axis=-1))):
         analytic = net.flatten_grads(grads())
         coords = np.arange(analytic.size)
         if analytic.size > max_coords:
             coords = rng.choice(analytic.size, size=max_coords, replace=False)
-        err = max(err, _net_error(net, analytic, coords,
-                                  lambda: float(step()[0].mean())))
+        err = max(err, _net_error(net, analytic, coords, loss))
     return err
 
 

@@ -78,6 +78,10 @@ def lambda_transform_pair(scores: np.ndarray, cfg: TransformConfig):
 def _check_net_spec(layer_sizes, activation: str, clamp: float) -> None:
     if len(layer_sizes) < 2:
         raise ValueError("need at least input and output sizes")
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        # numpy reports a byte count past the address space as a ValueError
+        if int(fan_in) * int(fan_out) > np.iinfo(np.intp).max // 8:
+            raise MemoryError(f"a {fan_in} x {fan_out} weight matrix cannot be allocated")
     if activation not in ACTIVATIONS:
         raise ValueError(f"activation must be one of {ACTIVATIONS}")
     if not (clamp > 0.0):
@@ -143,15 +147,18 @@ class DenseNet:
         """Clamped scores plus the cache needed by :meth:`backward`.
 
         Accepts a single (q,) vector or a (B, q) batch; the returned scores
-        match the input's dimensionality.
+        match the input's dimensionality.  The weights may also be a stack of
+        K nets, shaped (K, in, out) with biases (K, 1, out) as
+        :meth:`stacked` builds them: a (B, q) batch then gives (K, B, out)
+        scores, one row block per net.
         """
         x = np.asarray(x, dtype=np.float64)
         if not np.all(np.isfinite(x)):
             raise NumericError("non-finite network input")
         single = x.ndim == 1
         h = np.atleast_2d(x)
-        if h.shape[1] != self.in_dim:
-            raise ValueError(f"input width {h.shape[1]} != expected {self.in_dim}")
+        if h.shape[-1] != self.in_dim:
+            raise ValueError(f"input width {h.shape[-1]} != expected {self.in_dim}")
         inputs = []
         preacts = []
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
@@ -170,7 +177,8 @@ class DenseNet:
 
         ``grad_scores`` is d(loss)/d(clamped scores); coordinates where the
         clamp was active contribute nothing.  Returns [(gW, gb), ...] in
-        layer order; batch contributions are summed.
+        layer order; batch contributions are summed.  Only an unstacked net
+        has a backward pass.
         """
         g = np.atleast_2d(np.asarray(grad_scores, dtype=np.float64)).copy()
         interior = np.abs(cache["pre_out"]) < self.clamp
@@ -182,7 +190,7 @@ class DenseNet:
                 g = (g @ self.weights[i].T) * self._act_grad(cache["preacts"][i - 1])
         return grads
 
-    # Flat parameter views, used by the optimizer state and gradient checks.
+    # Flat parameter vectors, used by the gradient checks.
 
     def get_flat(self) -> np.ndarray:
         parts = []
@@ -191,16 +199,23 @@ class DenseNet:
             parts.append(b.ravel())
         return np.concatenate(parts)
 
-    def set_flat(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=np.float64)
-        pos = 0
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = vec[pos:pos + W.size].reshape(W.shape).copy()
-            pos += W.size
-            self.biases[i] = vec[pos:pos + b.size].copy()
-            pos += b.size
-        if pos != vec.size:
-            raise ValueError(f"flat vector has {vec.size} entries, expected {pos}")
+    def stacked(self, rows: np.ndarray) -> "DenseNet":
+        """K nets of this spec, one per row of a (K, P) stack of :meth:`get_flat` vectors.
+
+        The inverse of :meth:`get_flat` for a stack: layer i holds weights
+        (K, in, out) and biases (K, 1, out), which :meth:`forward` runs at once.
+        """
+        rows = np.asarray(rows, dtype=np.float64)
+        weights, biases, pos = [], [], 0
+        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            weights.append(rows[:, pos:pos + fan_in * fan_out].reshape(-1, fan_in, fan_out))
+            pos += fan_in * fan_out
+            biases.append(rows[:, pos:pos + fan_out].reshape(-1, 1, fan_out))
+            pos += fan_out
+        if pos != rows.shape[-1]:
+            raise ValueError(f"flat rows have {rows.shape[-1]} entries, expected {pos}")
+        return DenseNet.from_params(self.layer_sizes, self.activation, self.clamp,
+                                    weights, biases)
 
     @staticmethod
     def flatten_grads(grads) -> np.ndarray:

@@ -16,7 +16,9 @@ respect to the live Dirichlet/Beta parameters compose the d/d(theta_hat)
 and d/d(z_hat) partials with the exact posterior-mean Jacobians.
 
 Batch variants operate on (B, c) arrays with a 0/1 candidate mask and are
-what the trainer consumes; the per-instance functions wrap them.
+what the trainer consumes; the per-instance functions wrap them.  The two
+batch losses also take (..., B, c) stacks, such as the posterior means of K
+nets at once, and reduce over the last axis only.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ def ml_loss_batch(theta: np.ndarray, z: np.ndarray, mask: np.ndarray):
     """Mean-free per-row likelihood loss and its partials.
 
     Returns ``(values, d_theta, d_z)`` with shapes (B,), (B, c), (B, c).
-    ``mask`` is the 0/1 occurrence matrix of the candidate sets.
+    ``mask`` is the 0/1 occurrence matrix of the candidate sets.  Inputs
+    may carry leading axes, (..., B, c), and broadcast against each other;
+    values then have shape (..., B).
     """
     theta = np.asarray(theta, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
@@ -48,17 +52,17 @@ def ml_loss_batch(theta: np.ndarray, z: np.ndarray, mask: np.ndarray):
     log_theta = np.log(theta)
     log_z = np.log(z)
     log_1mz = np.log1p(-z)
-    sum_log_z = (mask * log_z).sum(axis=1, keepdims=True)
-    sum_log_1mz = ((1.0 - mask) * log_1mz).sum(axis=1, keepdims=True)
+    sum_log_z = (mask * log_z).sum(axis=-1, keepdims=True)
+    sum_log_1mz = ((1.0 - mask) * log_1mz).sum(axis=-1, keepdims=True)
     # log of the j-th summand: theta_j times z over S\{j} times (1-z) elsewhere
     log_terms = log_theta + sum_log_z - log_z + sum_log_1mz + log_1mz
     log_terms = np.where(mask > 0.0, log_terms, -np.inf)
-    shift = log_terms.max(axis=1, keepdims=True)
+    shift = log_terms.max(axis=-1, keepdims=True)
     if not np.all(np.isfinite(shift)):
         raise NumericError("ML loss: every candidate term underflowed to zero")
     expd = np.exp(log_terms - shift)
-    total = expd.sum(axis=1, keepdims=True)
-    values = -(shift + np.log(total))[:, 0]
+    total = expd.sum(axis=-1, keepdims=True)
+    values = -(shift + np.log(total))[..., 0]
     if not np.all(np.isfinite(values)):
         raise NumericError("ML loss became non-finite (degenerate z_hat at clamp?)")
     w = expd / total
@@ -75,7 +79,7 @@ def reg_loss_batch(theta, z, lambda_hat, alpha_hat, beta_hat):
     """Per-row prior regularizer and its partials w.r.t. theta and z.
 
     The hat parameters are constants: they shape the gradient but receive
-    none.
+    none.  Like :func:`ml_loss_batch`, it takes (..., B, c) inputs.
     """
     theta = np.asarray(theta, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
@@ -85,7 +89,7 @@ def reg_loss_batch(theta, z, lambda_hat, alpha_hat, beta_hat):
     log_theta = np.log(theta)
     log_z = np.log(z)
     log_1mz = np.log1p(-z)
-    values = -(lam_c * log_theta + alp_c * log_z + bet_c * log_1mz).sum(axis=1)
+    values = -(lam_c * log_theta + alp_c * log_z + bet_c * log_1mz).sum(axis=-1)
     d_theta = -lam_c / theta
     d_z = -alp_c / z + bet_c / (1.0 - z)
     return values, d_theta, d_z

@@ -12,6 +12,7 @@ import idgp.trainer
 from idgp import cli
 from idgp.cli import (
     EXIT_GRADCHECK,
+    EXIT_IO,
     EXIT_INVARIANT,
     EXIT_USAGE,
     load_model,
@@ -189,6 +190,23 @@ class TestTrainEval:
                      "--out-dir", str(tmp_path / "run")]) == EXIT_INVARIANT
         assert "error: Unable to allocate 8.0 EiB" in capsys.readouterr().err
 
+    def test_unaddressable_header_c_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "huge.pll"
+        data.write_text(f"2 1 {2 ** 62}\n0.5 | 1\n-0.5 | 2\n")
+        assert main(["train", "--data", str(data),
+                     "--out-dir", str(tmp_path / "run")]) == EXIT_IO
+        assert f"{data}:1: n=2 rows of c={2 ** 62}" in capsys.readouterr().err
+
+    def test_unallocatable_output_layer_exits_3(self, tmp_path, capsys):
+        # loads (2 x 2**56 is addressable) but the default hidden=64 output
+        # layer is not; the spec check refuses it before numpy allocates
+        data = tmp_path / "huge.pll"
+        data.write_text(f"2 1 {2 ** 56}\n0.5 | 1\n-0.5 | 2\n")
+        assert main(["train", "--data", str(data),
+                     "--out-dir", str(tmp_path / "run")]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert f"error: a 64 x {2 ** 56} weight matrix cannot be allocated" in err
+
     def test_untrained_net_near_chance(self, tmp_path, corrupted_path):
         out_dir = tmp_path / "run0"
         cfg = tiny_config(tmp_path, epochs=0)
@@ -347,6 +365,20 @@ class TestGradcheckCommand:
         monkeypatch.setattr(idgp.trainer, "ml_loss_batch", shifted)
         assert main(["gradcheck", "--trials", "2", "--seed", "1"]) == EXIT_GRADCHECK
         assert "map_loss" in capsys.readouterr().err
+
+    def test_offset_in_network_backward_detected(self, monkeypatch, capsys):
+        real = DenseNet.backward
+
+        def offset(self, cache, grad_scores):
+            grads = real(self, cache, grad_scores)
+            gW, gb = grads[0]
+            gW = gW.copy()
+            gW[0, 0] += 1e-3
+            return [(gW, gb)] + grads[1:]
+
+        monkeypatch.setattr(DenseNet, "backward", offset)
+        assert main(["gradcheck", "--trials", "2", "--seed", "1"]) == EXIT_GRADCHECK
+        assert "forward" in capsys.readouterr().err
 
     def test_zero_trials_is_usage_error(self):
         assert main(["gradcheck", "--trials", "0"]) == EXIT_USAGE

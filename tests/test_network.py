@@ -54,6 +54,29 @@ class TestForward:
         # matrix-matrix and vector-matrix BLAS paths may round differently
         assert np.allclose(batch, singles, rtol=1e-13, atol=1e-15)
 
+    def test_stacked_forward_matches_each_member_bitwise(self):
+        rng = np.random.default_rng(7)
+        nets = [DenseNet([4, 6, 3], rng=rng) for _ in range(5)]
+        stack = nets[0].stacked(np.stack([net.get_flat() for net in nets]))
+        X = rng.normal(size=(7, 4))
+        scores, _ = stack.forward(X)
+        assert scores.shape == (5, 7, 3)
+        for k, net in enumerate(nets):
+            assert np.array_equal(scores[k], net.forward(X)[0])
+
+    def test_stacked_inverts_get_flat(self):
+        net = DenseNet([3, 5, 2], rng=np.random.default_rng(8))
+        one = net.stacked(net.get_flat()[None])
+        for W, b, W1, b1 in zip(net.weights, net.biases, one.weights, one.biases):
+            assert np.array_equal(W1[0], W) and np.array_equal(b1[0, 0], b)
+        with pytest.raises(ValueError, match="expected 32"):
+            net.stacked(np.zeros((2, 31)))
+
+    def test_unallocatable_layer_is_memory_error(self):
+        # refused by the spec check, before any weight is drawn
+        with pytest.raises(MemoryError, match="weight matrix cannot be allocated"):
+            DenseNet([2 ** 31, 2 ** 31])
+
     def test_nonfinite_input_rejected(self):
         net = DenseNet([2, 2], rng=np.random.default_rng(4))
         with pytest.raises(NumericError):

@@ -17,6 +17,7 @@ from idgp.objective import (
     ml_loss,
     ml_loss_batch,
     reg_loss,
+    reg_loss_batch,
 )
 
 
@@ -148,6 +149,22 @@ class TestMlLoss:
             v, gt, gz = ml_loss(theta[i], z[i], cands)
             assert values[i] == pytest.approx(v, rel=1e-14)
             assert np.allclose(d_t[i], gt) and np.allclose(d_z[i], gz)
+
+    def test_stacked_batch_matches_each_slice_bitwise(self):
+        rng = np.random.default_rng(12)
+        k, b, c = 4, 6, 5
+        theta = rng.uniform(0.1, 1.0, size=(k, b, c))
+        z = rng.uniform(0.1, 0.9, size=(k, b, c))
+        mask = np.zeros((b, c))
+        mask[np.arange(b), rng.integers(0, c, size=b)] = 1.0
+        mask[:, 0] = 1.0
+        hats = [rng.uniform(0.5, 3.0, size=(b, c)) for _ in range(3)]
+        for loss, extra in ((ml_loss_batch, (mask,)), (reg_loss_batch, hats)):
+            stacked = loss(theta, z, *extra)
+            assert stacked[0].shape == (k, b)
+            for i in range(k):
+                for whole, part in zip(stacked, loss(theta[i], z[i], *extra)):
+                    assert np.array_equal(whole[i], part)
 
 
 class TestRegLoss:
