@@ -26,7 +26,7 @@ import numpy as np
 from . import evaluation, gradcheck, generation, trainer
 from .data import FORMATS, load_dataset, read_text, write_dataset, write_sidecar
 from .errors import DataFormatError, DataInvariantError, NumericError
-from .network import DenseNet, TransformConfig
+from .network import DenseNet, TransformConfig, param_count
 from .trainer import TrainConfig
 
 MODEL_MAGIC = b"IDGPMDL1"
@@ -49,33 +49,22 @@ class UsageError(Exception):
 # -- model file -------------------------------------------------------------
 
 def _pack_net(net: DenseNet) -> bytes:
-    parts = [struct.pack("<II", _ACTIVATION_CODES[net.activation],
-                         len(net.layer_sizes))]
-    parts.append(struct.pack(f"<{len(net.layer_sizes)}I", *net.layer_sizes))
-    parts.append(struct.pack("<d", net.clamp))
-    for W, b in zip(net.weights, net.biases):
-        parts.append(np.ascontiguousarray(W, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    return b"".join(parts)
+    sizes = net.layer_sizes
+    header = struct.pack(f"<II{len(sizes)}Id", _ACTIVATION_CODES[net.activation],
+                         len(sizes), *sizes, net.clamp)
+    return header + net.get_flat().astype("<f8").tobytes()
 
 
 def _unpack_net(buf: bytes, pos: int):
     act_code, n_sizes = struct.unpack_from("<II", buf, pos)
-    pos += 8
-    sizes = struct.unpack_from(f"<{n_sizes}I", buf, pos)
-    pos += 4 * n_sizes
-    (clamp,) = struct.unpack_from("<d", buf, pos)
-    pos += 8
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        W = np.frombuffer(buf, dtype="<f8", count=fan_in * fan_out, offset=pos)
-        pos += 8 * fan_in * fan_out
-        b = np.frombuffer(buf, dtype="<f8", count=fan_out, offset=pos)
-        pos += 8 * fan_out
-        weights.append(W.reshape(fan_in, fan_out).astype(np.float64))
-        biases.append(b.astype(np.float64))
-    return DenseNet.from_params(sizes, _ACTIVATION_NAMES.get(act_code), clamp,
-                                weights, biases), pos
+    *sizes, clamp = struct.unpack_from(f"<{n_sizes}Id", buf, pos + 8)
+    pos += 16 + 4 * n_sizes
+    count = param_count(sizes)
+    if 8 * count > len(buf) - pos:
+        raise ValueError(f"{count} parameters need more than the {len(buf) - pos} bytes left")
+    flat = np.frombuffer(buf, dtype="<f8", count=count, offset=pos).astype(np.float64)
+    net = DenseNet.from_flat(sizes, _ACTIVATION_NAMES.get(act_code), clamp, flat)
+    return net, pos + 8 * count
 
 
 def save_model(path, net_f: DenseNet, net_g: DenseNet, tc: TransformConfig) -> None:
@@ -97,7 +86,9 @@ def load_model(path):
         a, b, gamma = struct.unpack_from("<ddd", buf, 12)
         tc = TransformConfig(a=a, b=b, gamma=gamma)
         net_f, pos = _unpack_net(buf, 36)
-        net_g, _ = _unpack_net(buf, pos)
+        net_g, pos = _unpack_net(buf, pos)
+        if pos != len(buf):
+            raise ValueError(f"{len(buf) - pos} bytes follow the second net")
     except (struct.error, ValueError) as exc:
         raise DataFormatError(f"{path}: truncated or corrupt model file ({exc})") from exc
     return net_f, net_g, tc

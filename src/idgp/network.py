@@ -88,6 +88,25 @@ def _check_net_spec(layer_sizes, activation: str, clamp: float) -> None:
         raise ValueError("clamp bound must be strictly positive")
 
 
+def param_count(layer_sizes) -> int:
+    """Length of :meth:`DenseNet.get_flat` for a net of these layer sizes."""
+    sizes = [int(s) for s in layer_sizes]
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+
+
+def _unflatten(layer_sizes, flat: np.ndarray):
+    """Per-layer weight and bias views of a (P,) or (K, P) :meth:`DenseNet.get_flat` array."""
+    lead = flat.shape[:-1]
+    row = (*lead, 1) if lead else ()  # a stack's biases broadcast over the batch
+    weights, biases, pos = [], [], 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(flat[..., pos:pos + fan_in * fan_out].reshape(*lead, fan_in, fan_out))
+        pos += fan_in * fan_out
+        biases.append(flat[..., pos:pos + fan_out].reshape(*row, fan_out))
+        pos += fan_out
+    return weights, biases
+
+
 class DenseNet:
     """Fully connected scorer; hidden activations relu or identity.
 
@@ -103,28 +122,33 @@ class DenseNet:
         self.activation = activation
         self.clamp = float(clamp)
         rng = rng if rng is not None else np.random.default_rng()
-        self.weights: List[np.ndarray] = []
-        self.biases: List[np.ndarray] = []
-        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(rng.uniform(-bound, bound, size=fan_out))
+        # one draw per layer: its weights in row-major order, then its biases
+        flat = np.concatenate([
+            rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in),
+                        size=fan_in * fan_out + fan_out)
+            for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:])])
+        self.weights, self.biases = _unflatten(self.layer_sizes, flat)
 
     @classmethod
-    def from_params(cls, layer_sizes, activation: str, clamp: float,
-                    weights, biases) -> "DenseNet":
-        """A net holding the given parameters, under the checks of ``__init__``.
+    def from_flat(cls, layer_sizes, activation: str, clamp: float, flat) -> "DenseNet":
+        """The net whose :meth:`get_flat` vector is ``flat``, under the checks of ``__init__``.
 
-        Every weight and bias must also be finite.
+        A (K, P) stack of such vectors gives K nets that :meth:`forward` runs
+        at once: layer i then holds weights (K, in, out) and biases (K, 1, out).
+        Every entry must be finite.  The layers are views of ``flat``.
         """
         _check_net_spec(layer_sizes, activation, clamp)
-        if not all(np.all(np.isfinite(p)) for p in (*weights, *biases)):
+        flat = np.asarray(flat, dtype=np.float64)
+        expected = param_count(layer_sizes)
+        if flat.shape[-1] != expected:
+            raise ValueError(f"flat parameters have {flat.shape[-1]} entries, expected {expected}")
+        if not np.all(np.isfinite(flat)):
             raise ValueError("weights and biases must be finite")
         net = cls.__new__(cls)
         net.layer_sizes = tuple(int(s) for s in layer_sizes)
         net.activation = activation
         net.clamp = float(clamp)
-        net.weights, net.biases = list(weights), list(biases)
+        net.weights, net.biases = _unflatten(net.layer_sizes, flat)
         return net
 
     @property
@@ -190,32 +214,15 @@ class DenseNet:
                 g = (g @ self.weights[i].T) * self._act_grad(cache["preacts"][i - 1])
         return grads
 
-    # Flat parameter vectors, used by the gradient checks.
+    # Flat parameter vectors, used by the gradient checks and the model file:
+    # layer by layer, W (in, out) in row-major order, then b (out,).
 
     def get_flat(self) -> np.ndarray:
-        parts = []
-        for W, b in zip(self.weights, self.biases):
-            parts.append(W.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        return self.flatten_grads(zip(self.weights, self.biases))
 
     def stacked(self, rows: np.ndarray) -> "DenseNet":
-        """K nets of this spec, one per row of a (K, P) stack of :meth:`get_flat` vectors.
-
-        The inverse of :meth:`get_flat` for a stack: layer i holds weights
-        (K, in, out) and biases (K, 1, out), which :meth:`forward` runs at once.
-        """
-        rows = np.asarray(rows, dtype=np.float64)
-        weights, biases, pos = [], [], 0
-        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            weights.append(rows[:, pos:pos + fan_in * fan_out].reshape(-1, fan_in, fan_out))
-            pos += fan_in * fan_out
-            biases.append(rows[:, pos:pos + fan_out].reshape(-1, 1, fan_out))
-            pos += fan_out
-        if pos != rows.shape[-1]:
-            raise ValueError(f"flat rows have {rows.shape[-1]} entries, expected {pos}")
-        return DenseNet.from_params(self.layer_sizes, self.activation, self.clamp,
-                                    weights, biases)
+        """K nets of this spec, one per row of a (K, P) stack of :meth:`get_flat` vectors."""
+        return DenseNet.from_flat(self.layer_sizes, self.activation, self.clamp, rows)
 
     @staticmethod
     def flatten_grads(grads) -> np.ndarray:

@@ -190,8 +190,6 @@ class MapLossResult:
     value: float
     ml_value: float
     reg_value: float
-    d_theta: np.ndarray
-    d_z: np.ndarray
     d_lambda: np.ndarray
     d_alpha: np.ndarray
     d_beta: np.ndarray
@@ -217,8 +215,6 @@ def map_loss(inp: PerInstanceLossInput) -> MapLossResult:
         value=ml_v + reg_v,
         ml_value=ml_v,
         reg_value=reg_v,
-        d_theta=d_theta,
-        d_z=d_z,
         d_lambda=chain_to_lambda(d_theta[None], inp.lam[None], o)[0],
         d_alpha=d_alpha[0],
         d_beta=d_beta[0],

@@ -298,7 +298,8 @@ class TestModelFile:
     @pytest.mark.parametrize("damage", ["cut_10", "cut_40", "cut_8_short",
                                         "activation_7", "transform_a_0",
                                         "transform_gamma_inf", "clamp_neg",
-                                        "clamp_0", "clamp_nan", "weight_nan"])
+                                        "clamp_0", "clamp_nan", "weight_nan",
+                                        "sizes_huge", "trailing_bytes"])
     def test_corrupt_model_exits_1(self, tmp_path, clean_path, capsys, damage):
         path = tmp_path / "model.bin"
         save_model(path, DenseNet([2, 4, 3], rng=np.random.default_rng(0)),
@@ -316,6 +317,10 @@ class TestModelFile:
             buf[56:64] = struct.pack("<d", value)
         elif damage == "weight_nan":
             buf[64:72] = struct.pack("<d", float("nan"))  # f's first weight
+        elif damage == "sizes_huge":
+            buf[44:52] = struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)  # f's first two sizes
+        elif damage == "trailing_bytes":
+            buf += b"junk"
         else:
             buf = buf[:{"cut_10": 10, "cut_40": 40, "cut_8_short": len(buf) - 8}[damage]]
         path.write_bytes(bytes(buf))

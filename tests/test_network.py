@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from idgp.cli import load_model, save_model
 from idgp.errors import NumericError
 from idgp.network import (
     DenseNet,
@@ -81,6 +82,32 @@ class TestForward:
         net = DenseNet([2, 2], rng=np.random.default_rng(4))
         with pytest.raises(NumericError):
             net.forward(np.array([np.inf, 0.0]))
+
+    def test_from_flat_rebuilds_net_bitwise(self):
+        net = DenseNet([3, 5, 2], activation="identity", clamp=4.0,
+                       rng=np.random.default_rng(9))
+        again = DenseNet.from_flat(net.layer_sizes, "identity", 4.0, net.get_flat())
+        assert again.layer_sizes == net.layer_sizes and again.clamp == 4.0
+        for a, b in zip(net.weights + net.biases, again.weights + again.biases):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_loaded_net_weights_are_writable(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(path, DenseNet([2, 4, 3], rng=np.random.default_rng(0)),
+                   DenseNet([2, 4, 6], rng=np.random.default_rng(1)), TransformConfig())
+        for net in load_model(path)[:2]:
+            for p in net.weights + net.biases:
+                p += 1.0  # an SGD step updates the loaded arrays in place
+
+    def test_init_draws_weights_then_biases_per_layer(self):
+        sizes = [3, 5, 2]
+        net = DenseNet(sizes, rng=np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+            bound = 1.0 / np.sqrt(fan_in)
+            W = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+            b = rng.uniform(-bound, bound, size=fan_out)
+            assert np.array_equal(net.weights[i], W) and np.array_equal(net.biases[i], b)
 
     def test_init_deterministic_given_seed(self):
         a = DenseNet([3, 5, 2], rng=np.random.default_rng(42))

@@ -224,7 +224,7 @@ class TestMapLoss:
         assert res2.value != res.value
         # gradient fields cover exactly the live parameters, nothing else
         assert {f for f in res.__dataclass_fields__ if f.startswith("d_")} == {
-            "d_theta", "d_z", "d_lambda", "d_alpha", "d_beta"}
+            "d_lambda", "d_alpha", "d_beta"}
 
     def test_live_gradients_match_finite_differences(self):
         rng = np.random.default_rng(8)

@@ -5,6 +5,7 @@ Dataset and model files must round-trip bit for bit, and any bytes given to
 bare Python exception.  The runs are derandomized so tier-1 stays repeatable.
 """
 
+import struct
 import tempfile
 from pathlib import Path
 
@@ -22,6 +23,9 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=150,
 FORMATS = ("text", "jsonl")
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# any 4-byte header field; the maximum is drawn often, as two adjacent
+# layer sizes must both be huge for their product to overflow
+UINT32 = st.one_of(st.just(2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
 
 
 @st.composite
@@ -94,10 +98,15 @@ def damaged_datasets(draw, fmt):
 
 @st.composite
 def damaged_models(draw):
+    f, g, tc = draw(models())
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.bin"
-        save_model(path, *draw(models()))
-        return _damaged(path.read_bytes(), draw)
+        save_model(path, f, g, tc)
+        buf = bytearray(path.read_bytes())
+    # overwrite f's layer sizes, its size count, its activation code or nothing
+    at, count = draw(st.sampled_from([(44, len(f.layer_sizes)), (40, 1), (36, 1), (36, 0)]))
+    buf[at:at + 4 * count] = struct.pack(f"<{count}I", *(draw(UINT32) for _ in range(count)))
+    return _damaged(bytes(buf), draw)
 
 
 def _load_bytes(loader, data: bytes, *args):
