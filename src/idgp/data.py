@@ -135,11 +135,6 @@ def occurrence_vector(candidates: Sequence[int], c: int) -> np.ndarray:
     return o
 
 
-def _format_float(v: float) -> str:
-    # repr() of a Python float is the shortest string that round-trips.
-    return repr(float(v))
-
-
 def _check_format(fmt: str) -> None:
     if fmt not in FORMATS:
         raise DataFormatError(f"unknown format {fmt!r}; expected 'text' or 'jsonl'")
@@ -152,8 +147,10 @@ def write_dataset(ds: PLLDataset, path, fmt: str = TEXT_FORMAT) -> None:
     lines = []
     if fmt == TEXT_FORMAT:
         lines.append(f"{ds.n} {ds.q} {ds.c}")
-        for i in range(ds.n):
-            feats = " ".join(_format_float(v) for v in ds.features[i])
+        for i, values in enumerate(ds.features):
+            # repr() of a Python float is the shortest string that round-trips;
+            # one row at a time, as a whole-matrix tolist() raises peak memory
+            feats = " ".join(map(repr, values.tolist()))
             cands = " ".join(str(j + 1) for j in ds.candidates[i])
             row = f"{feats} | {cands}"
             if ds.true_labels is not None:

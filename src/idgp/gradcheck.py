@@ -91,7 +91,7 @@ def check_forward(rng, width: int = 16) -> float:
     net, x = _well_conditioned_net(rng, [q, width, c])
     v = rng.normal(size=c)
     _, cache = net.forward(x)
-    analytic = net.flatten_grads(net.backward(cache, v))
+    analytic = net.backward(cache, v)
     return _net_error(net, analytic, np.arange(analytic.size),
                       lambda nets: (nets.forward(x[None])[0] @ v)[:, 0])
 
@@ -237,7 +237,7 @@ def check_map_end_to_end(rng, c: int | None = None, width: int | None = None,
     for net, grads, loss in (
             (net_f, grads_f, lambda nets: step(nets, net_g)[0].mean(axis=-1)),
             (net_g, grads_g, lambda nets: step(net_f, nets)[0].mean(axis=-1))):
-        analytic = net.flatten_grads(grads())
+        analytic = grads()
         coords = np.arange(analytic.size)
         if analytic.size > max_coords:
             coords = rng.choice(analytic.size, size=max_coords, replace=False)

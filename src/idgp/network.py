@@ -12,8 +12,7 @@ of this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,17 +74,22 @@ def lambda_transform_pair(scores: np.ndarray, cfg: TransformConfig):
     return lam[..., :half], lam[..., half:]
 
 
-def _check_net_spec(layer_sizes, activation: str, clamp: float) -> None:
-    if len(layer_sizes) < 2:
+def _check_net_spec(layer_sizes, activation: str, clamp: float) -> tuple:
+    """The layer sizes as a tuple of ints, once the net spec is known valid."""
+    sizes = tuple(int(s) for s in layer_sizes)
+    if len(sizes) < 2:
         raise ValueError("need at least input and output sizes")
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+    if min(sizes) < 1:
+        raise ValueError(f"layer sizes must be at least 1, got {list(sizes)}")
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         # numpy reports a byte count past the address space as a ValueError
-        if int(fan_in) * int(fan_out) > np.iinfo(np.intp).max // 8:
+        if fan_in * fan_out > np.iinfo(np.intp).max // 8:
             raise MemoryError(f"a {fan_in} x {fan_out} weight matrix cannot be allocated")
     if activation not in ACTIVATIONS:
         raise ValueError(f"activation must be one of {ACTIVATIONS}")
     if not (clamp > 0.0):
         raise ValueError("clamp bound must be strictly positive")
+    return sizes
 
 
 def param_count(layer_sizes) -> int:
@@ -117,17 +121,13 @@ class DenseNet:
 
     def __init__(self, layer_sizes, activation: str = "relu", clamp: float = 20.0,
                  rng: np.random.Generator | None = None):
-        _check_net_spec(layer_sizes, activation, clamp)
-        self.layer_sizes = tuple(int(s) for s in layer_sizes)
-        self.activation = activation
-        self.clamp = float(clamp)
+        sizes = _check_net_spec(layer_sizes, activation, clamp)
         rng = rng if rng is not None else np.random.default_rng()
         # one draw per layer: its weights in row-major order, then its biases
-        flat = np.concatenate([
+        self._bind(sizes, activation, clamp, np.concatenate([
             rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in),
                         size=fan_in * fan_out + fan_out)
-            for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:])])
-        self.weights, self.biases = _unflatten(self.layer_sizes, flat)
+            for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]))
 
     @classmethod
     def from_flat(cls, layer_sizes, activation: str, clamp: float, flat) -> "DenseNet":
@@ -137,19 +137,24 @@ class DenseNet:
         at once: layer i then holds weights (K, in, out) and biases (K, 1, out).
         Every entry must be finite.  The layers are views of ``flat``.
         """
-        _check_net_spec(layer_sizes, activation, clamp)
+        sizes = _check_net_spec(layer_sizes, activation, clamp)
         flat = np.asarray(flat, dtype=np.float64)
-        expected = param_count(layer_sizes)
+        expected = param_count(sizes)
         if flat.shape[-1] != expected:
             raise ValueError(f"flat parameters have {flat.shape[-1]} entries, expected {expected}")
         if not np.all(np.isfinite(flat)):
             raise ValueError("weights and biases must be finite")
         net = cls.__new__(cls)
-        net.layer_sizes = tuple(int(s) for s in layer_sizes)
-        net.activation = activation
-        net.clamp = float(clamp)
-        net.weights, net.biases = _unflatten(net.layer_sizes, flat)
+        net._bind(sizes, activation, clamp, flat)
         return net
+
+    def _bind(self, sizes, activation: str, clamp: float, flat: np.ndarray) -> None:
+        # ``flat`` is the one parameter store; the layers are views of it
+        self.layer_sizes = sizes
+        self.activation = activation
+        self.clamp = float(clamp)
+        self.flat = flat
+        self.weights, self.biases = _unflatten(sizes, flat)
 
     @property
     def in_dim(self) -> int:
@@ -196,54 +201,50 @@ class DenseNet:
         cache = {"inputs": inputs, "preacts": preacts, "pre_out": pre_out}
         return (scores[0] if single else scores), cache
 
-    def backward(self, cache, grad_scores: np.ndarray):
-        """Exact reverse-mode parameter gradients for the cached forward.
+    def backward(self, cache, grad_scores: np.ndarray) -> np.ndarray:
+        """Exact reverse-mode parameter gradient for the cached forward.
 
         ``grad_scores`` is d(loss)/d(clamped scores); coordinates where the
-        clamp was active contribute nothing.  Returns [(gW, gb), ...] in
-        layer order; batch contributions are summed.  Only an unstacked net
-        has a backward pass.
+        clamp was active contribute nothing.  Returns the (P,) gradient in the
+        layout of :meth:`get_flat`; batch contributions are summed.  Only an
+        unstacked net has a backward pass.
         """
         g = np.atleast_2d(np.asarray(grad_scores, dtype=np.float64)).copy()
         interior = np.abs(cache["pre_out"]) < self.clamp
         g *= interior
-        grads: List[Tuple[np.ndarray, np.ndarray]] = [None] * len(self.weights)
+        parts = []
         for i in range(len(self.weights) - 1, -1, -1):
-            grads[i] = (cache["inputs"][i].T @ g, g.sum(axis=0))
+            parts[:0] = [(cache["inputs"][i].T @ g).ravel(), g.sum(axis=0)]
             if i > 0:
                 g = (g @ self.weights[i].T) * self._act_grad(cache["preacts"][i - 1])
-        return grads
+        # joined at the end: a (P,) buffer held through the loop made wide nets slower
+        return np.concatenate(parts)
 
-    # Flat parameter vectors, used by the gradient checks and the model file:
-    # layer by layer, W (in, out) in row-major order, then b (out,).
+    # Flat parameter vectors, the one layout of the parameters, their
+    # gradients, the optimizer state and the model file: layer by layer,
+    # W (in, out) in row-major order, then b (out,).
 
     def get_flat(self) -> np.ndarray:
-        return self.flatten_grads(zip(self.weights, self.biases))
+        return self.flat.copy()
 
     def stacked(self, rows: np.ndarray) -> "DenseNet":
         """K nets of this spec, one per row of a (K, P) stack of :meth:`get_flat` vectors."""
         return DenseNet.from_flat(self.layer_sizes, self.activation, self.clamp, rows)
-
-    @staticmethod
-    def flatten_grads(grads) -> np.ndarray:
-        parts = []
-        for gW, gb in grads:
-            parts.append(gW.ravel())
-            parts.append(gb.ravel())
-        return np.concatenate(parts)
 
 
 @dataclass
 class SGDState:
     """Classical (non-Nesterov) momentum state for one network.
 
-    A zero learning rate is tolerated here (a frozen optimizer, useful as a
-    degenerate sanity case); training configs require a positive rate.
+    ``velocity`` is a (P,) vector in the :meth:`DenseNet.get_flat` layout,
+    ``None`` until the first step.  A zero learning rate is tolerated here (a
+    frozen optimizer, useful as a degenerate sanity case); training configs
+    require a positive rate.
     """
 
     lr: float
     momentum: float = 0.0
-    velocity: list = field(default_factory=list)
+    velocity: np.ndarray | None = None
 
     def __post_init__(self):
         if self.lr < 0.0:
@@ -252,24 +253,21 @@ class SGDState:
             raise ValueError("momentum must lie in [0, 1)")
 
 
-def sgd_step(state: SGDState, net: DenseNet, grads, weight_decay: float = 0.0) -> None:
-    """v <- mu v + g;  w <- w - lr v.  Aborts on non-finite gradients."""
-    if not state.velocity:
-        state.velocity = [(np.zeros_like(W), np.zeros_like(b))
-                          for W, b in zip(net.weights, net.biases)]
-    for i, (gW, gb) in enumerate(grads):
-        if not (np.all(np.isfinite(gW)) and np.all(np.isfinite(gb))):
-            raise NumericError(f"non-finite gradient in layer {i}")
-        if weight_decay:
-            gW = gW + weight_decay * net.weights[i]
-            gb = gb + weight_decay * net.biases[i]
-        vW, vb = state.velocity[i]
-        vW *= state.momentum
-        vW += gW
-        vb *= state.momentum
-        vb += gb
-        net.weights[i] -= state.lr * vW
-        net.biases[i] -= state.lr * vb
+def sgd_step(state: SGDState, net: DenseNet, grad: np.ndarray,
+             weight_decay: float = 0.0) -> None:
+    """v <- mu v + g;  w <- w - lr v for a flat :meth:`DenseNet.backward` gradient g.
+
+    Aborts on a non-finite gradient.
+    """
+    if not np.all(np.isfinite(grad)):
+        raise NumericError("non-finite gradient")
+    if weight_decay:
+        grad = grad + weight_decay * net.flat
+    if state.velocity is None:
+        state.velocity = np.zeros_like(net.flat)
+    state.velocity *= state.momentum
+    state.velocity += grad
+    net.flat -= state.lr * state.velocity
 
 
 # ---------------------------------------------------------------------------

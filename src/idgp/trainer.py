@@ -229,9 +229,10 @@ def map_step_batch(f: DenseNet, g: DenseNet, X: np.ndarray, tc: TransformConfig,
     """Forward both nets on ``X`` and take the MAP loss of their posterior means.
 
     Returns ``(values, theta, z, lam, alpha, beta, grads_f, grads_g)`` with z
-    clamped.  ``grads_f()``/``grads_g()`` give one net's parameter gradients of
-    the batch-mean loss, running only that net's chain rule and backward;
-    clamped z entries and the frozen hats get no gradient.
+    clamped.  ``grads_f()``/``grads_g()`` give one net's flat (P,) parameter
+    gradient of the batch-mean loss, in the :meth:`DenseNet.get_flat` layout
+    that :func:`sgd_step` takes, running only that net's chain rule and
+    backward; clamped z entries and the frozen hats get no gradient.
     """
     lam, sf, cache_f = _live_lambda(f, X, tc)
     alpha, beta, sg, cache_g = _live_alpha_beta(g, X, tc)

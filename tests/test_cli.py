@@ -299,7 +299,7 @@ class TestModelFile:
                                         "activation_7", "transform_a_0",
                                         "transform_gamma_inf", "clamp_neg",
                                         "clamp_0", "clamp_nan", "weight_nan",
-                                        "sizes_huge", "trailing_bytes"])
+                                        "sizes_huge", "size_zero", "trailing_bytes"])
     def test_corrupt_model_exits_1(self, tmp_path, clean_path, capsys, damage):
         path = tmp_path / "model.bin"
         save_model(path, DenseNet([2, 4, 3], rng=np.random.default_rng(0)),
@@ -319,6 +319,10 @@ class TestModelFile:
             buf[64:72] = struct.pack("<d", float("nan"))  # f's first weight
         elif damage == "sizes_huge":
             buf[44:52] = struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)  # f's first two sizes
+        elif damage == "size_zero":
+            # a well-formed f of sizes [2, 0, 3], which holds only its 3 last biases;
+            # f's 27 parameters span bytes 64-280
+            buf = buf[:48] + struct.pack("<I", 0) + buf[52:64] + buf[256:]
         elif damage == "trailing_bytes":
             buf += b"junk"
         else:
@@ -375,11 +379,9 @@ class TestGradcheckCommand:
         real = DenseNet.backward
 
         def offset(self, cache, grad_scores):
-            grads = real(self, cache, grad_scores)
-            gW, gb = grads[0]
-            gW = gW.copy()
-            gW[0, 0] += 1e-3
-            return [(gW, gb)] + grads[1:]
+            grad = real(self, cache, grad_scores)
+            grad[0] += 1e-3  # entry 0 of the flat gradient is W[0][0, 0]
+            return grad
 
         monkeypatch.setattr(DenseNet, "backward", offset)
         assert main(["gradcheck", "--trials", "2", "--seed", "1"]) == EXIT_GRADCHECK

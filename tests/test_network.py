@@ -9,11 +9,13 @@ from idgp.network import (
     DenseNet,
     SGDState,
     TransformConfig,
+    _unflatten,
     lambda_range,
     lambda_transform,
     lambda_transform_grad,
     lambda_transform_pair,
     loss_sup,
+    param_count,
     sgd_step,
     theta_floor,
     validate_transform_clamp,
@@ -77,6 +79,12 @@ class TestForward:
         # refused by the spec check, before any weight is drawn
         with pytest.raises(MemoryError, match="weight matrix cannot be allocated"):
             DenseNet([2 ** 31, 2 ** 31])
+
+    def test_zero_layer_size_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            DenseNet([2, 0, 3])
+        with pytest.raises(ValueError, match="at least 1"):
+            DenseNet.from_flat([2, 0, 3], "relu", 1.0, np.zeros(3))
 
     def test_nonfinite_input_rejected(self):
         net = DenseNet([2, 2], rng=np.random.default_rng(4))
@@ -171,9 +179,9 @@ class TestBackward:
         x = np.array([1.0, 2.0, -1.0])
         g = np.array([0.5, -0.25])
         _, cache = net.forward(x)
-        grads = net.backward(cache, g)
-        assert np.allclose(grads[0][0], np.outer(x, g), rtol=1e-15)
-        assert np.allclose(grads[0][1], g, rtol=1e-15)
+        grad_w, grad_b = _unflatten(net.layer_sizes, net.backward(cache, g))
+        assert np.allclose(grad_w[0], np.outer(x, g), rtol=1e-15)
+        assert np.allclose(grad_b[0], g, rtol=1e-15)
 
     def test_clamped_coordinate_gets_zero_gradient(self):
         net = DenseNet([1, 2], activation="identity", clamp=1.0,
@@ -181,9 +189,9 @@ class TestBackward:
         net.weights[0][:] = np.array([[5.0, 0.1]])
         net.biases[0][:] = 0.0
         _, cache = net.forward(np.array([1.0]))
-        grads = net.backward(cache, np.array([1.0, 1.0]))
-        assert grads[0][0][0, 0] == 0.0  # saturated output
-        assert grads[0][0][0, 1] != 0.0  # interior output
+        grad_w, _ = _unflatten(net.layer_sizes, net.backward(cache, np.array([1.0, 1.0])))
+        assert grad_w[0][0, 0] == 0.0  # saturated output
+        assert grad_w[0][0, 1] != 0.0  # interior output
 
     def test_batch_gradient_is_sum_of_per_example(self):
         rng = np.random.default_rng(9)
@@ -191,15 +199,36 @@ class TestBackward:
         X = rng.normal(size=(6, 4))
         G = rng.normal(size=(6, 3))
         _, cache = net.forward(X)
-        batch = net.flatten_grads(net.backward(cache, G))
+        batch = net.backward(cache, G)
         total = np.zeros_like(batch)
         for x, g in zip(X, G):
             _, c1 = net.forward(x)
-            total += net.flatten_grads(net.backward(c1, g))
+            total += net.backward(c1, g)
         assert np.allclose(batch, total, rtol=1e-12, atol=1e-12)
+
+    def test_gradient_is_flat_in_get_flat_layout(self):
+        rng = np.random.default_rng(12)
+        sizes = (4, 5, 3)
+        net = DenseNet(sizes, clamp=50.0, rng=rng)
+        X = rng.normal(size=(6, 4))
+        g = rng.normal(size=(6, 3))
+        _, cache = net.forward(X)
+        grad = net.backward(cache, g)
+        assert grad.shape == (param_count(sizes),)
+        grad_w, grad_b = _unflatten(sizes, grad)
+        inputs = cache["inputs"]
+        assert np.array_equal(grad_w[1], inputs[1].T @ g)
+        assert np.array_equal(grad_b[1], g.sum(axis=0))
+        g0 = (g @ net.weights[1].T) * (cache["preacts"][0] > 0.0)
+        assert np.array_equal(grad_w[0], inputs[0].T @ g0)
+        assert np.array_equal(grad_b[0], g0.sum(axis=0))
 
 
 class TestSGD:
+    @staticmethod
+    def _grad(w, b):
+        return np.array([w, b])  # the flat layout of a [1, 1] net: W[0, 0], then b[0]
+
     def _net(self):
         net = DenseNet([1, 1], activation="identity", clamp=10.0,
                        rng=np.random.default_rng(10))
@@ -210,7 +239,7 @@ class TestSGD:
     def test_zero_momentum_is_plain_sgd(self):
         net = self._net()
         state = SGDState(lr=0.1, momentum=0.0)
-        sgd_step(state, net, [(np.array([[2.0]]), np.array([0.0]))])
+        sgd_step(state, net, self._grad(2.0, 0.0))
         assert net.weights[0][0, 0] == pytest.approx(1.0 - 0.1 * 2.0, rel=1e-15)
 
     def test_two_steps_constant_gradient(self):
@@ -218,26 +247,37 @@ class TestSGD:
         net = self._net()
         state = SGDState(lr=lr, momentum=mu)
         for _ in range(2):
-            sgd_step(state, net, [(np.array([[g]]), np.array([0.0]))])
+            sgd_step(state, net, self._grad(g, 0.0))
         assert net.weights[0][0, 0] == pytest.approx(1.0 - lr * (2 + mu) * g, rel=1e-12)
 
     def test_zero_learning_rate_keeps_parameters(self):
         net = self._net()
         state = SGDState(lr=0.0, momentum=0.5)
-        sgd_step(state, net, [(np.array([[3.0]]), np.array([1.0]))])
+        sgd_step(state, net, self._grad(3.0, 1.0))
         assert net.weights[0][0, 0] == 1.0 and net.biases[0][0] == 0.0
 
     def test_nonfinite_gradient_aborts(self):
         net = self._net()
         state = SGDState(lr=0.1)
         with pytest.raises(NumericError):
-            sgd_step(state, net, [(np.array([[np.nan]]), np.array([0.0]))])
+            sgd_step(state, net, self._grad(np.nan, 0.0))
 
     def test_weight_decay_adds_l2_pull(self):
         net = self._net()
         state = SGDState(lr=0.1, momentum=0.0)
-        sgd_step(state, net, [(np.array([[0.0]]), np.array([0.0]))], weight_decay=0.5)
+        sgd_step(state, net, self._grad(0.0, 0.0), weight_decay=0.5)
         assert net.weights[0][0, 0] == pytest.approx(1.0 - 0.1 * 0.5, rel=1e-15)
+
+    def test_step_updates_layers_through_flat(self):
+        rng = np.random.default_rng(13)
+        net = DenseNet([3, 4, 2], rng=rng)
+        before = net.get_flat()
+        grad = rng.normal(size=before.size)
+        sgd_step(SGDState(lr=0.1, momentum=0.9), net, grad)
+        for p in net.weights + net.biases:
+            assert np.shares_memory(p, net.flat)
+        assert np.array_equal(net.get_flat(), before - 0.1 * grad)
+        assert not np.shares_memory(net.get_flat(), net.flat)
 
     def test_invalid_state(self):
         with pytest.raises(ValueError):

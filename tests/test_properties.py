@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from idgp.cli import MODEL_MAGIC, load_model, save_model
 from idgp.data import PLLDataset, load_dataset, write_dataset
 from idgp.errors import IdgpError
-from idgp.network import DenseNet, TransformConfig
+from idgp.network import DenseNet, TransformConfig, param_count
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150,
                     database=None)
@@ -53,15 +53,12 @@ def models(draw):
     hidden = draw(st.lists(st.integers(1, 5), max_size=2))
     nets = []
     for out in (c, 2 * c):
-        net = DenseNet([q, *hidden, out],
-                       activation=draw(st.sampled_from(["relu", "identity"])),
-                       clamp=draw(st.floats(1e-3, 1e3)),
-                       rng=np.random.default_rng(0))
-        net.weights = [np.array(draw(st.lists(finite, min_size=W.size, max_size=W.size)),
-                                dtype=np.float64).reshape(W.shape) for W in net.weights]
-        net.biases = [np.array(draw(st.lists(finite, min_size=b.size, max_size=b.size)),
-                               dtype=np.float64) for b in net.biases]
-        nets.append(net)
+        sizes = [q, *hidden, out]
+        activation = draw(st.sampled_from(["relu", "identity"]))
+        clamp = draw(st.floats(1e-3, 1e3))
+        size = param_count(sizes)
+        flat = draw(st.lists(finite, min_size=size, max_size=size))
+        nets.append(DenseNet.from_flat(sizes, activation, clamp, flat))
     tc = TransformConfig(a=draw(st.floats(1e-3, 1e3)), b=draw(st.floats(0.0, 1e3)),
                          gamma=draw(st.floats(1e-3, 1e3)))
     return (*nets, tc)
