@@ -157,6 +157,8 @@ def write_manifest(path, command: str, config: dict, seed: int, inputs, outputs)
 # -- subcommands ------------------------------------------------------------
 
 def cmd_corrupt(args) -> int:
+    if args.mode == "instance" and args.p is not None:
+        raise UsageError("--p applies only to --mode uniform")
     try:
         scorer_cfg = generation.CleanScorerConfig(
             hidden=args.scorer_hidden, epochs=args.scorer_epochs,

@@ -4,7 +4,9 @@ A partial-label dataset pairs an ``n x q`` feature matrix with one
 candidate-label set per instance.  Each candidate set is a nonempty strict
 subset of the ``c`` available labels; when the true label is known (for
 synthetic corruption provenance and evaluation) it must be a member of its
-instance's candidate set.  Training code never reads ``true_labels``.
+instance's candidate set.  Training code never reads ``true_labels``.  The
+sets are stored once, as a read-only bool ``(n, c)`` mask whose rows are the
+occurrence vectors the model reads; ``candidates`` is a view of it.
 
 Labels are 1-indexed in files and 0-indexed in memory; conversion happens
 exactly once, at the I/O boundary.  Features are written as decimal text in
@@ -15,7 +17,8 @@ the shortest representation that round-trips a 64-bit float, so
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,51 +35,72 @@ FORMATS = (TEXT_FORMAT, JSONL_FORMAT)
 class PLLDataset:
     """Feature matrix plus per-instance candidate label sets.
 
+    The constructor takes ``candidates`` as one iterable of 0-indexed label
+    indices per instance or as a bool ``(n, c)`` mask, and copies it into
+    ``mask``, the one candidate store.
+
     Attributes
     ----------
     features : (n, q) float64 array
         Instance feature vectors; all entries must be finite.
     candidates : tuple of tuples of int
-        Per-instance candidate sets, 0-indexed, sorted, each a nonempty
-        strict subset of ``{0, ..., c-1}``.
+        Read-only view of ``mask``: per-instance candidate sets, 0-indexed,
+        sorted, each a nonempty strict subset of ``{0, ..., c-1}``.
     c : int
         Number of classes (>= 2).
     true_labels : optional (n,) int array
         Hidden correct labels.  Used only for corruption provenance and
         accuracy evaluation, never by the trainer.
+    mask : (n, c) bool array, read-only
+        ``mask[i, j]`` is True iff label j is a candidate of instance i.
     """
 
     features: np.ndarray
     candidates: tuple
     c: int
     true_labels: Optional[np.ndarray] = None
+    mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
         if feats.ndim != 2:
             raise DataInvariantError(f"features must be 2-D, got shape {feats.shape}")
         n, q = feats.shape
+        c = self.c
         if n < 1 or q < 1:
             raise DataInvariantError(f"need n >= 1 and q >= 1, got n={n}, q={q}")
-        if self.c < 2:
-            raise DataInvariantError(f"need at least 2 classes, got c={self.c}")
+        if c < 2:
+            raise DataInvariantError(f"need at least 2 classes, got c={c}")
         if not np.all(np.isfinite(feats)):
             bad = int(np.argwhere(~np.isfinite(feats).all(axis=1))[0, 0])
             raise DataInvariantError(f"non-finite feature at instance {bad}")
-        cands = tuple(tuple(sorted(set(int(j) for j in s))) for s in self.candidates)
-        if len(cands) != n:
-            raise DataInvariantError(
-                f"{len(cands)} candidate sets for {n} instances"
-            )
-        for i, s in enumerate(cands):
-            if len(s) == 0:
+        sets = self.candidates
+        if isinstance(sets, np.ndarray) and sets.dtype == bool:
+            if sets.shape != (n, c):
+                raise DataInvariantError(f"candidate mask shape {sets.shape} != ({n}, {c})")
+            mask, outside = sets.copy(), np.zeros(n, dtype=bool)
+        else:
+            sets = list(sets)
+            if len(sets) != n:
+                raise DataInvariantError(f"{len(sets)} candidate sets for {n} instances")
+            rows = np.repeat(np.arange(n), np.fromiter(map(len, sets), np.intp, n))
+            cols = np.array(list(chain.from_iterable(sets)))  # object dtype past int64
+            inside = (cols >= 0) & (cols < c)
+            outside = np.bincount(rows[~inside], minlength=n) > 0
+            mask = np.zeros((n, c), dtype=bool)
+            mask[rows[inside], cols[inside].astype(np.int64)] = True
+        rows, cols = np.nonzero(mask)
+        sizes = np.bincount(rows, minlength=n)
+        bad = (sizes == 0) | (sizes >= c) | outside
+        if bad.any():
+            i = int(bad.argmax())
+            # a set's size counts its out-of-range indices too
+            size = len(set(map(int, sets[i]))) if outside[i] else sizes[i]
+            if size == 0:
                 raise DataInvariantError(f"empty candidate set at instance {i}")
-            if len(s) >= self.c:
+            if size >= c:
                 raise DataInvariantError(f"full candidate set at instance {i}")
-            if s[0] < 0 or s[-1] >= self.c:
-                raise DataInvariantError(
-                    f"label index out of range [0, {self.c}) at instance {i}"
-                )
+            raise DataInvariantError(f"label index out of range [0, {c}) at instance {i}")
         labels = self.true_labels
         if labels is not None:
             try:
@@ -84,19 +108,19 @@ class PLLDataset:
             except OverflowError:
                 raise DataInvariantError("true label out of the int64 range") from None
             if labels.shape != (n,):
-                raise DataInvariantError(
-                    f"true_labels shape {labels.shape} does not match n={n}"
-                )
-            for i, (y, s) in enumerate(zip(labels, cands)):
-                if y < 0 or y >= self.c:
-                    raise DataInvariantError(f"true label out of range at instance {i}")
-                if int(y) not in s:
-                    raise DataInvariantError(
-                        f"true label not in candidate set at instance {i}"
-                    )
+                raise DataInvariantError(f"true_labels shape {labels.shape} does not match n={n}")
+            member = (labels >= 0) & (labels < c) & mask[np.arange(n), np.clip(labels, 0, c - 1)]
+            if not member.all():
+                i = int(member.argmin())
+                if 0 <= labels[i] < c:
+                    raise DataInvariantError(f"true label not in candidate set at instance {i}")
+                raise DataInvariantError(f"true label out of range at instance {i}")
+        mask.flags.writeable = False
+        cols, ends = tuple(cols.tolist()), np.cumsum(sizes).tolist()
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "candidates", cands)
+        object.__setattr__(self, "candidates", tuple(cols[a:b] for a, b in zip([0] + ends, ends)))
         object.__setattr__(self, "true_labels", labels)
+        object.__setattr__(self, "mask", mask)
 
     @property
     def n(self) -> int:
@@ -107,21 +131,14 @@ class PLLDataset:
         return self.features.shape[1]
 
     def occurrence_matrix(self) -> np.ndarray:
-        """Stacked occurrence vectors, shape (n, c), float64 in {0, 1}."""
-        o = np.zeros((self.n, self.c))
-        for i, s in enumerate(self.candidates):
-            o[i, list(s)] = 1.0
-        return o
+        """Stacked occurrence vectors, shape (n, c), float64 in {0, 1}; a fresh copy."""
+        return self.mask.astype(np.float64)
 
     def subset(self, idx: Sequence[int]) -> "PLLDataset":
         """New dataset restricted to the given instance indices."""
         idx = np.asarray(idx, dtype=np.int64)
-        return PLLDataset(
-            features=self.features[idx],
-            candidates=tuple(self.candidates[int(i)] for i in idx),
-            c=self.c,
-            true_labels=None if self.true_labels is None else self.true_labels[idx],
-        )
+        labels = None if self.true_labels is None else self.true_labels[idx]
+        return PLLDataset(self.features[idx], self.mask[idx], self.c, labels)
 
 
 def occurrence_vector(candidates: Sequence[int], c: int) -> np.ndarray:
@@ -145,13 +162,14 @@ def write_dataset(ds: PLLDataset, path, fmt: str = TEXT_FORMAT) -> None:
     _check_format(fmt)
     path = Path(path)
     lines = []
+    sets = ds.candidates
     if fmt == TEXT_FORMAT:
         lines.append(f"{ds.n} {ds.q} {ds.c}")
         for i, values in enumerate(ds.features):
             # repr() of a Python float is the shortest string that round-trips;
             # one row at a time, as a whole-matrix tolist() raises peak memory
             feats = " ".join(map(repr, values.tolist()))
-            cands = " ".join(str(j + 1) for j in ds.candidates[i])
+            cands = " ".join(str(j + 1) for j in sets[i])
             row = f"{feats} | {cands}"
             if ds.true_labels is not None:
                 row += f" | {int(ds.true_labels[i]) + 1}"
@@ -161,7 +179,7 @@ def write_dataset(ds: PLLDataset, path, fmt: str = TEXT_FORMAT) -> None:
         for i in range(ds.n):
             obj = {
                 "features": [float(v) for v in ds.features[i]],
-                "candidates": [j + 1 for j in ds.candidates[i]],
+                "candidates": [j + 1 for j in sets[i]],
             }
             if ds.true_labels is not None:
                 obj["true_label"] = int(ds.true_labels[i]) + 1
@@ -249,14 +267,21 @@ def _parse_text(lines, path) -> PLLDataset:
                 labels.append(int(parts[2]) - 1)
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: malformed true label") from None
-    if labels and len(labels) != n:
+    return _dataset(path, features, candidates, c, labels, enumerate(lines[n + 1:], n + 2))
+
+
+def _dataset(path, features, candidates, c, labels, rest) -> PLLDataset:
+    """The tail both parsers share.
+
+    ``labels`` must cover every row or none, and every ``(lineno, text)``
+    line of ``rest``, after the header's n rows, must be blank.
+    """
+    for lineno, text in rest:
+        if text.strip():
+            raise DataFormatError(f"{path}:{lineno}: row beyond the header's n={len(features)}")
+    if labels and len(labels) != len(features):
         raise DataFormatError(f"{path}: true label present on some rows but not all")
-    return PLLDataset(
-        features=features,
-        candidates=tuple(tuple(s) for s in candidates),
-        c=c,
-        true_labels=labels or None,
-    )
+    return PLLDataset(features, candidates, c, labels or None)
 
 
 def _json_int(value) -> int:
@@ -307,14 +332,7 @@ def _parse_jsonl(lines, path) -> PLLDataset:
                 labels.append(_json_int(obj["true_label"]) - 1)
         except (TypeError, OverflowError) as exc:
             raise DataFormatError(f"{path}:{lineno}: malformed value ({exc})") from exc
-    if labels and len(labels) != n:
-        raise DataFormatError(f"{path}: true label present on some rows but not all")
-    return PLLDataset(
-        features=features,
-        candidates=tuple(tuple(s) for s in candidates),
-        c=c,
-        true_labels=labels or None,
-    )
+    return _dataset(path, features, candidates, c, labels, body[n:])
 
 
 def sidecar_path(path) -> Path:

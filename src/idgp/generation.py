@@ -109,30 +109,25 @@ def candidate_set_density(candidates: Sequence[int], theta: np.ndarray,
 def _require_clean(ds: PLLDataset) -> np.ndarray:
     if ds.true_labels is None:
         raise DataInvariantError("corruption needs a dataset with true labels")
-    for i, s in enumerate(ds.candidates):
-        if len(s) != 1 or s[0] != int(ds.true_labels[i]):
-            raise DataInvariantError(
-                f"instance {i} is already ambiguous; corruption expects a clean dataset"
-            )
+    # a valid set holds its true label, so a singleton set is exactly {label}
+    ambiguous = np.flatnonzero(np.count_nonzero(ds.mask, axis=1) != 1)
+    if ambiguous.size:
+        raise DataInvariantError(f"instance {ambiguous[0]} is already ambiguous; "
+                                 "corruption expects a clean dataset")
     return ds.true_labels
 
 
 def make_clean_dataset(features: np.ndarray, labels: np.ndarray, c: int) -> PLLDataset:
     """Wrap labelled data as a trivially-candidate partial-label dataset."""
     labels = np.asarray(labels, dtype=np.int64)
-    return PLLDataset(
-        features=np.asarray(features, dtype=np.float64),
-        candidates=tuple((int(y),) for y in labels),
-        c=c,
-        true_labels=labels,
-    )
+    return PLLDataset(features, labels[:, None].tolist(), c, labels)
 
 
 def _corrupt(ds: PLLDataset, flip_probs: np.ndarray, seed: int, mode: str,
              params: dict):
     labels = _require_clean(ds)
     n, c = ds.n, ds.c
-    sets = []
+    mask = np.zeros((n, c), dtype=bool)
     for i in range(n):
         gen = substream(seed, "corrupt", i)
         u = gen.random(c)
@@ -142,20 +137,13 @@ def _corrupt(ds: PLLDataset, flip_probs: np.ndarray, seed: int, mode: str,
             wrong = np.flatnonzero(members)
             wrong = wrong[wrong != labels[i]]
             members[wrong[gen.integers(wrong.size)]] = False
-        sets.append(tuple(int(j) for j in np.flatnonzero(members)))
-    corrupted = PLLDataset(features=ds.features.copy(), candidates=tuple(sets),
+        mask[i] = members
+    corrupted = PLLDataset(features=ds.features.copy(), candidates=mask,
                            c=c, true_labels=labels.copy())
-    sizes = np.array([len(s) for s in sets], dtype=np.float64)
     occ = corrupted.occurrence_matrix()
+    avg_set_size = float(occ.sum(axis=1).mean())
     occ[np.arange(n), labels] = 0.0  # count only incorrect-candidate appearances
-    report = CorruptionReport(
-        mode=mode,
-        seed=int(seed),
-        avg_set_size=float(sizes.mean()),
-        per_class_ambiguity=occ.mean(axis=0),
-        params=params,
-    )
-    return corrupted, report
+    return corrupted, CorruptionReport(mode, int(seed), avg_set_size, occ.mean(axis=0), params)
 
 
 def corrupt_instance_dependent(ds: PLLDataset, flip_scores: np.ndarray, seed: int,

@@ -90,6 +90,13 @@ class TestCorrupt:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    def test_p_with_instance_mode_exits_2_naming_flag(self, tmp_path, clean_path, capsys):
+        out = tmp_path / "i.pll"
+        assert main(["corrupt", "--data", str(clean_path), "--out", str(out),
+                     "--mode", "instance", "--p", "0.3"]) == EXIT_USAGE
+        assert "--p" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, tmp_path, clean_path):
         outs = []
         for name in ("a.pll", "b.pll"):
@@ -198,14 +205,26 @@ class TestTrainEval:
         assert f"{data}:1: n=2 rows of c={2 ** 62}" in capsys.readouterr().err
 
     def test_unallocatable_output_layer_exits_3(self, tmp_path, capsys):
-        # loads (2 x 2**56 is addressable) but the default hidden=64 output
-        # layer is not; the spec check refuses it before numpy allocates
+        # the data loads, but a hidden=2**40 output layer over c=2**21 classes
+        # cannot be allocated; the spec check refuses it before numpy allocates
+        data = tmp_path / "wide.pll"
+        data.write_text(f"2 1 {2 ** 21}\n0.5 | 1\n-0.5 | 2\n")
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"hidden={2 ** 40}\n")
+        assert main(["train", "--data", str(data), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "run")]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert f"error: a {2 ** 40} x {2 ** 21} weight matrix cannot be allocated" in err
+
+    def test_unallocatable_candidate_mask_exits_3(self, tmp_path, capsys):
+        # 2 x 2**56 is addressable, but its (n, c) candidate mask is 128 PiB
         data = tmp_path / "huge.pll"
         data.write_text(f"2 1 {2 ** 56}\n0.5 | 1\n-0.5 | 2\n")
         assert main(["train", "--data", str(data),
                      "--out-dir", str(tmp_path / "run")]) == EXIT_INVARIANT
         err = capsys.readouterr().err
-        assert f"error: a 64 x {2 ** 56} weight matrix cannot be allocated" in err
+        assert err.startswith("error: ") and "allocate" in err
+        assert "Traceback" not in err
 
     def test_untrained_net_near_chance(self, tmp_path, corrupted_path):
         out_dir = tmp_path / "run0"

@@ -210,6 +210,9 @@ class TestParseErrors:
                      id="text-huge-c"),
         pytest.param("jsonl", '{"n": 1, "q": 1, "c": 100000000000000000000000}\n'
                      '{"features": [0.5], "candidates": [1]}\n', 1, id="jsonl-huge-c"),
+        pytest.param("text", "1 1 2\n0.5 | 1\n0.7 | 2\n", 3, id="text-extra-row"),
+        pytest.param("jsonl", HEAD + '{"features": [0.5], "candidates": [1]}\n\nnot json\n', 4,
+                     id="jsonl-extra-row"),
     ])
     def test_malformed_input_names_line(self, tmp_path, fmt, text, line):
         path = tmp_path / "d.data"
@@ -222,6 +225,16 @@ class TestParseErrors:
         path.write_text("1 1 3\n0.5 | 1 | " + "9" * 30 + "\n")
         with pytest.raises(DataInvariantError, match="true label out of"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("text", "1 1 3\n0.5 | " + "9" * 30 + "\n"),
+        ("jsonl", HEAD + '{"features": [0.5], "candidates": [' + "9" * 30 + "]}\n"),
+    ])
+    def test_huge_candidate_index_is_out_of_range(self, tmp_path, fmt, text):
+        path = tmp_path / "d.data"
+        path.write_text(text)
+        with pytest.raises(DataInvariantError, match="label index out of range"):
+            load_dataset(path, fmt)
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(DataFormatError, match="unknown format"):

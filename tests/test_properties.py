@@ -2,7 +2,8 @@
 
 Dataset and model files must round-trip bit for bit, and any bytes given to
 ``load_dataset`` or ``load_model`` may only raise a package error, never a
-bare Python exception.  The runs are derandomized so tier-1 stays repeatable.
+bare Python exception.  ``PLLDataset`` validation must agree with a per-row
+reference check.  The runs are derandomized so tier-1 stays repeatable.
 """
 
 import struct
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from idgp.cli import MODEL_MAGIC, load_model, save_model
 from idgp.data import PLLDataset, load_dataset, write_dataset
-from idgp.errors import IdgpError
+from idgp.errors import DataInvariantError, IdgpError
 from idgp.network import DenseNet, TransformConfig, param_count
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150,
@@ -169,3 +170,80 @@ def test_damaged_dataset_files_raise_only_package_errors(data, fmt):
                  damaged_models()))
 def test_arbitrary_bytes_load_model_raise_only_package_errors(data):
     _load_bytes(load_model, data)
+
+
+def _per_row_check(n, c, candidates, labels):
+    """Reference validation: the per-row candidate and true-label checks of a
+    tuple-of-tuples store.  Returns the sorted sets, or raises the first error."""
+    cands = tuple(tuple(sorted(set(int(j) for j in s))) for s in candidates)
+    if len(cands) != n:
+        raise DataInvariantError(f"{len(cands)} candidate sets for {n} instances")
+    for i, s in enumerate(cands):
+        if len(s) == 0:
+            raise DataInvariantError(f"empty candidate set at instance {i}")
+        if len(s) >= c:
+            raise DataInvariantError(f"full candidate set at instance {i}")
+        if s[0] < 0 or s[-1] >= c:
+            raise DataInvariantError(f"label index out of range [0, {c}) at instance {i}")
+    if labels is not None:
+        try:
+            labels = np.asarray(labels, dtype=np.int64)
+        except OverflowError:
+            raise DataInvariantError("true label out of the int64 range") from None
+        for i, (y, s) in enumerate(zip(labels, cands)):
+            if y < 0 or y >= c:
+                raise DataInvariantError(f"true label out of range at instance {i}")
+            if int(y) not in s:
+                raise DataInvariantError(f"true label not in candidate set at instance {i}")
+    return cands
+
+
+def _outcome(build):
+    """``build()``'s sorted candidate sets, or the message of its ``DataInvariantError``."""
+    try:
+        return build()
+    except DataInvariantError as exc:
+        return str(exc)
+
+
+# indices beyond int64 on either side
+BEYOND = st.sampled_from([2 ** 63, -2 ** 63 - 1, 10 ** 30])
+
+
+@st.composite
+def raw_datasets(draw):
+    """Valid sets and labels with up to two rows and one label made arbitrary."""
+    n = draw(st.integers(1, 6))
+    c = draw(st.integers(2, 5))
+    index = st.one_of(st.integers(0, c - 1), st.integers(-2, c + 1), BEYOND)
+    row = st.integers(0, n - 1)
+    sets = draw(st.lists(st.lists(st.integers(0, c - 1), min_size=1, max_size=c - 1),
+                         min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 2))):  # maybe empty, full or out of range
+        sets[draw(row)] = draw(st.lists(index, max_size=c + 1))
+    labels = None
+    if draw(st.booleans()):
+        labels = [draw(st.sampled_from(s)) if s else 0 for s in sets]
+        if draw(st.booleans()):
+            labels[draw(row)] = draw(st.one_of(st.integers(0, c - 1), st.sampled_from([-1, c]),
+                                               BEYOND))
+    return np.zeros((n, 1)), sets, c, labels
+
+
+@PROPERTY
+@given(raw_datasets())
+def test_validation_matches_per_row_check(raw):
+    features, sets, c, labels = raw
+    n = len(sets)
+    expected = _outcome(lambda: _per_row_check(n, c, sets, labels))
+    assert _outcome(lambda: PLLDataset(features, sets, c, labels).candidates) == expected
+    if all(0 <= j < c for s in sets for j in s):
+        mask = np.zeros((n, c), dtype=bool)
+        for i, s in enumerate(sets):
+            mask[i, s] = True
+        assert _outcome(lambda: PLLDataset(features, mask, c, labels).candidates) == expected
+        if not isinstance(expected, str):
+            ds = PLLDataset(features, mask, c, labels)
+            assert np.array_equal(ds.mask, mask) and not np.shares_memory(ds.mask, mask)
+            assert not ds.mask.flags.writeable and mask.flags.writeable
+            assert np.array_equal(ds.mask, PLLDataset(features, sets, c, labels).mask)
