@@ -4,20 +4,16 @@
 The Dirichlet/Categorical and Beta/Bernoulli pairs give closed-form
 posterior means once a candidate set's occurrence vector is treated as the
 observation.  This script checks the closed forms against numerical
-integration, assembles the per-instance MAP loss, and shows the upper
-bound collapsing to equality on a singleton candidate set.
+integration, evaluates the MAP loss on one row of arrays, and shows the
+upper bound collapsing to equality on a singleton candidate set.
 """
 
 import numpy as np
 from scipy import integrate
 
+from idgp.data import occurrence_vector
 from idgp.distributions import beta_posterior_mean, dirichlet_posterior_mean
-from idgp.objective import (
-    BoundConfig,
-    PerInstanceLossInput,
-    map_loss,
-    map_upper_bound,
-)
+from idgp.objective import map_loss, map_upper_bound_batch
 
 rng = np.random.default_rng(3)
 
@@ -43,27 +39,31 @@ den, _ = integrate.quad(lambda v: v ** 2 * (1 - v) ** 2, 0, 1)
 print(f"  quadrature:  {num / den:.12f}")
 
 # --- one full loss evaluation ----------------------------------------------
-print("\nper-instance MAP loss on a random 4-class instance:")
+# map_loss and the bound take (B, c) rows; here B = 1.
+print("\nMAP loss on a random 4-class row:")
 c = 4
 cands = (0, 2)
-lam = rng.uniform(1.0, 6.0, size=c)
-alpha = rng.uniform(1.0, 4.0, size=c)
-beta = rng.uniform(1.0, 4.0, size=c)
-inp = PerInstanceLossInput.from_live_params(lam, alpha, beta,
-                                            lam, alpha, beta, cands)
-res = map_loss(inp)
+lam = rng.uniform(1.0, 6.0, size=(1, c))
+alpha = rng.uniform(1.0, 4.0, size=(1, c))
+beta = rng.uniform(1.0, 4.0, size=(1, c))
+mask = occurrence_vector(cands, c)[None]
+res = map_loss(lam, alpha, beta, mask, lam, alpha, beta)
+theta = dirichlet_posterior_mean(lam, mask)
+z = beta_posterior_mean(alpha, beta, mask)
 print(f"  candidates (1-based): {tuple(j + 1 for j in cands)}")
-print(f"  theta_hat = {np.round(inp.theta_hat, 4)}")
-print(f"  z_hat     = {np.round(inp.z_hat, 4)}")
-print(f"  likelihood part {res.ml_value:.4f} + prior part {res.reg_value:.4f}"
-      f" = {res.value:.4f}")
-print(f"  gradient w.r.t. lambda: {np.round(res.d_lambda, 4)}")
+print(f"  theta_hat = {np.round(theta[0], 4)}")
+print(f"  z_hat     = {np.round(z[0], 4)}")
+print(f"  likelihood part {res.ml_value[0]:.4f} + prior part {res.reg_value[0]:.4f}"
+      f" = {res.value[0]:.4f}")
+print(f"  gradient w.r.t. lambda: {np.round(res.d_lambda[0], 4)}")
 
-bound = map_upper_bound(inp, BoundConfig(rho=10.0))
-print(f"\n  concavity upper bound: {bound.value:.4f} "
-      f"(loss {res.value:.4f}, slack {bound.value - res.value:.4f})")
+bound = map_upper_bound_batch(theta, z, lam, alpha, beta, mask, rho=10.0)
+print(f"\n  concavity upper bound: {bound.value[0]:.4f} "
+      f"(loss {res.value[0]:.4f}, slack {bound.value[0] - res.value[0]:.4f})")
 
-single = PerInstanceLossInput.from_live_params(lam, alpha, beta,
-                                               lam, alpha, beta, (1,))
-gap = map_upper_bound(single, BoundConfig()).value - map_loss(single).value
+single = occurrence_vector((1,), c)[None]
+theta1 = dirichlet_posterior_mean(lam, single)
+z1 = beta_posterior_mean(alpha, beta, single)
+gap = (map_upper_bound_batch(theta1, z1, lam, alpha, beta, single, rho=10.0).value
+       - map_loss(lam, alpha, beta, single, lam, alpha, beta).value)[0]
 print(f"  singleton candidate set: slack collapses to {gap:.2e}")

@@ -29,11 +29,9 @@ from .network import (
     sgd_step,
 )
 from .objective import (
-    BoundConfig,
-    PerInstanceLossInput,
     degenerate_uniform_loss,
     map_loss,
-    map_upper_bound,
+    map_upper_bound_batch,
     ml_loss,
     reg_loss,
 )
@@ -47,7 +45,6 @@ from .trainer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundConfig",
     "CleanScorerConfig",
     "CorruptionReport",
     "DataFormatError",
@@ -56,7 +53,6 @@ __all__ = [
     "IdgpError",
     "NumericError",
     "PLLDataset",
-    "PerInstanceLossInput",
     "PriorCache",
     "SGDState",
     "SplitSpec",
@@ -76,7 +72,7 @@ __all__ = [
     "load_dataset",
     "make_clean_dataset",
     "map_loss",
-    "map_upper_bound",
+    "map_upper_bound_batch",
     "ml_loss",
     "occurrence_vector",
     "read_sidecar",

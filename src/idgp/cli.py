@@ -13,6 +13,7 @@ derives from the single --seed through named substreams.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import struct
@@ -245,9 +246,9 @@ def cmd_gradcheck(args) -> int:
 
 def _write_xy_csv(path, rows) -> None:
     with Path(path).open("w", newline="") as fh:
-        fh.write("x,y,series\n")
-        for x, y, series in rows:
-            fh.write(f"{x},{y},{series}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("x", "y", "series"))
+        writer.writerows(rows)
 
 
 def cmd_report(args) -> int:

@@ -149,6 +149,8 @@ def occurrence_vector(candidates: Sequence[int], c: int) -> np.ndarray:
         if j < 0 or j >= c:
             raise DataInvariantError(f"label index {j} out of range [0, {c})")
         o[j] = 1.0
+    if not o.any():
+        raise ValueError("empty candidate set")
     return o
 
 

@@ -208,7 +208,7 @@ def check_map_end_to_end(rng, c: int | None = None, width: int | None = None,
     net, the ones training applies, go against central differences of its
     batch-mean loss, on every coordinate of a net with at most ``max_coords``
     of them, else a random subset.  Each row's loss, from the step and from
-    the per-instance :func:`objective.map_loss`, goes against
+    one :func:`objective.map_loss` call on the same rows, goes against
     :func:`_generation_map_value`.
     """
     c = c if c is not None else int(rng.integers(3, 8))
@@ -226,14 +226,11 @@ def check_map_end_to_end(rng, c: int | None = None, width: int | None = None,
     def step(f, g):
         return trainer.map_step_batch(f, g, x, tc, mask, *prior, ml_only=False)
 
-    values, _, _, *live, grads_f, grads_g = step(net_f, net_g)
-    err = 0.0
-    for i, s in enumerate(cands):
-        hats = [h[i] for h in prior]
-        inp = objective.PerInstanceLossInput.from_live_params(*(v[i] for v in live), *hats, s)
-        reference = _generation_map_value(inp.theta_hat, inp.z_hat, s, *hats)
-        err = max(err, rel_error(values[i], reference),
-                  rel_error(objective.map_loss(inp).value, reference))
+    values, _, _, theta, z, *live, grads_f, grads_g = step(net_f, net_g)
+    reference = [_generation_map_value(theta[i], z[i], s, *(h[i] for h in prior))
+                 for i, s in enumerate(cands)]
+    err = max(rel_error(values, reference),
+              rel_error(objective.map_loss(*live, mask, *prior).value, reference))
     for net, grads, loss in (
             (net_f, grads_f, lambda nets: step(nets, net_g)[0].mean(axis=-1)),
             (net_g, grads_g, lambda nets: step(net_f, nets)[0].mean(axis=-1))):

@@ -15,10 +15,12 @@ products underflow in raw space once c is in the hundreds.  Gradients with
 respect to the live Dirichlet/Beta parameters compose the d/d(theta_hat)
 and d/d(z_hat) partials with the exact posterior-mean Jacobians.
 
-Batch variants operate on (B, c) arrays with a 0/1 candidate mask and are
-what the trainer consumes; the per-instance functions wrap them.  The two
-batch losses also take (..., B, c) stacks, such as the posterior means of K
-nets at once, and reduce over the last axis only.
+The batch losses, the chain rules, :func:`map_loss` and the bound take
+(B, c) rows with a 0/1 candidate mask, the arrays the trainer holds;
+:func:`ml_loss` and :func:`reg_loss` are 1-row views of the two batch
+losses for a single candidate set written by hand.  The two batch losses also
+take (..., B, c) stacks, such as the posterior means of K nets at once, and
+reduce over the last axis only.
 """
 
 from __future__ import annotations
@@ -138,109 +140,45 @@ def reg_loss(theta_hat, z_hat, lambda_hat, alpha_hat, beta_hat):
 
 
 @dataclass(frozen=True)
-class PerInstanceLossInput:
-    """Everything the MAP loss needs for one instance.
-
-    ``lam``, ``alpha``, ``beta`` are the live network-derived parameters
-    (gradients flow to them); ``theta_hat`` and ``z_hat`` are the posterior
-    means they induce; the hat-suffixed prior constants come from the
-    prior cache and are treated as frozen.
-    """
-
-    theta_hat: np.ndarray
-    z_hat: np.ndarray
-    lambda_hat: np.ndarray
-    alpha_hat: np.ndarray
-    beta_hat: np.ndarray
-    candidates: tuple
-    lam: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    @classmethod
-    def from_live_params(cls, lam, alpha, beta, lambda_hat, alpha_hat, beta_hat,
-                         candidates: Sequence[int]):
-        lam = np.asarray(lam, dtype=np.float64)
-        for name, prior in (("lambda_hat", lambda_hat), ("alpha_hat", alpha_hat),
-                            ("beta_hat", beta_hat)):
-            _require_positive(prior, name)
-        o = occurrence_vector(candidates, lam.shape[0])
-        return cls(
-            theta_hat=dirichlet_posterior_mean(lam, o),
-            z_hat=beta_posterior_mean(alpha, beta, o),
-            lambda_hat=np.asarray(lambda_hat, dtype=np.float64),
-            alpha_hat=np.asarray(alpha_hat, dtype=np.float64),
-            beta_hat=np.asarray(beta_hat, dtype=np.float64),
-            candidates=tuple(int(j) for j in candidates),
-            lam=lam,
-            alpha=np.asarray(alpha, dtype=np.float64),
-            beta=np.asarray(beta, dtype=np.float64),
-        )
-
-    @property
-    def c(self) -> int:
-        return int(self.lam.shape[0])
-
-    def occurrence(self) -> np.ndarray:
-        return occurrence_vector(self.candidates, self.c)
-
-
-@dataclass(frozen=True)
 class MapLossResult:
-    value: float
-    ml_value: float
-    reg_value: float
+    """Per-row MAP values, (B,), and gradients to the live parameters, (B, c)."""
+
+    value: np.ndarray
+    ml_value: np.ndarray
+    reg_value: np.ndarray
     d_lambda: np.ndarray
     d_alpha: np.ndarray
     d_beta: np.ndarray
 
 
-def map_loss(inp: PerInstanceLossInput) -> MapLossResult:
-    """Full MAP loss and its gradients to the live lam/alpha/beta.
+def map_loss(lam, alpha, beta, mask, lambda_hat, alpha_hat, beta_hat) -> MapLossResult:
+    """Full MAP loss of each (B, c) row and its gradients to the live lam/alpha/beta.
 
-    The 1-row view of the trainer's composition: :func:`ml_loss` plus
-    :func:`reg_loss`, chained to the live parameters by the same
-    :func:`chain_to_lambda` and :func:`chain_to_alpha_beta` that training
-    applies.  Prior-cache constants affect the value but by construction
-    receive zero gradient.
+    The trainer's composition without the 1/B mean or the z clamp: the
+    posterior means of ``lam``, ``alpha`` and ``beta`` given the 0/1
+    ``mask``, :func:`ml_loss_batch` plus :func:`reg_loss_batch`, chained to
+    the live parameters by the same :func:`chain_to_lambda` and
+    :func:`chain_to_alpha_beta` that training applies.  The prior constants
+    affect the value but by construction receive zero gradient.
     """
-    o = inp.occurrence()[None]
-    ml_v, ml_dt, ml_dz = ml_loss(inp.theta_hat, inp.z_hat, inp.candidates)
-    reg_v, reg_dt, reg_dz = reg_loss(inp.theta_hat, inp.z_hat,
-                                     inp.lambda_hat, inp.alpha_hat, inp.beta_hat)
-    d_theta = ml_dt + reg_dt
-    d_z = ml_dz + reg_dz
-    d_alpha, d_beta = chain_to_alpha_beta(d_z[None], inp.alpha[None], inp.beta[None], o)
-    return MapLossResult(
-        value=ml_v + reg_v,
-        ml_value=ml_v,
-        reg_value=reg_v,
-        d_lambda=chain_to_lambda(d_theta[None], inp.lam[None], o)[0],
-        d_alpha=d_alpha[0],
-        d_beta=d_beta[0],
-    )
-
-
-@dataclass(frozen=True)
-class BoundConfig:
-    """Cap rho for the candidate-weight vector inside the upper bound."""
-
-    rho: float = 10.0
-
-    def __post_init__(self):
-        if not (self.rho > 0.0):
-            raise ValueError("rho must be strictly positive")
+    for name, prior in (("lambda_hat", lambda_hat), ("alpha_hat", alpha_hat),
+                        ("beta_hat", beta_hat)):
+        _require_positive(prior, name)
+    theta = dirichlet_posterior_mean(lam, mask)
+    z = beta_posterior_mean(alpha, beta, mask)
+    ml_v, ml_dt, ml_dz = ml_loss_batch(theta, z, mask)
+    reg_v, reg_dt, reg_dz = reg_loss_batch(theta, z, lambda_hat, alpha_hat, beta_hat)
+    d_alpha, d_beta = chain_to_alpha_beta(ml_dz + reg_dz, alpha, beta, mask)
+    return MapLossResult(value=ml_v + reg_v, ml_value=ml_v, reg_value=reg_v,
+                         d_lambda=chain_to_lambda(ml_dt + reg_dt, lam, mask),
+                         d_alpha=d_alpha, d_beta=d_beta)
 
 
 @dataclass(frozen=True)
 class UpperBound:
-    """Bound values with the clamped and the pre-clamp candidate weights.
+    """Bound values (B,) with the clamped and the pre-clamp weights (B, c)."""
 
-    Batched, (B,), (B, c) and (B, c), from :func:`map_upper_bound_batch`; one
-    row, a float and two (c,) arrays, from :func:`map_upper_bound`.
-    """
-
-    value: float
+    value: np.ndarray
     weights: np.ndarray
     weights_preclamp: np.ndarray
 
@@ -255,10 +193,10 @@ def map_upper_bound_batch(theta, z, lam, alpha, beta, mask, rho: float) -> Upper
     provably dominates the loss.  The bound's likelihood component matches
     the ML loss exactly for singleton candidate sets.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    lam = np.asarray(lam, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
+    if not (rho > 0.0):
+        raise ValueError("rho must be strictly positive")
+    theta, z, lam, alpha, beta, mask = (np.asarray(v, dtype=np.float64)
+                                        for v in (theta, z, lam, alpha, beta, mask))
     sizes = mask.sum(axis=1, keepdims=True)
     log_z = np.log(z)
     log_1mz = np.log1p(-z)
@@ -272,14 +210,6 @@ def map_upper_bound_batch(theta, z, lam, alpha, beta, mask, rho: float) -> Upper
     w = np.clip(w_pre, 0.0, rho)
     return UpperBound(value=-(k_term + (w * np.log(theta)).sum(axis=1)),
                       weights=w, weights_preclamp=w_pre)
-
-
-def map_upper_bound(inp: PerInstanceLossInput, cfg: BoundConfig) -> UpperBound:
-    """The bound of one instance: a 1-row view of :func:`map_upper_bound_batch`."""
-    rows = (inp.theta_hat, inp.z_hat, inp.lam, inp.alpha, inp.beta, inp.occurrence())
-    bound = map_upper_bound_batch(*(np.asarray(v)[None] for v in rows), cfg.rho)
-    return UpperBound(value=float(bound.value[0]), weights=bound.weights[0],
-                      weights_preclamp=bound.weights_preclamp[0])
 
 
 def degenerate_uniform_loss(theta_hat, candidates: Sequence[int], p: float,

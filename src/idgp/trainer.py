@@ -228,21 +228,25 @@ def map_step_batch(f: DenseNet, g: DenseNet, X: np.ndarray, tc: TransformConfig,
                    mask, lam_hat, a_hat, b_hat, ml_only: bool):
     """Forward both nets on ``X`` and take the MAP loss of their posterior means.
 
-    Returns ``(values, theta, z, lam, alpha, beta, grads_f, grads_g)`` with z
-    clamped.  ``grads_f()``/``grads_g()`` give one net's flat (P,) parameter
-    gradient of the batch-mean loss, in the :meth:`DenseNet.get_flat` layout
-    that :func:`sgd_step` takes, running only that net's chain rule and
-    backward; clamped z entries and the frozen hats get no gradient.
+    Returns ``(values, ml_values, reg_values, theta, z, lam, alpha, beta,
+    grads_f, grads_g)`` with z clamped; ``values`` is the sum of the two
+    parts, and ``reg_values`` is zero under ``ml_only``.
+    ``grads_f()``/``grads_g()`` give one net's flat (P,) parameter gradient
+    of the batch-mean loss, in the :meth:`DenseNet.get_flat` layout that
+    :func:`sgd_step` takes, running only that net's chain rule and backward;
+    clamped z entries and the frozen hats get no gradient.
     """
     lam, sf, cache_f = _live_lambda(f, X, tc)
     alpha, beta, sg, cache_g = _live_alpha_beta(g, X, tc)
     theta = dirichlet_posterior_mean(lam, mask)
     z_raw = beta_posterior_mean(alpha, beta, mask)
     z = clamp_z(z_raw)
-    values, d_theta, d_z = ml_loss_batch(theta, z, mask)
-    if not ml_only:
+    ml_v, d_theta, d_z = ml_loss_batch(theta, z, mask)
+    if ml_only:
+        values, reg_v = ml_v, np.zeros_like(ml_v)
+    else:
         reg_v, reg_dt, reg_dz = reg_loss_batch(theta, z, lam_hat, a_hat, b_hat)
-        values, d_theta, d_z = values + reg_v, d_theta + reg_dt, d_z + reg_dz
+        values, d_theta, d_z = ml_v + reg_v, d_theta + reg_dt, d_z + reg_dz
 
     def grads_f():
         d_lam = chain_to_lambda(d_theta / len(X), lam, mask)
@@ -253,14 +257,15 @@ def map_step_batch(f: DenseNet, g: DenseNet, X: np.ndarray, tc: TransformConfig,
         d_ab = np.concatenate(chain_to_alpha_beta(d_zc, alpha, beta, mask), axis=1)
         return g.backward(cache_g, d_ab * lambda_transform_grad(sg, tc))
 
-    return values, theta, z, lam, alpha, beta, grads_f, grads_g
+    return values, ml_v, reg_v, theta, z, lam, alpha, beta, grads_f, grads_g
 
 
 def _train_batch(state: TrainerState, t: int, idx: np.ndarray):
     """Both alternating sub-steps on the rows ``idx`` of epoch ``t``.
 
     Returns the MAP loss values of the rows after the auxiliary update, their
-    upper-bound values and the batch's live and frozen prior parameters.
+    likelihood and prior parts, their upper-bound values and the batch's live
+    and frozen prior parameters.
     """
     cfg = state.config
     tc = cfg.transform_config
@@ -277,13 +282,13 @@ def _train_batch(state: TrainerState, t: int, idx: np.ndarray):
     sgd_step(state.opt_g, state.g, grads_g(), cfg.weight_decay)
 
     # Sub-step 2: auxiliary branch (just updated) fixed, main branch updated.
-    values, theta, z, lam, alpha, beta, grads_f, _ = map_step_batch(*step)
+    values, ml_v, reg_v, theta, z, lam, alpha, beta, grads_f, _ = map_step_batch(*step)
     sgd_step(state.opt_f, state.f, grads_f(), cfg.weight_decay)
 
     bounds = map_upper_bound_batch(theta, z, lam, alpha, beta, O, cfg.rho).value
     priors = {"live_lambda": lam0, "live_alpha": alpha0, "live_beta": beta0,
               "lambda_hat": lam_hat, "alpha_hat": a_hat, "beta_hat": b_hat}
-    return values, bounds, priors
+    return values, ml_v, reg_v, bounds, priors
 
 
 def train_epoch(state: TrainerState, t: int,
@@ -297,11 +302,11 @@ def train_epoch(state: TrainerState, t: int,
     tc = cfg.transform_config
     ds = state.dataset
     order = substream(cfg.seed, "shuffle", t).permutation(ds.n)
-    losses, gaps = [], []
+    losses, ml_losses, reg_losses, gaps = [], [], [], []
     for k, start in enumerate(range(0, ds.n, cfg.batch_size)):
         idx = order[start:start + cfg.batch_size]
         try:
-            values, bounds, priors = _train_batch(state, t, idx)
+            values, ml_v, reg_v, bounds, priors = _train_batch(state, t, idx)
         except NumericError as exc:
             raise NumericError(f"epoch {t}, batch {k}: {exc}") from exc
         if not np.all(np.isfinite(values)):
@@ -310,6 +315,8 @@ def train_epoch(state: TrainerState, t: int,
         batch_loss = float(values.mean())
         gaps.append(float(bounds.mean()) - batch_loss)
         losses.append(batch_loss)
+        ml_losses.append(float(ml_v.mean()))
+        reg_losses.append(float(reg_v.mean()))
         if batch_hook is not None:
             batch_hook({"epoch": t, "batch": k, "indices": idx.copy(), **priors})
 
@@ -322,6 +329,8 @@ def train_epoch(state: TrainerState, t: int,
     return {
         "epoch": t,
         "train_loss": float(np.mean(losses)),
+        "ml_loss": float(np.mean(ml_losses)),
+        "reg_loss": float(np.mean(reg_losses)),
         "bound_gap": float(np.mean(gaps)),
     }
 

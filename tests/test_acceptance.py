@@ -16,6 +16,7 @@ from idgp.distributions import (
     dirichlet_posterior_mean,
     floor_params,
 )
+from idgp.data import occurrence_vector
 from idgp.evaluation import SplitSpec, accuracy, split
 from idgp.gradcheck import check_map_end_to_end
 from idgp.generation import (
@@ -34,11 +35,9 @@ from idgp.network import (
     z_hat_bounds,
 )
 from idgp.objective import (
-    BoundConfig,
-    PerInstanceLossInput,
     degenerate_uniform_loss,
     map_loss,
-    map_upper_bound,
+    map_upper_bound_batch,
     ml_loss,
 )
 from idgp.trainer import TrainConfig, fit
@@ -131,26 +130,26 @@ def test_criterion_3_generation_identity():
 
 def test_criterion_4_bound_property():
     rng = np.random.default_rng(4)
-    cfg = BoundConfig(rho=10.0)
+    rho = 10.0
     singleton_gaps = []
     checked_singletons = 0
     for trial in range(1000):
         c = int(rng.integers(2, 9))
         size = 1 if trial % 5 == 0 else int(rng.integers(1, c))
         cands = tuple(sorted(rng.choice(c, size=size, replace=False).tolist()))
-        lam = rng.uniform(1.0, 9.0, size=c)  # pre-clamp weights inside [0, 10]
-        alpha = rng.uniform(0.5, 6.0, size=c)
-        beta = rng.uniform(0.5, 6.0, size=c)
-        inp = PerInstanceLossInput.from_live_params(
-            lam, alpha, beta, lam, alpha, beta, cands)
-        bound = map_upper_bound(inp, cfg)
+        lam = rng.uniform(1.0, 9.0, size=(1, c))  # pre-clamp weights inside [0, 10]
+        alpha = rng.uniform(0.5, 6.0, size=(1, c))
+        beta = rng.uniform(0.5, 6.0, size=(1, c))
+        o = occurrence_vector(cands, c)[None]
+        theta, z = dirichlet_posterior_mean(lam, o), beta_posterior_mean(alpha, beta, o)
+        bound = map_upper_bound_batch(theta, z, lam, alpha, beta, o, rho)
         assert np.all(bound.weights_preclamp >= 0.0)
-        assert np.all(bound.weights_preclamp <= cfg.rho)
-        loss = map_loss(inp).value
-        assert loss <= bound.value + 1e-9
+        assert np.all(bound.weights_preclamp <= rho)
+        loss = map_loss(lam, alpha, beta, o, lam, alpha, beta).value[0]
+        assert loss <= bound.value[0] + 1e-9
         if size == 1:
             checked_singletons += 1
-            singleton_gaps.append(abs(bound.value - loss))
+            singleton_gaps.append(abs(bound.value[0] - loss))
     assert checked_singletons >= 100
     assert max(singleton_gaps) <= 1e-12
     _report(4, f"(1000 instances, {checked_singletons} singletons, "

@@ -1,5 +1,6 @@
 """Command surface: exit codes, determinism, file artifacts."""
 
+import csv
 import json
 import struct
 
@@ -429,6 +430,16 @@ class TestReport:
         assert lines[0] == "x,y,series"
         assert len(lines) == 4
         assert lines[1].startswith("1,0.5,history")
+
+    def test_history_name_with_comma_is_one_field(self, tmp_path):
+        hist = tmp_path / "run,a.jsonl"
+        hist.write_text(json.dumps({"epoch": 1, "train_loss": 0.5}) + "\n")
+        out = tmp_path / "curve.csv"
+        assert main(["report", "--history", str(hist), "--out", str(out)]) == 0
+        with out.open(newline="") as fh:
+            header, row = csv.reader(fh)
+        assert header == ["x", "y", "series"]
+        assert row == ["1", "0.5", "run,a"]
 
     def test_sweep_grid_has_cartesian_rows(self, tmp_path, corrupted_path):
         cfg = tiny_config(tmp_path, epochs=1, val_fraction=0.2)

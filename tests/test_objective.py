@@ -5,14 +5,13 @@ brute-force recomputation."""
 import numpy as np
 import pytest
 
+from idgp.data import occurrence_vector
+from idgp.distributions import beta_posterior_mean, dirichlet_posterior_mean
 from idgp.generation import candidate_set_density
 from idgp.network import TransformConfig, lambda_range, loss_sup
 from idgp.objective import (
-    BoundConfig,
-    PerInstanceLossInput,
     degenerate_uniform_loss,
     map_loss,
-    map_upper_bound,
     map_upper_bound_batch,
     ml_loss,
     ml_loss_batch,
@@ -35,32 +34,45 @@ def brute_force_ml(theta, z, cands):
     return -np.log(total)
 
 
-def brute_force_bound(inp, rho):
-    """The concavity bound from its definition, one label at a time."""
-    cands, z, size = inp.candidates, inp.z_hat, len(inp.candidates)
+def brute_force_bound(theta, z, lam, alpha, beta, o, rho):
+    """The concavity bound of one (c,) row from its definition, one label at a time."""
+    c = len(o)
+    cands = set(np.flatnonzero(o).tolist())
+    size = len(cands)
 
     def log_q(j):  # log prod_{k in S\{j}} z_k prod_{k not in S\{j}} (1 - z_k)
         return sum(np.log(z[k]) if k in cands and k != j else np.log1p(-z[k])
-                   for k in range(inp.c))
+                   for k in range(c))
 
     k_term = (np.log(size) + sum(log_q(j) for j in cands) / size
-              + sum((inp.alpha[k] - 1.0) * np.log(z[k])
-                    + (inp.beta[k] - 1.0) * np.log1p(-z[k]) for k in range(inp.c)))
-    weights = [min(max(inp.lam[j] - 1.0 + (1.0 / size if j in cands else 0.0), 0.0), rho)
-               for j in range(inp.c)]
-    return -(k_term + sum(w * np.log(t) for w, t in zip(weights, inp.theta_hat)))
+              + sum((alpha[k] - 1.0) * np.log(z[k])
+                    + (beta[k] - 1.0) * np.log1p(-z[k]) for k in range(c)))
+    weights = [min(max(lam[j] - 1.0 + (1.0 / size if j in cands else 0.0), 0.0), rho)
+               for j in range(c)]
+    return -(k_term + sum(w * np.log(t) for w, t in zip(weights, theta)))
 
 
-def random_instance(rng, c=None, lam_range=(1.0, 5.0)):
+def random_rows(rng, b=1, c=None, lam_range=(1.0, 5.0)):
+    """``b`` random rows ``(lam, alpha, beta, mask, lambda_hat, alpha_hat,
+    beta_hat)``, each shaped (b, c): the arguments of :func:`map_loss`."""
     c = c or int(rng.integers(2, 9))
-    size = int(rng.integers(1, c))
-    cands = tuple(sorted(rng.choice(c, size=size, replace=False).tolist()))
-    lam = rng.uniform(*lam_range, size=c)
-    alpha = rng.uniform(*lam_range, size=c)
-    beta = rng.uniform(*lam_range, size=c)
-    prior = (rng.uniform(0.5, 3.0, size=c), rng.uniform(0.5, 3.0, size=c),
-             rng.uniform(0.5, 3.0, size=c))
-    return PerInstanceLossInput.from_live_params(lam, alpha, beta, *prior, cands)
+    rows = []
+    for _ in range(b):
+        size = int(rng.integers(1, c))
+        cands = rng.choice(c, size=size, replace=False)
+        live = [rng.uniform(*lam_range, size=c) for _ in range(3)]
+        prior = [rng.uniform(0.5, 3.0, size=c) for _ in range(3)]
+        rows.append((*live, occurrence_vector(cands, c), *prior))
+    return tuple(np.stack(column) for column in zip(*rows))
+
+
+def posterior_means(lam, alpha, beta, mask, *_):
+    return dirichlet_posterior_mean(lam, mask), beta_posterior_mean(alpha, beta, mask)
+
+
+def bound_of(rows, rho):
+    """:func:`map_upper_bound_batch` of :func:`random_rows`-style rows."""
+    return map_upper_bound_batch(*posterior_means(*rows), *rows[:4], rho)
 
 
 class TestMlLoss:
@@ -135,6 +147,13 @@ class TestMlLoss:
         with pytest.raises(ValueError):
             ml_loss(np.array([0.5, 0.5]), np.array([1.0, 0.5]), (0,))
 
+    def test_empty_candidate_set_is_rejected(self):
+        theta = np.array([0.5, 0.3, 0.2])
+        with pytest.raises(ValueError, match="empty candidate set"):
+            ml_loss(theta, np.full(3, 0.3), ())
+        with pytest.raises(ValueError, match="empty candidate set"):
+            degenerate_uniform_loss(theta, (), 0.3, np.ones(3))
+
     def test_batch_agrees_with_single(self):
         rng = np.random.default_rng(4)
         c = 5
@@ -205,55 +224,60 @@ class TestMapLoss:
     def test_decomposes_exactly(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            inp = random_instance(rng)
-            res = map_loss(inp)
-            ml_v, _, _ = ml_loss(inp.theta_hat, inp.z_hat, inp.candidates)
-            reg_v, _, _ = reg_loss(inp.theta_hat, inp.z_hat, inp.lambda_hat,
-                                   inp.alpha_hat, inp.beta_hat)
-            assert res.value == ml_v + reg_v
-            assert res.ml_value == ml_v and res.reg_value == reg_v
+            rows = random_rows(rng)
+            res = map_loss(*rows)
+            theta, z = posterior_means(*rows)
+            cands = np.flatnonzero(rows[3][0])
+            ml_v, _, _ = ml_loss(theta[0], z[0], cands)
+            reg_v, _, _ = reg_loss(theta[0], z[0], *(h[0] for h in rows[4:]))
+            assert res.value[0] == ml_v + reg_v
+            assert res.ml_value[0] == ml_v and res.reg_value[0] == reg_v
+
+    def test_rows_match_one_row_calls_bitwise(self):
+        rng = np.random.default_rng(16)
+        rows = random_rows(rng, b=8, c=5)
+        res = map_loss(*rows)
+        assert res.value.shape == (8,) and res.d_lambda.shape == (8, 5)
+        for i in range(8):
+            one = map_loss(*(v[i:i + 1] for v in rows))
+            for field in res.__dataclass_fields__:
+                assert np.array_equal(getattr(res, field)[i], getattr(one, field)[0])
 
     def test_prior_shifts_value_but_returns_no_prior_gradient(self):
         rng = np.random.default_rng(7)
-        inp = random_instance(rng, c=4)
-        res = map_loss(inp)
-        bumped = PerInstanceLossInput.from_live_params(
-            inp.lam, inp.alpha, inp.beta,
-            inp.lambda_hat + 0.25, inp.alpha_hat, inp.beta_hat, inp.candidates)
-        res2 = map_loss(bumped)
-        assert res2.value != res.value
+        lam, alpha, beta, mask, lam_hat, a_hat, b_hat = rows = random_rows(rng, c=4)
+        res = map_loss(*rows)
+        res2 = map_loss(lam, alpha, beta, mask, lam_hat + 0.25, a_hat, b_hat)
+        assert res2.value[0] != res.value[0]
         # gradient fields cover exactly the live parameters, nothing else
         assert {f for f in res.__dataclass_fields__ if f.startswith("d_")} == {
             "d_lambda", "d_alpha", "d_beta"}
+
+    def test_nonpositive_prior_rejected(self):
+        rows = list(random_rows(np.random.default_rng(17), c=3))
+        rows[5] = rows[5] * 0.0
+        with pytest.raises(ValueError, match="alpha_hat"):
+            map_loss(*rows)
 
     def test_live_gradients_match_finite_differences(self):
         rng = np.random.default_rng(8)
         h = 1e-6
         for _ in range(10):
-            inp = random_instance(rng, c=5)
-            res = map_loss(inp)
-            o = inp.occurrence()
+            rows = random_rows(rng, b=3, c=5)
+            res = map_loss(*rows)
+            # each row's value depends on that row's parameters only
+            for k, grad in enumerate((res.d_lambda, res.d_alpha, res.d_beta)):
+                for r, i in np.ndindex(3, 5):
+                    e = np.zeros((3, 5))
+                    e[r, i] = h
 
-            def value_at(lam=None, alpha=None, beta=None):
-                return map_loss(PerInstanceLossInput.from_live_params(
-                    inp.lam if lam is None else lam,
-                    inp.alpha if alpha is None else alpha,
-                    inp.beta if beta is None else beta,
-                    inp.lambda_hat, inp.alpha_hat, inp.beta_hat,
-                    inp.candidates)).value
+                    def value_at(shift):
+                        moved = list(rows)
+                        moved[k] = rows[k] + shift
+                        return map_loss(*moved).value.sum()
 
-            for i in range(5):
-                e = np.zeros(5)
-                e[i] = h
-                assert res.d_lambda[i] == pytest.approx(
-                    (value_at(lam=inp.lam + e) - value_at(lam=inp.lam - e)) / (2 * h),
-                    rel=1e-5, abs=1e-7)
-                assert res.d_alpha[i] == pytest.approx(
-                    (value_at(alpha=inp.alpha + e) - value_at(alpha=inp.alpha - e)) / (2 * h),
-                    rel=1e-5, abs=1e-7)
-                assert res.d_beta[i] == pytest.approx(
-                    (value_at(beta=inp.beta + e) - value_at(beta=inp.beta - e)) / (2 * h),
-                    rel=1e-5, abs=1e-7)
+                    assert grad[r, i] == pytest.approx(
+                        (value_at(e) - value_at(-e)) / (2 * h), rel=1e-5, abs=1e-7)
 
 
 class TestUpperBound:
@@ -270,76 +294,74 @@ class TestUpperBound:
         assert -np.log(equal.sum()) == pytest.approx(
             -np.log(4) - np.log(equal).mean(), abs=1e-12)
 
-    def _bound_ready_instance(self, rng, c=None):
+    def _bound_ready_rows(self, rng, b=1, c=None):
         # live lambda in [1, 9] keeps the pre-clamp weights inside [0, 10]
-        inp = random_instance(rng, c=c, lam_range=(1.0, 9.0))
-        return PerInstanceLossInput.from_live_params(
-            inp.lam, inp.alpha, inp.beta, inp.lam, inp.alpha, inp.beta,
-            inp.candidates)
+        lam, alpha, beta, mask, *_ = random_rows(rng, b=b, c=c, lam_range=(1.0, 9.0))
+        return lam, alpha, beta, mask, lam, alpha, beta
 
     def test_bound_dominates_loss(self):
         rng = np.random.default_rng(10)
-        cfg = BoundConfig(rho=10.0)
+        rho = 10.0
         for _ in range(1000):
-            inp = self._bound_ready_instance(rng)
-            bound = map_upper_bound(inp, cfg)
+            rows = self._bound_ready_rows(rng)
+            bound = bound_of(rows, rho)
             assert np.all(bound.weights_preclamp >= 0.0)
-            assert np.all(bound.weights_preclamp <= cfg.rho)
-            assert map_loss(inp).value <= bound.value + 1e-9
+            assert np.all(bound.weights_preclamp <= rho)
+            assert map_loss(*rows).value[0] <= bound.value[0] + 1e-9
 
     def test_singleton_ml_component_equality(self):
         rng = np.random.default_rng(11)
-        cfg = BoundConfig(rho=10.0)
         for _ in range(200):
             c = int(rng.integers(2, 9))
-            lam = rng.uniform(1.0, 9.0, size=c)
-            alpha = rng.uniform(1.0, 9.0, size=c)
-            beta = rng.uniform(1.0, 9.0, size=c)
-            cands = (int(rng.integers(c)),)
-            inp = PerInstanceLossInput.from_live_params(
-                lam, alpha, beta, lam, alpha, beta, cands)
-            gap = map_upper_bound(inp, cfg).value - map_loss(inp).value
+            lam = rng.uniform(1.0, 9.0, size=(1, c))
+            alpha = rng.uniform(1.0, 9.0, size=(1, c))
+            beta = rng.uniform(1.0, 9.0, size=(1, c))
+            mask = occurrence_vector((int(rng.integers(c)),), c)[None]
+            rows = (lam, alpha, beta, mask, lam, alpha, beta)
+            gap = bound_of(rows, 10.0).value[0] - map_loss(*rows).value[0]
             assert abs(gap) <= 1e-12
 
     def test_clamp_at_rho_only_in_bound(self):
         rng = np.random.default_rng(12)
-        cfg = BoundConfig(rho=2.0)
-        inp = self._bound_ready_instance(rng, c=5)
-        bound = map_upper_bound(inp, cfg)
-        assert np.all(bound.weights <= cfg.rho)
+        rows = self._bound_ready_rows(rng, c=5)
+        bound = bound_of(rows, 2.0)
+        assert np.all(bound.weights <= 2.0)
         # the clamp is active here, and it changes the bound's value
-        assert np.any(bound.weights_preclamp > cfg.rho)
-        unclamped = BoundConfig(rho=float(bound.weights_preclamp.max()) + 1.0)
-        assert map_upper_bound(inp, unclamped).value != bound.value
+        assert np.any(bound.weights_preclamp > 2.0)
+        unclamped = float(bound.weights_preclamp.max()) + 1.0
+        assert bound_of(rows, unclamped).value[0] != bound.value[0]
 
     def test_degenerate_theta_keeps_bound_finite(self):
-        lam = np.array([1.0 + 1e-8, 8.9, 1.0 + 1e-8, 1.0 + 1e-8])
-        alpha = np.full(4, 5.0)
-        beta = np.full(4, 5.0)
-        inp = PerInstanceLossInput.from_live_params(
-            lam, alpha, beta, lam, alpha, beta, (1,))
-        bound = map_upper_bound(inp, BoundConfig())
-        assert np.isfinite(bound.value)
+        lam = np.array([[1.0 + 1e-8, 8.9, 1.0 + 1e-8, 1.0 + 1e-8]])
+        alpha = np.full((1, 4), 5.0)
+        beta = np.full((1, 4), 5.0)
+        mask = occurrence_vector((1,), 4)[None]
+        bound = bound_of((lam, alpha, beta, mask), 10.0)
+        assert np.isfinite(bound.value[0])
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(13)
-        cfg = BoundConfig(rho=10.0)
-        instances = [self._bound_ready_instance(rng, c=6) for _ in range(16)]
-        theta = np.stack([i.theta_hat for i in instances])
-        z = np.stack([i.z_hat for i in instances])
-        lam = np.stack([i.lam for i in instances])
-        alpha = np.stack([i.alpha for i in instances])
-        beta = np.stack([i.beta for i in instances])
-        mask = np.stack([i.occurrence() for i in instances])
-        batch = map_upper_bound_batch(theta, z, lam, alpha, beta, mask, cfg.rho)
-        for i, inp in enumerate(instances):
-            expected = brute_force_bound(inp, cfg.rho)
+        rho = 10.0
+        rows = self._bound_ready_rows(rng, b=16, c=6)
+        batch = bound_of(rows, rho)
+        theta, z = posterior_means(*rows)
+        for i in range(16):
+            expected = brute_force_bound(theta[i], z[i], *(v[i] for v in rows[:4]), rho)
             assert batch.value[i] == pytest.approx(expected, rel=1e-12)
-            assert map_upper_bound(inp, cfg).value == pytest.approx(expected, rel=1e-12)
+            one = bound_of(tuple(v[i:i + 1] for v in rows), rho)
+            assert one.value[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_accepts_lists(self):
+        rows = self._bound_ready_rows(np.random.default_rng(18), b=3, c=4)
+        args = (*posterior_means(*rows), *rows[:4])
+        as_lists = map_upper_bound_batch(*(v.tolist() for v in args), 10.0)
+        assert np.array_equal(as_lists.value, map_upper_bound_batch(*args, 10.0).value)
 
     def test_rho_validation(self):
-        with pytest.raises(ValueError):
-            BoundConfig(rho=0.0)
+        rows = self._bound_ready_rows(np.random.default_rng(19), c=3)
+        for rho in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="rho"):
+                bound_of(rows, rho)
 
 
 class TestLossCeiling:
@@ -349,15 +371,15 @@ class TestLossCeiling:
         clamp, c = 3.0, 5
         lo, hi = lambda_range(cfg, clamp)
         ceiling = loss_sup(cfg, clamp, c)
+        rows = []
         for _ in range(2000):
             lam = rng.uniform(lo, hi, size=c)
             alpha = rng.uniform(lo, hi, size=c)
             beta = rng.uniform(lo, hi, size=c)
             size = int(rng.integers(1, c))
-            cands = tuple(sorted(rng.choice(c, size=size, replace=False).tolist()))
-            inp = PerInstanceLossInput.from_live_params(
-                lam, alpha, beta, lam, alpha, beta, cands)
-            assert map_loss(inp).value <= ceiling
+            mask = occurrence_vector(rng.choice(c, size=size, replace=False), c)
+            rows.append((lam, alpha, beta, mask, lam, alpha, beta))
+        assert np.all(map_loss(*(np.stack(v) for v in zip(*rows))).value <= ceiling)
 
 
 class TestDegenerateUniform:

@@ -225,6 +225,13 @@ class TestTrainingLoop:
         h3 = fit(small_config(epochs=3, ml_only=False, epsilon=0.5, m=0.8, d=0.8), ds)[2]
         assert h3 != h1
 
+    def test_ml_only_history_has_zero_reg_loss(self):
+        history = fit(small_config(epochs=2, ml_only=True, val_fraction=0.2),
+                      toy_dataset())[2]
+        for rec in history:
+            assert rec["reg_loss"] == 0.0
+            assert rec["ml_loss"] == rec["train_loss"]
+
     def test_alternating_steps_touch_one_net_each(self, monkeypatch):
         ds = toy_dataset(n_per=10)
         cfg = small_config(epochs=1, batch_size=30, r=1, q=1)
@@ -312,7 +319,10 @@ class TestTrainingLoop:
         assert len(history) == 2
         for i, rec in enumerate(history):
             assert rec["epoch"] == i + 1
-            assert set(rec) == {"epoch", "train_loss", "bound_gap", "val_acc"}
+            assert set(rec) == {"epoch", "train_loss", "ml_loss", "reg_loss",
+                                "bound_gap", "val_acc"}
+            assert rec["ml_loss"] + rec["reg_loss"] == pytest.approx(
+                rec["train_loss"], rel=1e-12)
             assert 0.0 <= rec["val_acc"] <= 1.0
 
     def test_val_acc_none_without_labels(self):
