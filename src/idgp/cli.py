@@ -158,14 +158,17 @@ def write_manifest(path, command: str, config: dict, seed: int, inputs, outputs)
 # -- subcommands ------------------------------------------------------------
 
 def cmd_corrupt(args) -> int:
-    if args.mode == "instance" and args.p is not None:
-        raise UsageError("--p applies only to --mode uniform")
-    try:
-        scorer_cfg = generation.CleanScorerConfig(
-            hidden=args.scorer_hidden, epochs=args.scorer_epochs,
-            lr=args.scorer_lr, clamp=args.scorer_clamp, seed=args.seed)
-    except ValueError as exc:  # each message opens with the field, e.g. "lr must ..."
-        raise UsageError(f"--scorer-{exc}") from None
+    scorer = {k: getattr(args, f"scorer_{k}") for k in ("hidden", "epochs", "lr", "clamp")}
+    scorer = {k: v for k, v in scorer.items() if v is not None}
+    if args.mode == "uniform" and scorer:
+        raise UsageError(f"--scorer-{next(iter(scorer))} applies only to --mode instance")
+    if args.mode == "instance":
+        if args.p is not None:
+            raise UsageError("--p applies only to --mode uniform")
+        try:  # flags not given keep the CleanScorerConfig defaults
+            scorer_cfg = generation.CleanScorerConfig(**scorer, seed=args.seed)
+        except ValueError as exc:  # each message opens with the field, e.g. "lr must ..."
+            raise UsageError(f"--scorer-{exc}") from None
     ds = load_dataset(args.data, args.format)
     if args.mode == "uniform":
         if args.p is None:
@@ -343,10 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="flip probability for --mode uniform")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--format", default="text", choices=FORMATS)
-    p.add_argument("--scorer-hidden", type=int, default=64)
-    p.add_argument("--scorer-epochs", type=int, default=50)
-    p.add_argument("--scorer-lr", type=float, default=0.1)
-    p.add_argument("--scorer-clamp", type=float, default=20.0)
+    p.add_argument("--scorer-hidden", type=int, default=None)
+    p.add_argument("--scorer-epochs", type=int, default=None)
+    p.add_argument("--scorer-lr", type=float, default=None)
+    p.add_argument("--scorer-clamp", type=float, default=None)
     p.set_defaults(func=cmd_corrupt)
 
     p = sub.add_parser("train", help="fit the two-network model")

@@ -87,7 +87,12 @@ class PLLDataset:
             cols = np.array(list(chain.from_iterable(sets)))  # object dtype past int64
             inside = (cols >= 0) & (cols < c)
             outside = np.bincount(rows[~inside], minlength=n) > 0
-            mask = np.zeros((n, c), dtype=bool)
+            try:
+                mask = np.zeros((n, c), dtype=bool)
+            except MemoryError:
+                raise DataInvariantError(
+                    f"cannot allocate the candidate mask of n={n} rows and c={c} classes"
+                ) from None
             mask[rows[inside], cols[inside].astype(np.int64)] = True
         rows, cols = np.nonzero(mask)
         sizes = np.bincount(rows, minlength=n)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .data import PLLDataset
 from .errors import DataInvariantError, NumericError
@@ -162,7 +161,9 @@ def corrupt_instance_dependent(ds: PLLDataset, flip_scores: np.ndarray, seed: in
             f"flip scores shape {flip_scores.shape} != ({ds.n}, {ds.c})"
         )
     params = {"scorer": scorer_params or {}}
-    return _corrupt(ds, expit(flip_scores), seed, MODE_INSTANCE, params)
+    with np.errstate(over="ignore"):  # exp(-s) overflows to inf for s << 0: probability 0
+        flip_probs = 1.0 / (1.0 + np.exp(-flip_scores))
+    return _corrupt(ds, flip_probs, seed, MODE_INSTANCE, params)
 
 
 def corrupt_uniform(ds: PLLDataset, p: float, seed: int):

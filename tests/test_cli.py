@@ -97,6 +97,11 @@ class TestCorrupt:
                      "--mode", "instance", "--p", "0.3"]) == EXIT_USAGE
         assert "--p" in capsys.readouterr().err
         assert not out.exists()
+        # likewise a valid scorer flag under --mode uniform, which never reads it
+        assert main(["corrupt", "--data", str(clean_path), "--out", str(out),
+                     "--mode", "uniform", "--p", "0.3", "--scorer-epochs", "500"]) == EXIT_USAGE
+        assert "--scorer-epochs applies only to --mode instance" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path, clean_path):
         outs = []
@@ -226,6 +231,9 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "allocate" in err
         assert "Traceback" not in err
+        assert main(["corrupt", "--data", str(data),
+                     "--out", str(tmp_path / "out.pll")]) == EXIT_INVARIANT
+        assert f"n=2 rows and c={2 ** 56} classes" in capsys.readouterr().err
 
     def test_untrained_net_near_chance(self, tmp_path, corrupted_path):
         out_dir = tmp_path / "run0"

@@ -144,6 +144,13 @@ class TestParseErrors:
         with pytest.raises(DataFormatError, match=":1"):
             load_dataset(path)
 
+    def test_unallocatable_candidate_mask_is_invariant_error(self, tmp_path):
+        # 2 x 2**56 passes the header checks, but the (n, c) bool mask is 128 PiB
+        path = tmp_path / "d.pll"
+        path.write_text(f"2 1 {2 ** 56}\n0.5 | 1\n-0.5 | 2\n")
+        with pytest.raises(DataInvariantError, match=f"n=2 rows and c={2 ** 56} classes"):
+            load_dataset(path)
+
     def test_malformed_feature_has_line_number(self, tmp_path):
         path = tmp_path / "d.pll"
         path.write_text("1 2 3\n0.5 zap | 1\n")

@@ -1,6 +1,11 @@
 """Candidate-set density, synthetic corruption, and the clean scorer."""
 
 import itertools
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,12 +104,16 @@ class TestInstanceDependentCorruption:
     def test_saturated_scores_trigger_drop_one(self):
         n, c = 200, 4
         ds = make_clean_dataset(np.zeros((n, 1)), np.zeros(n, dtype=int), c)
-        scores = np.full((n, c), 50.0)  # sigmoid ~ 1 everywhere
-        out, report = corrupt_instance_dependent(ds, scores, 6)
-        for i, s in enumerate(out.candidates):
-            assert len(s) == c - 1
-            assert int(ds.true_labels[i]) in s
-        assert report.avg_set_size == pytest.approx(c - 1)
+        # a score of 50 puts every sigmoid at ~1; at +-1000 (a --scorer-clamp of
+        # 1000 allows such scores) exp under- or overflows, which must not warn
+        for score, size in ((50.0, c - 1), (1000.0, c - 1), (-1000.0, 1)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                out, report = corrupt_instance_dependent(ds, np.full((n, c), score), 6)
+            for i, s in enumerate(out.candidates):
+                assert len(s) == size
+                assert int(ds.true_labels[i]) in s
+            assert report.avg_set_size == pytest.approx(size)
 
     def test_reproducible_given_seed(self):
         ds = blobs(seed=4)
@@ -133,6 +142,17 @@ class TestInstanceDependentCorruption:
         scores[0, 0] = np.nan
         with pytest.raises(NumericError):
             corrupt_instance_dependent(ds, scores, 0)
+
+
+def test_package_imports_without_scipy():
+    # the flip-probability sigmoid is numpy; a fresh process must not load scipy
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, idgp, idgp.cli, idgp.gradcheck; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 class TestUniformCorruption:
