@@ -71,7 +71,7 @@ class PLLDataset:
             raise DataInvariantError(f"need n >= 1 and q >= 1, got n={n}, q={q}")
         if c < 2:
             raise DataInvariantError(f"need at least 2 classes, got c={c}")
-        if not np.all(np.isfinite(feats)):
+        if not np.isfinite(feats).all():
             bad = int(np.argwhere(~np.isfinite(feats).all(axis=1))[0, 0])
             raise DataInvariantError(f"non-finite feature at instance {bad}")
         sets = self.candidates

@@ -40,7 +40,7 @@ def clamp_z(z: np.ndarray) -> np.ndarray:
 
 def _require_positive(x: np.ndarray, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
+    if not ((x > 0.0) & (x < np.inf)).all():
         raise ValueError(f"{name} entries must be finite and strictly positive")
     return x
 
@@ -48,7 +48,7 @@ def _require_positive(x: np.ndarray, name: str) -> np.ndarray:
 def check_unit_open(z: np.ndarray, name: str = "z") -> np.ndarray:
     """Validate entries strictly inside (0, 1)."""
     z = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(z)) or np.any(z <= 0.0) or np.any(z >= 1.0):
+    if not ((z > 0.0) & (z < 1.0)).all():
         raise ValueError(f"{name} entries must lie strictly inside (0, 1)")
     return z
 

@@ -154,7 +154,7 @@ def corrupt_instance_dependent(ds: PLLDataset, flip_scores: np.ndarray, seed: in
     dataset and a :class:`CorruptionReport`.
     """
     flip_scores = np.asarray(flip_scores, dtype=np.float64)
-    if not np.all(np.isfinite(flip_scores)):
+    if not np.isfinite(flip_scores).all():
         raise NumericError("flip scores contain non-finite values")
     if flip_scores.shape != (ds.n, ds.c):
         raise DataInvariantError(

@@ -184,13 +184,13 @@ def _well_conditioned_net(rng, sizes, clamp=_HARNESS_CLAMP, max_tries=200, x=Non
 
 
 def _margins_ok(net, x, kink_margin=1e-3, score_bound=4.0):
-    # score_bound stays far below the harness clamp so the FD step never
-    # crosses the clamp, the z clamp, or the parameter floor
-    _, cache = net.forward(x)
-    for pre in cache["preacts"]:
-        if np.min(np.abs(pre)) < kink_margin:
+    # score_bound stays far below the harness clamp, so bounding the clamped scores
+    # keeps the FD step off the clamp, the z clamp and the parameter floor
+    scores, cache = net.forward(x)
+    for h, W, b in zip(cache["inputs"], net.weights[:-1], net.biases[:-1]):
+        if np.min(np.abs(h @ W + b)) < kink_margin:
             return False
-    return bool(np.max(np.abs(cache["pre_out"])) < score_bound)
+    return bool(np.max(np.abs(scores)) < score_bound)
 
 
 def _generation_map_value(theta, z, cands, lambda_hat, alpha_hat, beta_hat) -> float:

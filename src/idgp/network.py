@@ -52,21 +52,27 @@ def validate_transform_clamp(cfg: TransformConfig, clamp: float) -> None:
 def lambda_transform(scores: np.ndarray, cfg: TransformConfig) -> np.ndarray:
     """Map clamped scores to strictly positive Dirichlet parameters."""
     scores = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise NumericError("non-finite scores passed to lambda_transform")
-    return cfg.a * np.exp(scores / cfg.gamma) + cfg.b
+    lam = np.divide(scores, cfg.gamma, out=np.empty_like(scores))  # then written in place
+    np.exp(lam, out=lam)
+    lam *= cfg.a
+    lam += cfg.b
+    return lam
 
 
 def lambda_transform_grad(scores: np.ndarray, cfg: TransformConfig) -> np.ndarray:
     """Elementwise derivative d lambda / d score = (a / gamma) * exp(s / gamma)."""
     scores = np.asarray(scores, dtype=np.float64)
-    return (cfg.a / cfg.gamma) * np.exp(scores / cfg.gamma)
+    d = np.divide(scores, cfg.gamma, out=np.empty_like(scores))  # then written in place
+    np.exp(d, out=d)
+    d *= cfg.a / cfg.gamma
+    return d
 
 
 def lambda_transform_pair(scores: np.ndarray, cfg: TransformConfig):
     """Split a 2c score vector (or batch) into Beta parameters (alpha, beta)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    width = scores.shape[-1]
+    width = np.shape(scores)[-1]
     if width % 2 != 0:
         raise ValueError(f"auxiliary scores must have even width, got {width}")
     lam = lambda_transform(scores, cfg)
@@ -142,7 +148,7 @@ class DenseNet:
         expected = param_count(sizes)
         if flat.shape[-1] != expected:
             raise ValueError(f"flat parameters have {flat.shape[-1]} entries, expected {expected}")
-        if not np.all(np.isfinite(flat)):
+        if not np.isfinite(flat).all():
             raise ValueError("weights and biases must be finite")
         net = cls.__new__(cls)
         net._bind(sizes, activation, clamp, flat)
@@ -164,14 +170,6 @@ class DenseNet:
     def out_dim(self) -> int:
         return self.layer_sizes[-1]
 
-    def _act(self, pre: np.ndarray) -> np.ndarray:
-        return np.maximum(pre, 0.0) if self.activation == "relu" else pre
-
-    def _act_grad(self, pre: np.ndarray) -> np.ndarray:
-        if self.activation == "relu":
-            return (pre > 0.0).astype(np.float64)
-        return np.ones_like(pre)
-
     def forward(self, x: np.ndarray):
         """Clamped scores plus the cache needed by :meth:`backward`.
 
@@ -180,26 +178,29 @@ class DenseNet:
         K nets, shaped (K, in, out) with biases (K, 1, out) as
         :meth:`stacked` builds them: a (B, q) batch then gives (K, B, out)
         scores, one row block per net.
+
+        The cache holds ``"inputs"`` (the batch, then each hidden activation,
+        one array per layer) and ``"scores"``.  The returned scores are (a view
+        of) that cached array: a caller must not write to them before :meth:`backward`.
         """
         x = np.asarray(x, dtype=np.float64)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NumericError("non-finite network input")
         single = x.ndim == 1
         h = np.atleast_2d(x)
         if h.shape[-1] != self.in_dim:
             raise ValueError(f"input width {h.shape[-1]} != expected {self.in_dim}")
-        inputs = []
-        preacts = []
+        inputs = [h]
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = h @ W
+            h += b
+            if self.activation == "relu":
+                np.maximum(h, 0.0, out=h)
             inputs.append(h)
-            pre = h @ W + b
-            preacts.append(pre)
-            h = self._act(pre)
-        inputs.append(h)
-        pre_out = h @ self.weights[-1] + self.biases[-1]
-        scores = np.clip(pre_out, -self.clamp, self.clamp)
-        cache = {"inputs": inputs, "preacts": preacts, "pre_out": pre_out}
-        return (scores[0] if single else scores), cache
+        scores = h @ self.weights[-1]
+        scores += self.biases[-1]
+        np.clip(scores, -self.clamp, self.clamp, out=scores)
+        return (scores[0] if single else scores), {"inputs": inputs, "scores": scores}
 
     def backward(self, cache, grad_scores: np.ndarray) -> np.ndarray:
         """Exact reverse-mode parameter gradient for the cached forward.
@@ -207,16 +208,17 @@ class DenseNet:
         ``grad_scores`` is d(loss)/d(clamped scores); coordinates where the
         clamp was active contribute nothing.  Returns the (P,) gradient in the
         layout of :meth:`get_flat`; batch contributions are summed.  Only an
-        unstacked net has a backward pass.
+        unstacked net has a backward pass.  The clamp was active where the cached
+        |scores| reach it, and a relu was off where its cached output is 0.
         """
-        g = np.atleast_2d(np.asarray(grad_scores, dtype=np.float64)).copy()
-        interior = np.abs(cache["pre_out"]) < self.clamp
-        g *= interior
+        g = np.asarray(grad_scores, dtype=np.float64) * (np.abs(cache["scores"]) < self.clamp)
         parts = []
         for i in range(len(self.weights) - 1, -1, -1):
             parts[:0] = [(cache["inputs"][i].T @ g).ravel(), g.sum(axis=0)]
             if i > 0:
-                g = (g @ self.weights[i].T) * self._act_grad(cache["preacts"][i - 1])
+                g = g @ self.weights[i].T
+                if self.activation == "relu":
+                    g *= cache["inputs"][i] > 0.0
         # joined at the end: a (P,) buffer held through the loop made wide nets slower
         return np.concatenate(parts)
 
@@ -259,7 +261,7 @@ def sgd_step(state: SGDState, net: DenseNet, grad: np.ndarray,
 
     Aborts on a non-finite gradient.
     """
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient")
     if weight_decay:
         grad = grad + weight_decay * net.flat

@@ -51,6 +51,7 @@ def ml_loss_batch(theta: np.ndarray, z: np.ndarray, mask: np.ndarray):
     theta = np.asarray(theta, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
+    cand = mask > 0.0
     log_theta = np.log(theta)
     log_z = np.log(z)
     log_1mz = np.log1p(-z)
@@ -58,22 +59,18 @@ def ml_loss_batch(theta: np.ndarray, z: np.ndarray, mask: np.ndarray):
     sum_log_1mz = ((1.0 - mask) * log_1mz).sum(axis=-1, keepdims=True)
     # log of the j-th summand: theta_j times z over S\{j} times (1-z) elsewhere
     log_terms = log_theta + sum_log_z - log_z + sum_log_1mz + log_1mz
-    log_terms = np.where(mask > 0.0, log_terms, -np.inf)
+    log_terms = np.where(cand, log_terms, -np.inf)
     shift = log_terms.max(axis=-1, keepdims=True)
-    if not np.all(np.isfinite(shift)):
+    if not np.isfinite(shift).all():
         raise NumericError("ML loss: every candidate term underflowed to zero")
     expd = np.exp(log_terms - shift)
     total = expd.sum(axis=-1, keepdims=True)
     values = -(shift + np.log(total))[..., 0]
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NumericError("ML loss became non-finite (degenerate z_hat at clamp?)")
     w = expd / total
-    d_theta = np.where(mask > 0.0, -w / theta, 0.0)
-    d_z = np.where(
-        mask > 0.0,
-        -(1.0 - w) / z + w / (1.0 - z),
-        1.0 / (1.0 - z),
-    )
+    d_theta = np.where(cand, -w / theta, 0.0)
+    d_z = np.where(cand, -(1.0 - w) / z + w / (1.0 - z), 1.0 / (1.0 - z))
     return values, d_theta, d_z
 
 

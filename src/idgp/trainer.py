@@ -309,7 +309,7 @@ def train_epoch(state: TrainerState, t: int,
             values, ml_v, reg_v, bounds, priors = _train_batch(state, t, idx)
         except NumericError as exc:
             raise NumericError(f"epoch {t}, batch {k}: {exc}") from exc
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             bad = int(idx[int(np.flatnonzero(~np.isfinite(values))[0])])
             raise NumericError(f"non-finite loss at epoch {t}, batch {k}, instance {bad}")
         batch_loss = float(values.mean())

@@ -12,8 +12,10 @@ from scipy import integrate
 from idgp.distributions import (
     PARAM_FLOOR,
     Z_EPS,
+    _require_positive,
     beta_posterior_mean,
     beta_posterior_mean_grads,
+    check_unit_open,
     clamp_z,
     dirichlet_posterior_mean,
     dirichlet_posterior_mean_jacobian,
@@ -58,6 +60,28 @@ class TestPosteriorMeans:
             dirichlet_posterior_mean(np.array([0.0, 1.0]), np.zeros(2))
         with pytest.raises(ValueError):
             beta_posterior_mean(1.0, -1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1e-300, -2.0])
+    @pytest.mark.parametrize("where", [0, 5])
+    def test_domain_check_rejects_nonpositive_or_nonfinite(self, bad, where):
+        x = np.array([1e-300, 0.5, 1.0, 3.0, 1e300, np.finfo(float).max])
+        assert np.array_equal(_require_positive(x, "lam"), x)
+        x[where] = bad
+        with pytest.raises(ValueError, match="^lam entries must be finite and strictly positive$"):
+            _require_positive(x, "lam")
+        with pytest.raises(ValueError, match="^lam entries must be finite and strictly positive$"):
+            dirichlet_posterior_mean(x.reshape(2, 3), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("where", [0, 3])
+    def test_unit_check_rejects_outside_open_interval(self, bad, where):
+        z = np.array([1e-300, 0.5, np.nextafter(1.0, 0.0), 0.25])
+        assert np.array_equal(check_unit_open(z, "z_hat"), z)
+        z[where] = bad
+        with pytest.raises(ValueError, match=r"^z_hat entries must lie strictly inside \(0, 1\)$"):
+            check_unit_open(z, "z_hat")
+        with pytest.raises(ValueError, match=r"^z_hat entries must lie strictly inside \(0, 1\)$"):
+            check_unit_open(z[where], "z_hat")  # a 0-d value
 
 
 class TestConjugacyOracles:

@@ -1,5 +1,7 @@
 """Dense scorer, clamp behaviour, parameter transform and SGD-momentum."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -219,9 +221,191 @@ class TestBackward:
         inputs = cache["inputs"]
         assert np.array_equal(grad_w[1], inputs[1].T @ g)
         assert np.array_equal(grad_b[1], g.sum(axis=0))
-        g0 = (g @ net.weights[1].T) * (cache["preacts"][0] > 0.0)
+        g0 = (g @ net.weights[1].T) * (cache["inputs"][1] > 0.0)
         assert np.array_equal(grad_w[0], inputs[0].T @ g0)
         assert np.array_equal(grad_b[0], g0.sum(axis=0))
+
+
+def _bits(a):
+    """The IEEE bit patterns of a float64 array (or scalar), for bitwise comparison."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _textbook_forward(net, x):
+    """The forward written as its formulas: scores, layer inputs, pre-activations."""
+    x = np.asarray(x, dtype=np.float64)
+    h = np.atleast_2d(x)
+    inputs, preacts = [], []
+    for W, b in zip(net.weights[:-1], net.biases[:-1]):
+        inputs.append(h)
+        pre = h @ W + b
+        preacts.append(pre)
+        h = np.maximum(pre, 0.0) if net.activation == "relu" else pre
+    inputs.append(h)
+    pre_out = h @ net.weights[-1] + net.biases[-1]
+    scores = np.clip(pre_out, -net.clamp, net.clamp)
+    return (scores[0] if x.ndim == 1 else scores), inputs, preacts, pre_out
+
+
+def _textbook_backward(net, x, grad_scores):
+    """Reverse mode written with explicit clamp and activation-derivative masks."""
+    _, inputs, preacts, pre_out = _textbook_forward(net, x)
+    g = np.atleast_2d(np.asarray(grad_scores, dtype=np.float64)).copy()
+    g *= np.abs(pre_out) < net.clamp
+    parts = []
+    for i in range(len(net.weights) - 1, -1, -1):
+        parts[:0] = [(inputs[i].T @ g).ravel(), g.sum(axis=0)]
+        if i > 0:
+            pre = preacts[i - 1]
+            act_grad = ((pre > 0.0).astype(np.float64) if net.activation == "relu"
+                        else np.ones_like(pre))
+            g = (g @ net.weights[i].T) * act_grad
+    return np.concatenate(parts)
+
+
+PARITY_NETS = [((5, 7, 3), "relu"), ((5, 7, 3), "identity"), ((5, 3), "relu"),
+               ((5, 6, 4, 3), "relu")]
+
+
+class TestTextbookParity:
+    """The in-place forward, backward and transform are bitwise the formulas they implement."""
+
+    @pytest.mark.parametrize("sizes, activation", PARITY_NETS)
+    @pytest.mark.parametrize("shape", [(5,), (6, 5)])
+    def test_forward_and_backward(self, sizes, activation, shape):
+        rng = np.random.default_rng(21)
+        net = DenseNet(sizes, activation=activation, clamp=0.6, rng=rng)
+        x = rng.normal(size=shape) * 2.0
+        x_before = x.copy()
+        scores, cache = net.forward(x)
+        expected, inputs, _, pre_out = _textbook_forward(net, x)
+        assert scores.shape == expected.shape
+        assert np.array_equal(_bits(scores), _bits(expected))
+        assert set(cache) == {"inputs", "scores"}
+        for got, want in zip(cache["inputs"], inputs, strict=True):
+            assert np.array_equal(_bits(got), _bits(want))
+        if len(shape) == 2:  # the batch has clamped and interior coordinates
+            assert np.any(np.abs(pre_out) >= net.clamp) and np.any(np.abs(pre_out) < net.clamp)
+        grad = rng.normal(size=scores.shape)
+        assert np.array_equal(_bits(net.backward(cache, grad)),
+                              _bits(_textbook_backward(net, x, grad)))
+        assert np.array_equal(_bits(x), _bits(x_before))
+
+    @pytest.mark.parametrize("sizes, activation", PARITY_NETS)
+    def test_stacked_forward(self, sizes, activation):
+        rng = np.random.default_rng(22)
+        net = DenseNet(sizes, activation=activation, clamp=0.6, rng=rng)
+        stack = net.stacked(net.get_flat() + rng.normal(scale=0.3, size=(4, net.flat.size)))
+        X = rng.normal(size=(6, sizes[0])) * 2.0
+        scores, cache = stack.forward(X)
+        expected, inputs, _, _ = _textbook_forward(stack, X)
+        assert scores.shape == (4, 6, sizes[-1])
+        assert np.array_equal(_bits(scores), _bits(expected))
+        for got, want in zip(cache["inputs"], inputs, strict=True):
+            assert np.array_equal(_bits(got), _bits(want))
+
+    def test_score_exactly_at_clamp_gets_zero_gradient(self):
+        net = DenseNet([1, 3], activation="identity", clamp=2.0,
+                       rng=np.random.default_rng(23))
+        net.weights[0][:] = [[1.0, -1.0, 0.5]]
+        net.biases[0][:] = 0.0
+        x = np.array([2.0])
+        scores, cache = net.forward(x)
+        assert scores.tolist() == [2.0, -2.0, 1.0]  # +A and -A exactly
+        grad = net.backward(cache, np.ones(3))
+        assert grad.tolist() == [0.0, 0.0, 2.0, 0.0, 0.0, 1.0]
+        assert np.array_equal(_bits(grad), _bits(_textbook_backward(net, x, np.ones(3))))
+
+    def test_relu_kink_gets_zero_gradient(self):
+        net = DenseNet([1, 2, 1], activation="relu", clamp=50.0,
+                       rng=np.random.default_rng(24))
+        net.weights[0][:] = [[1.0, 1.0]]
+        net.biases[0][:] = [-1.0, 0.0]  # first hidden unit exactly at its kink
+        x = np.array([1.0])
+        _, cache = net.forward(x)
+        assert cache["inputs"][1].tolist() == [[0.0, 1.0]]
+        grad = net.backward(cache, np.array([1.0]))
+        assert np.array_equal(_bits(grad), _bits(_textbook_backward(net, x, np.array([1.0]))))
+        grad_w, grad_b = _unflatten(net.layer_sizes, grad)
+        assert grad_w[0][0, 0] == 0.0 and grad_b[0][0] == 0.0
+
+    def test_nonfinite_gradient_propagates_as_in_textbook(self):
+        rng = np.random.default_rng(25)
+        net = DenseNet([4, 5, 3], clamp=0.6, rng=rng)
+        X = rng.normal(size=(3, 4)) * 2.0
+        grad = rng.normal(size=(3, 3))
+        grad[1, 2] = np.inf
+        _, cache = net.forward(X)
+        with np.errstate(invalid="ignore"):  # inf times a zero mask or weight is nan
+            got, want = net.backward(cache, grad), _textbook_backward(net, X, grad)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        assert np.array_equal(_bits(got[finite]), _bits(want[finite]))
+        with pytest.raises(NumericError, match="^non-finite gradient$"):
+            sgd_step(SGDState(lr=0.1), net, got)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_input_and_scores_rejected(self, bad):
+        net = DenseNet([3, 4, 2], rng=np.random.default_rng(26))
+        for shape in [(3,), (2, 3)]:
+            x = np.zeros(shape)
+            x.flat[-1] = bad
+            with pytest.raises(NumericError, match="^non-finite network input$"):
+                net.forward(x)
+        scores = np.zeros((2, 3))
+        scores[1, 0] = bad
+        with pytest.raises(NumericError, match="^non-finite scores passed to lambda_transform$"):
+            lambda_transform(scores, TransformConfig())
+
+    @pytest.mark.parametrize("shape", [(), (7,), (6, 7), (3, 6, 7)])
+    def test_transform_and_its_gradient(self, shape):
+        rng = np.random.default_rng(27)
+        for _ in range(20):
+            cfg = TransformConfig(a=float(rng.uniform(0.1, 3.0)), b=float(rng.uniform(0.0, 2.0)),
+                                  gamma=float(rng.uniform(0.3, 3.0)))
+            s = rng.uniform(-4.0, 4.0, size=shape)
+            before = np.copy(s)
+            assert np.array_equal(_bits(lambda_transform(s, cfg)),
+                                  _bits(cfg.a * np.exp(s / cfg.gamma) + cfg.b))
+            assert np.array_equal(_bits(lambda_transform_grad(s, cfg)),
+                                  _bits((cfg.a / cfg.gamma) * np.exp(s / cfg.gamma)))
+            assert np.array_equal(_bits(s), _bits(before))
+
+
+class TestAllocationBudget:
+    """The wide forward and the transform each keep one float64 array per layer."""
+
+    @staticmethod
+    def _traced(fn):
+        """(live, peak) bytes that ``fn()`` allocates, its result still held."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = fn()
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del result
+        return live - base, peak - base
+
+    def test_forward_keeps_one_array_per_layer(self):
+        rng = np.random.default_rng(28)
+        net = DenseNet([128, 256, 100], rng=rng)
+        X = rng.normal(size=(4000, 128))
+        live, peak = self._traced(lambda: net.forward(X))
+        budget = 1.05 * 8 * (4000 * 256 + 4000 * 100)
+        assert live <= budget and peak <= budget
+
+    def test_transform_allocates_one_array(self):
+        rng = np.random.default_rng(29)
+        scores = rng.uniform(-2.0, 2.0, size=(4000, 100))
+        cfg = TransformConfig(a=1.5, b=1.0, gamma=2.0)
+        budget = 1.05 * 8 * scores.size
+        for fn in (lambda_transform, lambda_transform_grad):
+            live, peak = self._traced(lambda: fn(scores, cfg))
+            assert live <= budget and peak <= budget
 
 
 class TestSGD:
