@@ -5,7 +5,8 @@ invariant violation or a failed allocation, 4 numeric failure, 5
 gradient-check failure.
 
 Every training run writes a manifest (resolved config, seed, SHA-256
-digests of the inputs, artifact paths, timestamps) so outputs can be
+digests of the inputs, artifact paths, timestamps, and the python, numpy
+and package versions with the BLAS thread variables) so outputs can be
 reproduced from their recorded inputs.  All randomness inside a command
 derives from the single --seed through named substreams.
 """
@@ -16,6 +17,8 @@ import argparse
 import csv
 import hashlib
 import json
+import os
+import platform
 import struct
 import sys
 from dataclasses import asdict, replace
@@ -24,10 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, gradcheck, generation, trainer
+from . import __version__, evaluation, gradcheck, generation, trainer
 from .data import FORMATS, load_dataset, read_text, write_dataset, write_sidecar
 from .errors import DataFormatError, DataInvariantError, NumericError
-from .network import DenseNet, TransformConfig, param_count
+from .network import DenseNet, TransformConfig, param_count, validate_transform_clamp
 from .trainer import TrainConfig
 
 MODEL_MAGIC = b"IDGPMDL1"
@@ -90,6 +93,8 @@ def load_model(path):
         net_g, pos = _unpack_net(buf, pos)
         if pos != len(buf):
             raise ValueError(f"{len(buf) - pos} bytes follow the second net")
+        for net in (net_f, net_g):
+            validate_transform_clamp(tc, net.clamp)
     except (struct.error, ValueError) as exc:
         raise DataFormatError(f"{path}: truncated or corrupt model file ({exc})") from exc
     return net_f, net_g, tc
@@ -150,6 +155,13 @@ def write_manifest(path, command: str, config: dict, seed: int, inputs, outputs)
         "inputs": {str(p): _digest(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
         "created_at": datetime.now(timezone.utc).isoformat(),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "idgp": __version__,
+            **{var: os.environ.get(var)  # None when unset
+               for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        },
     }
     Path(path).write_text(json.dumps(manifest, indent=2) + "\n")
     return manifest

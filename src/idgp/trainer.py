@@ -18,6 +18,10 @@ and analogously alpha_hat/beta_hat mix epoch-q snapshots with weight d
 pass at the end of epochs r and q and never change afterwards.  Within
 epoch r itself the snapshot does not exist yet; mixing current values with
 themselves would be the identity, which is exactly what the fallback does.
+
+Every forward keeps its cache only while ``backward`` may need it, so a
+fit's memory peak is the epoch-r/q snapshot: one ``(n, hidden)`` activation
+plus one ``(n, 2c)`` score array above a steady epoch.
 """
 
 from __future__ import annotations
@@ -171,15 +175,17 @@ class PriorCache:
         return lam_hat, a_hat, b_hat
 
     def take_lambda_snapshot(self, lam: np.ndarray) -> None:
+        """Store ``lam`` itself, not a copy; the caller must not write to it afterwards."""
         if self.lambda_snapshot is not None:
             raise RuntimeError("lambda snapshot already taken")
-        self.lambda_snapshot = lam.copy()
+        self.lambda_snapshot = lam
 
     def take_alpha_beta_snapshot(self, alpha: np.ndarray, beta: np.ndarray) -> None:
+        """Store both arrays themselves, not copies; the caller must not write to them later."""
         if self.alpha_snapshot is not None:
             raise RuntimeError("alpha/beta snapshot already taken")
-        self.alpha_snapshot = alpha.copy()
-        self.beta_snapshot = beta.copy()
+        self.alpha_snapshot = alpha
+        self.beta_snapshot = beta
 
 
 @dataclass
@@ -213,15 +219,13 @@ def init_state(config: TrainConfig, dataset: PLLDataset) -> TrainerState:
     )
 
 
-def _live_lambda(net: DenseNet, X: np.ndarray, tc: TransformConfig):
-    scores, cache = net.forward(X)
-    return floor_params(lambda_transform(scores, tc)), scores, cache
+def _live_lambda(scores: np.ndarray, tc: TransformConfig) -> np.ndarray:
+    return floor_params(lambda_transform(scores, tc))
 
 
-def _live_alpha_beta(net: DenseNet, X: np.ndarray, tc: TransformConfig):
-    scores, cache = net.forward(X)
+def _live_alpha_beta(scores: np.ndarray, tc: TransformConfig):
     alpha, beta = lambda_transform_pair(scores, tc)
-    return floor_params(alpha), floor_params(beta), scores, cache
+    return floor_params(alpha), floor_params(beta)
 
 
 def map_step_batch(f: DenseNet, g: DenseNet, X: np.ndarray, tc: TransformConfig,
@@ -236,8 +240,10 @@ def map_step_batch(f: DenseNet, g: DenseNet, X: np.ndarray, tc: TransformConfig,
     :func:`sgd_step` takes, running only that net's chain rule and backward;
     clamped z entries and the frozen hats get no gradient.
     """
-    lam, sf, cache_f = _live_lambda(f, X, tc)
-    alpha, beta, sg, cache_g = _live_alpha_beta(g, X, tc)
+    sf, cache_f = f.forward(X)
+    lam = _live_lambda(sf, tc)
+    sg, cache_g = g.forward(X)
+    alpha, beta = _live_alpha_beta(sg, tc)
     theta = dirichlet_posterior_mean(lam, mask)
     z_raw = beta_posterior_mean(alpha, beta, mask)
     z = clamp_z(z_raw)
@@ -272,14 +278,14 @@ def _train_batch(state: TrainerState, t: int, idx: np.ndarray):
     X = state.dataset.features[idx]
     O = state.cache.mask[idx]
     # Batch-start forwards feed the prior constants for both sub-steps.
-    lam0, _, _ = _live_lambda(state.f, X, tc)
-    alpha0, beta0, _, _ = _live_alpha_beta(state.g, X, tc)
+    lam0 = _live_lambda(state.f.forward(X)[0], tc)
+    alpha0, beta0 = _live_alpha_beta(state.g.forward(X)[0], tc)
     lam_hat, a_hat, b_hat = state.cache.refresh(idx, lam0, alpha0, beta0, t)
     step = (state.f, state.g, X, tc, O, lam_hat, a_hat, b_hat, cfg.ml_only)
 
-    # Sub-step 1: main branch fixed, auxiliary branch updated.
-    *_, grads_g = map_step_batch(*step)
-    sgd_step(state.opt_g, state.g, grads_g(), cfg.weight_decay)
+    # Sub-step 1: main branch fixed, auxiliary branch updated; nothing of it
+    # is kept, so its caches are freed before sub-step 2's forwards.
+    sgd_step(state.opt_g, state.g, map_step_batch(*step)[-1](), cfg.weight_decay)
 
     # Sub-step 2: auxiliary branch (just updated) fixed, main branch updated.
     values, ml_v, reg_v, theta, z, lam, alpha, beta, grads_f, _ = map_step_batch(*step)
@@ -321,11 +327,10 @@ def train_epoch(state: TrainerState, t: int,
             batch_hook({"epoch": t, "batch": k, "indices": idx.copy(), **priors})
 
     if t == cfg.r:
-        lam_all, _, _ = _live_lambda(state.f, ds.features, tc)
-        state.cache.take_lambda_snapshot(lam_all)
+        state.cache.take_lambda_snapshot(_live_lambda(state.f.forward(ds.features)[0], tc))
     if t == cfg.q:
-        alpha_all, beta_all, _, _ = _live_alpha_beta(state.g, ds.features, tc)
-        state.cache.take_alpha_beta_snapshot(alpha_all, beta_all)
+        state.cache.take_alpha_beta_snapshot(
+            *_live_alpha_beta(state.g.forward(ds.features)[0], tc))
     return {
         "epoch": t,
         "train_loss": float(np.mean(losses)),
@@ -375,9 +380,9 @@ def predict_batch(net_f: DenseNet, X: np.ndarray, tc: TransformConfig):
     At test time there is no candidate set, so the occurrence vector is
     zero and the posterior mean reduces to lam / sum(lam); its argmax
     coincides with the raw score argmax because the transform is strictly
-    increasing coordinate-wise.  Ties go to the lowest label index.
+    increasing coordinate-wise.  Ties go to the lowest label index.  The
+    forward's cache is dropped before the transform allocates.
     """
-    scores, _ = net_f.forward(np.atleast_2d(X))
-    lam = lambda_transform(scores, tc)
+    lam = lambda_transform(net_f.forward(np.atleast_2d(X))[0], tc)
     theta = lam / lam.sum(axis=1, keepdims=True)
     return np.argmax(theta, axis=1), theta

@@ -2,11 +2,14 @@
 
 import csv
 import json
+import os
+import platform
 import struct
 
 import numpy as np
 import pytest
 
+import idgp
 import idgp.distributions
 import idgp.objective
 import idgp.trainer
@@ -131,7 +134,10 @@ class TestCorrupt:
 
 
 class TestTrainEval:
-    def test_train_then_eval_consistent(self, tmp_path, corrupted_path):
+    def test_train_then_eval_consistent(self, tmp_path, corrupted_path, monkeypatch):
+        # the manifest reads the thread variables when it is written
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         out_dir = tmp_path / "run"
         cfg = tiny_config(tmp_path, epochs=5, val_fraction=0.2)
         assert main(["train", "--data", str(corrupted_path), "--config",
@@ -143,6 +149,13 @@ class TestTrainEval:
         assert manifest["config"]["seed"] == 3
         assert manifest["config"]["ml_only"] is False
         assert str(corrupted_path) in manifest["inputs"]
+        env = manifest["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["idgp"] == idgp.__version__
+        assert env["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
+        assert env["OMP_NUM_THREADS"] == "1"
+        assert env["MKL_NUM_THREADS"] is None
 
         metrics = tmp_path / "metrics.csv"
         assert main(["eval", "--model", str(out_dir / "model.bin"),
@@ -326,7 +339,8 @@ class TestModelFile:
     @pytest.mark.parametrize("damage", ["cut_10", "cut_40", "cut_8_short",
                                         "activation_7", "transform_a_0",
                                         "transform_gamma_inf", "clamp_neg",
-                                        "clamp_0", "clamp_nan", "weight_nan",
+                                        "clamp_0", "clamp_nan", "clamp_overflows",
+                                        "weight_nan",
                                         "sizes_huge", "size_zero", "trailing_bytes"])
     def test_corrupt_model_exits_1(self, tmp_path, clean_path, capsys, damage):
         path = tmp_path / "model.bin"
@@ -341,7 +355,9 @@ class TestModelFile:
             buf[28:36] = struct.pack("<d", float("inf"))
         elif damage.startswith("clamp_"):
             # f's activation code, size count and 3 sizes come before its clamp
-            value = {"clamp_neg": -3.0, "clamp_0": 0.0, "clamp_nan": float("nan")}[damage]
+            # exp(1000) overflows the a=1, gamma=1 transform
+            value = {"clamp_neg": -3.0, "clamp_0": 0.0, "clamp_nan": float("nan"),
+                     "clamp_overflows": 1000.0}[damage]
             buf[56:64] = struct.pack("<d", value)
         elif damage == "weight_nan":
             buf[64:72] = struct.pack("<d", float("nan"))  # f's first weight

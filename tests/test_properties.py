@@ -1,6 +1,7 @@
 """Property tests of the file boundary: round trips and arbitrary input bytes.
 
-Dataset and model files must round-trip bit for bit, and any bytes given to
+Dataset and model files must round-trip bit for bit (a model whose transform
+overflows at a net's clamp is instead refused), and any bytes given to
 ``load_dataset`` or ``load_model`` may only raise a package error, never a
 bare Python exception.  ``PLLDataset`` validation must agree with a per-row
 reference check.  The runs are derandomized so tier-1 stays repeatable.
@@ -11,12 +12,13 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idgp.cli import MODEL_MAGIC, load_model, save_model
 from idgp.data import PLLDataset, load_dataset, write_dataset
-from idgp.errors import DataInvariantError, IdgpError
+from idgp.errors import DataFormatError, DataInvariantError, IdgpError
 from idgp.network import DenseNet, TransformConfig, param_count
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150,
@@ -138,9 +140,17 @@ def test_dataset_roundtrip_is_bitwise(ds, fmt):
 @PROPERTY
 @given(models())
 def test_model_roundtrip_is_bitwise(model):
+    tc = model[2]
+    with np.errstate(over="ignore"):
+        overflows = any(not np.isfinite(tc.a * np.exp(net.clamp / tc.gamma) + tc.b)
+                        for net in model[:2])
     with tempfile.TemporaryDirectory() as tmp:
         path, again = Path(tmp) / "model.bin", Path(tmp) / "again.bin"
         save_model(path, *model)
+        if overflows:  # a transform that overflows at a net's clamp cannot be loaded
+            with pytest.raises(DataFormatError, match="truncated or corrupt model file"):
+                load_model(path)
+            return
         back = load_model(path)
         save_model(again, *back)
         assert again.read_bytes() == path.read_bytes()

@@ -1,13 +1,17 @@
 """Prior cache mixing rules, the alternating training loop, and prediction."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 import idgp.trainer as trainer_mod
 from idgp.data import PLLDataset
+from idgp.distributions import floor_params
 from idgp.errors import NumericError
 from idgp.generation import corrupt_uniform, make_clean_dataset
-from idgp.network import TransformConfig
+from idgp.network import DenseNet, TransformConfig, lambda_transform, lambda_transform_pair
 from idgp.rng import substream
 from idgp.trainer import (
     PriorCache,
@@ -190,6 +194,75 @@ class TestInstrumentedPriorContract:
         assert np.array_equal(state.cache.lambda_snapshot, frozen["lam"])
         assert np.array_equal(state.cache.alpha_snapshot, frozen["a"])
         assert np.array_equal(state.cache.beta_snapshot, frozen["b"])
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+class TestSnapshotMemory:
+    """Every forward's activation dies at its last use; snapshots are kept as built."""
+
+    def test_snapshot_epoch_peak_budget(self):
+        # the wide-fit shapes, with both snapshots taken at the end of epoch 1
+        n, q, c, hidden = 4000, 128, 50, 256
+        rng = np.random.default_rng(31)
+        y = rng.integers(0, c, n)
+        X = rng.normal(size=(c, q))[y] + rng.normal(size=(n, q))
+        ds, _ = corrupt_uniform(make_clean_dataset(X, y, c), 0.1, 31)
+        cfg = small_config(epochs=1, batch_size=256, hidden=hidden, r=1, q=1)
+        state = init_state(cfg, ds)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            train_epoch(state, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one activation, g's scores and the three snapshots
+        assert peak - base <= 1.05 * 8 * (n * hidden + n * 2 * c + 3 * n * c)
+
+    def test_no_activation_outlives_its_last_use(self, monkeypatch):
+        ds = toy_dataset(n_per=30)
+        cfg = small_config(epochs=1, batch_size=32, r=1, q=1)
+        state = init_state(cfg, ds)
+        refs, segments = [], [[]]  # one segment per batch, then the snapshots
+        real_forward = DenseNet.forward
+
+        def forward(net, x):
+            # which earlier forwards' hidden activations are still alive
+            segments[-1].append([i for i, ref in enumerate(refs) if ref() is not None])
+            scores, cache = real_forward(net, x)
+            refs.append(weakref.ref(cache["inputs"][1]))
+            return scores, cache
+
+        monkeypatch.setattr(DenseNet, "forward", forward)
+        train_epoch(state, 1, batch_hook=lambda rec: segments.append([]))
+        *batches, snapshot = segments
+        assert len(batches) == 3
+        first = 0
+        for alive in batches:
+            # f and g at batch start, then f and g in each sub-step; only the
+            # sub-step's own f activation is alive while its g runs
+            assert alive == [[], [], [], [first + 2], [], [first + 4]]
+            first += len(alive)
+        # the f and g snapshot forwards each start with nothing else alive
+        assert snapshot == [[], []]
+
+    def test_snapshots_equal_a_fresh_full_forward(self):
+        ds = toy_dataset(n_per=20)
+        cfg = small_config(epochs=2, r=2, q=1)
+        state = init_state(cfg, ds)
+        tc = cfg.transform_config
+        train_epoch(state, 1)
+        alpha, beta = lambda_transform_pair(state.g.forward(ds.features)[0], tc)
+        assert np.array_equal(_bits(state.cache.alpha_snapshot), _bits(floor_params(alpha)))
+        assert np.array_equal(_bits(state.cache.beta_snapshot), _bits(floor_params(beta)))
+        assert state.cache.lambda_snapshot is None
+        train_epoch(state, 2)
+        lam = floor_params(lambda_transform(state.f.forward(ds.features)[0], tc))
+        assert np.array_equal(_bits(state.cache.lambda_snapshot), _bits(lam))
 
 
 class TestTrainingLoop:
