@@ -72,7 +72,13 @@ def _unpack_net(buf: bytes, pos: int):
 
 
 def save_model(path, net_f: DenseNet, net_g: DenseNet, tc: TransformConfig) -> None:
-    """Versioned little-endian binary holding both nets and the transform."""
+    """Versioned little-endian binary holding both nets and the transform.
+
+    Raises ``ValueError``, before any byte is written, for a net whose clamp
+    overflows the transform: :func:`load_model` would refuse that file.
+    """
+    for net in (net_f, net_g):
+        validate_transform_clamp(tc, net.clamp)
     blob = [MODEL_MAGIC, struct.pack("<I", MODEL_VERSION),
             struct.pack("<ddd", tc.a, tc.b, tc.gamma),
             _pack_net(net_f), _pack_net(net_g)]

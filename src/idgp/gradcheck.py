@@ -205,11 +205,12 @@ def check_map_end_to_end(rng, c: int | None = None, width: int | None = None,
     """The trainer's batched MAP step through both networks vs FD.
 
     The parameter gradients that :func:`trainer.map_step_batch` gives each
-    net, the ones training applies, go against central differences of its
-    batch-mean loss, on every coordinate of a net with at most ``max_coords``
-    of them, else a random subset.  Each row's loss, from the step and from
-    one :func:`objective.map_loss` call on the same rows, goes against
-    :func:`_generation_map_value`.
+    net from the forwards of :func:`trainer.forward_f` and
+    :func:`trainer.forward_g`, the ones training applies, go against central
+    differences of its batch-mean loss, on every coordinate of a net with at
+    most ``max_coords`` of them, else a random subset.  Each row's loss, from
+    the step and from one :func:`objective.map_loss` call on the same rows,
+    goes against :func:`_generation_map_value`.
     """
     c = c if c is not None else int(rng.integers(3, 8))
     width = width if width is not None else int(rng.integers(4, 33))
@@ -224,16 +225,19 @@ def check_map_end_to_end(rng, c: int | None = None, width: int | None = None,
     prior = tuple(rng.uniform(0.5, 3.0, size=(_MAP_ROWS, c)) for _ in range(3))
 
     def step(f, g):
-        return trainer.map_step_batch(f, g, x, tc, mask, *prior, ml_only=False)
+        return trainer.map_step_batch(trainer.forward_f(f, x, tc, mask),
+                                      trainer.forward_g(g, x, tc, mask),
+                                      tc, mask, *prior, ml_only=False)
 
-    values, _, _, theta, z, *live, grads_f, grads_g = step(net_f, net_g)
-    reference = [_generation_map_value(theta[i], z[i], s, *(h[i] for h in prior))
+    res = step(net_f, net_g)
+    reference = [_generation_map_value(res.theta[i], res.z[i], s, *(h[i] for h in prior))
                  for i, s in enumerate(cands)]
-    err = max(rel_error(values, reference),
-              rel_error(objective.map_loss(*live, mask, *prior).value, reference))
+    err = max(rel_error(res.values, reference),
+              rel_error(objective.map_loss(res.lam, res.alpha, res.beta, mask, *prior).value,
+                        reference))
     for net, grads, loss in (
-            (net_f, grads_f, lambda nets: step(nets, net_g)[0].mean(axis=-1)),
-            (net_g, grads_g, lambda nets: step(net_f, nets)[0].mean(axis=-1))):
+            (net_f, res.grads_f, lambda nets: step(nets, net_g).values.mean(axis=-1)),
+            (net_g, res.grads_g, lambda nets: step(net_f, nets).values.mean(axis=-1))):
         analytic = grads()
         coords = np.arange(analytic.size)
         if analytic.size > max_coords:

@@ -3,9 +3,11 @@
 Each minibatch step runs through the same sequence: forward both networks,
 turn their outputs into posterior means, refresh the frozen prior constants
 from the prior cache, then update the auxiliary network with the main one
-fixed and the main network with the (just-updated) auxiliary fixed.  Each
-of the two sub-steps recomputes its forward passes so the frozen partner
-contributes its current values as constants.
+fixed and the main network with the (just-updated) auxiliary fixed.  The
+main network does not change before the batch's last update, so its one
+batch-start forward serves the refresh and both sub-steps; the auxiliary
+network is run again only after its own update, so the main sub-step sees
+its current values as constants.  That is three forwards per batch.
 
 The prior cache implements the epoch-indexed mixing rules: per instance,
 
@@ -19,15 +21,17 @@ pass at the end of epochs r and q and never change afterwards.  Within
 epoch r itself the snapshot does not exist yet; mixing current values with
 themselves would be the identity, which is exactly what the fallback does.
 
-Every forward keeps its cache only while ``backward`` may need it, so a
-fit's memory peak is the epoch-r/q snapshot: one ``(n, hidden)`` activation
-plus one ``(n, 2c)`` score array above a steady epoch.
+Every forward keeps its cache only while ``backward`` may need it: the
+main network's batch-start cache lives until its update at the batch's end,
+the auxiliary one's until its update in the first sub-step.  A fit's memory
+peak is still the epoch-r/q snapshot: one ``(n, hidden)`` activation plus
+one ``(n, 2c)`` score array above a steady epoch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -228,73 +232,122 @@ def _live_alpha_beta(scores: np.ndarray, tc: TransformConfig):
     return floor_params(alpha), floor_params(beta)
 
 
-def map_step_batch(f: DenseNet, g: DenseNet, X: np.ndarray, tc: TransformConfig,
-                   mask, lam_hat, a_hat, b_hat, ml_only: bool):
-    """Forward both nets on ``X`` and take the MAP loss of their posterior means.
+class ForwardF(NamedTuple):
+    """The main net's forward on a batch and its Dirichlet posterior mean."""
 
-    Returns ``(values, ml_values, reg_values, theta, z, lam, alpha, beta,
-    grads_f, grads_g)`` with z clamped; ``values`` is the sum of the two
-    parts, and ``reg_values`` is zero under ``ml_only``.
+    net: DenseNet
+    scores: np.ndarray
+    cache: dict
+    lam: np.ndarray
+    theta: np.ndarray
+
+
+class ForwardG(NamedTuple):
+    """The auxiliary net's forward on a batch and its Beta posterior mean."""
+
+    net: DenseNet
+    scores: np.ndarray
+    cache: dict
+    alpha: np.ndarray
+    beta: np.ndarray
+    z_raw: np.ndarray  # before the z clamp, which decides where z gets a gradient
+
+
+def forward_f(f: DenseNet, X: np.ndarray, tc: TransformConfig, mask) -> ForwardF:
+    scores, cache = f.forward(X)
+    lam = _live_lambda(scores, tc)
+    return ForwardF(f, scores, cache, lam, dirichlet_posterior_mean(lam, mask))
+
+
+def forward_g(g: DenseNet, X: np.ndarray, tc: TransformConfig, mask) -> ForwardG:
+    scores, cache = g.forward(X)
+    alpha, beta = _live_alpha_beta(scores, tc)
+    return ForwardG(g, scores, cache, alpha, beta, beta_posterior_mean(alpha, beta, mask))
+
+
+class MapStep(NamedTuple):
+    """Per-row MAP loss of one batch, its parts, inputs and per-net gradients."""
+
+    values: np.ndarray
+    ml_values: np.ndarray
+    reg_values: np.ndarray  # zero under ``ml_only``
+    theta: np.ndarray
+    z: np.ndarray  # clamped
+    lam: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    grads_f: Callable[[], np.ndarray]
+    grads_g: Callable[[], np.ndarray]
+
+
+def map_step_batch(fwd_f: ForwardF, fwd_g: ForwardG, tc: TransformConfig,
+                   mask, lam_hat, a_hat, b_hat, ml_only: bool) -> MapStep:
+    """The MAP loss of the posterior means of two forwards on the same batch.
+
+    ``values`` is the sum of the likelihood and prior parts.
     ``grads_f()``/``grads_g()`` give one net's flat (P,) parameter gradient
     of the batch-mean loss, in the :meth:`DenseNet.get_flat` layout that
-    :func:`sgd_step` takes, running only that net's chain rule and backward;
-    clamped z entries and the frozen hats get no gradient.
+    :func:`sgd_step` takes, running only that net's chain rule and backward
+    on its forward's cache; clamped z entries and the frozen hats get no
+    gradient.
     """
-    sf, cache_f = f.forward(X)
-    lam = _live_lambda(sf, tc)
-    sg, cache_g = g.forward(X)
-    alpha, beta = _live_alpha_beta(sg, tc)
-    theta = dirichlet_posterior_mean(lam, mask)
-    z_raw = beta_posterior_mean(alpha, beta, mask)
-    z = clamp_z(z_raw)
+    theta, lam, alpha, beta = fwd_f.theta, fwd_f.lam, fwd_g.alpha, fwd_g.beta
+    z = clamp_z(fwd_g.z_raw)
     ml_v, d_theta, d_z = ml_loss_batch(theta, z, mask)
     if ml_only:
         values, reg_v = ml_v, np.zeros_like(ml_v)
     else:
         reg_v, reg_dt, reg_dz = reg_loss_batch(theta, z, lam_hat, a_hat, b_hat)
         values, d_theta, d_z = ml_v + reg_v, d_theta + reg_dt, d_z + reg_dz
+    rows = len(mask)
 
     def grads_f():
-        d_lam = chain_to_lambda(d_theta / len(X), lam, mask)
-        return f.backward(cache_f, d_lam * lambda_transform_grad(sf, tc))
+        d_lam = chain_to_lambda(d_theta / rows, lam, mask)
+        return fwd_f.net.backward(fwd_f.cache, d_lam * lambda_transform_grad(fwd_f.scores, tc))
 
     def grads_g():
-        d_zc = np.where((z_raw > Z_EPS) & (z_raw < 1.0 - Z_EPS), d_z, 0.0) / len(X)
+        z_raw = fwd_g.z_raw
+        d_zc = np.where((z_raw > Z_EPS) & (z_raw < 1.0 - Z_EPS), d_z, 0.0) / rows
         d_ab = np.concatenate(chain_to_alpha_beta(d_zc, alpha, beta, mask), axis=1)
-        return g.backward(cache_g, d_ab * lambda_transform_grad(sg, tc))
+        return fwd_g.net.backward(fwd_g.cache, d_ab * lambda_transform_grad(fwd_g.scores, tc))
 
-    return values, ml_v, reg_v, theta, z, lam, alpha, beta, grads_f, grads_g
+    return MapStep(values, ml_v, reg_v, theta, z, lam, alpha, beta, grads_f, grads_g)
 
 
 def _train_batch(state: TrainerState, t: int, idx: np.ndarray):
-    """Both alternating sub-steps on the rows ``idx`` of epoch ``t``.
+    """Both alternating sub-steps on the rows ``idx`` of epoch ``t``, in three forwards.
 
-    Returns the MAP loss values of the rows after the auxiliary update, their
-    likelihood and prior parts, their upper-bound values and the batch's live
-    and frozen prior parameters.
+    f is fixed until the batch's last update, so its batch-start forward
+    serves the prior refresh, both sub-steps and f's backward.  g's
+    batch-start forward serves the refresh and g's update; g then runs once
+    more for the main sub-step.  Returns the MAP loss values of the rows
+    after the auxiliary update, their likelihood and prior parts, their
+    upper-bound values and the batch's live and frozen prior parameters.
     """
     cfg = state.config
     tc = cfg.transform_config
     X = state.dataset.features[idx]
     O = state.cache.mask[idx]
-    # Batch-start forwards feed the prior constants for both sub-steps.
-    lam0 = _live_lambda(state.f.forward(X)[0], tc)
-    alpha0, beta0 = _live_alpha_beta(state.g.forward(X)[0], tc)
-    lam_hat, a_hat, b_hat = state.cache.refresh(idx, lam0, alpha0, beta0, t)
-    step = (state.f, state.g, X, tc, O, lam_hat, a_hat, b_hat, cfg.ml_only)
+    fwd_f = forward_f(state.f, X, tc, O)
+    fwd_g = forward_g(state.g, X, tc, O)
+    lam_hat, a_hat, b_hat = state.cache.refresh(idx, fwd_f.lam, fwd_g.alpha, fwd_g.beta, t)
+    priors = {"live_lambda": fwd_f.lam, "live_alpha": fwd_g.alpha, "live_beta": fwd_g.beta,
+              "lambda_hat": lam_hat, "alpha_hat": a_hat, "beta_hat": b_hat}
+    rest = (tc, O, lam_hat, a_hat, b_hat, cfg.ml_only)
 
     # Sub-step 1: main branch fixed, auxiliary branch updated; nothing of it
-    # is kept, so its caches are freed before sub-step 2's forwards.
-    sgd_step(state.opt_g, state.g, map_step_batch(*step)[-1](), cfg.weight_decay)
+    # is kept, so g's batch-start cache is freed before g runs again.
+    sgd_step(state.opt_g, state.g, map_step_batch(fwd_f, fwd_g, *rest).grads_g(),
+             cfg.weight_decay)
+    del fwd_g
 
     # Sub-step 2: auxiliary branch (just updated) fixed, main branch updated.
-    values, ml_v, reg_v, theta, z, lam, alpha, beta, grads_f, _ = map_step_batch(*step)
-    sgd_step(state.opt_f, state.f, grads_f(), cfg.weight_decay)
+    step = map_step_batch(fwd_f, forward_g(state.g, X, tc, O), *rest)
+    sgd_step(state.opt_f, state.f, step.grads_f(), cfg.weight_decay)
 
-    bounds = map_upper_bound_batch(theta, z, lam, alpha, beta, O, cfg.rho).value
-    priors = {"live_lambda": lam0, "live_alpha": alpha0, "live_beta": beta0,
-              "lambda_hat": lam_hat, "alpha_hat": a_hat, "beta_hat": b_hat}
-    return values, ml_v, reg_v, bounds, priors
+    bounds = map_upper_bound_batch(step.theta, step.z, step.lam, step.alpha, step.beta,
+                                   O, cfg.rho).value
+    return step.values, step.ml_values, step.reg_values, bounds, priors
 
 
 def train_epoch(state: TrainerState, t: int,

@@ -8,10 +8,30 @@ import pytest
 
 import idgp.trainer as trainer_mod
 from idgp.data import PLLDataset
-from idgp.distributions import floor_params
+from idgp.distributions import (
+    Z_EPS,
+    beta_posterior_mean,
+    clamp_z,
+    dirichlet_posterior_mean,
+    floor_params,
+)
 from idgp.errors import NumericError
 from idgp.generation import corrupt_uniform, make_clean_dataset
-from idgp.network import DenseNet, TransformConfig, lambda_transform, lambda_transform_pair
+from idgp.network import (
+    DenseNet,
+    TransformConfig,
+    lambda_transform,
+    lambda_transform_grad,
+    lambda_transform_pair,
+    sgd_step,
+)
+from idgp.objective import (
+    chain_to_alpha_beta,
+    chain_to_lambda,
+    map_upper_bound_batch,
+    ml_loss_batch,
+    reg_loss_batch,
+)
 from idgp.rng import substream
 from idgp.trainer import (
     PriorCache,
@@ -200,6 +220,17 @@ def _bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
 
 
+def _count_calls(monkeypatch, owner, *names):
+    """Replace each named attribute of ``owner`` by a spy; returns the live call counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def spy(*args, _name=name, _real=getattr(owner, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
 class TestSnapshotMemory:
     """Every forward's activation dies at its last use; snapshots are kept as built."""
 
@@ -243,9 +274,10 @@ class TestSnapshotMemory:
         assert len(batches) == 3
         first = 0
         for alive in batches:
-            # f and g at batch start, then f and g in each sub-step; only the
-            # sub-step's own f activation is alive while its g runs
-            assert alive == [[], [], [], [first + 2], [], [first + 4]]
+            # f and g at batch start, then g after its update: f's batch-start
+            # activation lives through both g forwards, g's first one dies
+            # with its sub-step
+            assert alive == [[], [first], [first]]
             first += len(alive)
         # the f and g snapshot forwards each start with nothing else alive
         assert snapshot == [[], []]
@@ -263,6 +295,91 @@ class TestSnapshotMemory:
         train_epoch(state, 2)
         lam = floor_params(lambda_transform(state.f.forward(ds.features)[0], tc))
         assert np.array_equal(_bits(state.cache.lambda_snapshot), _bits(lam))
+
+
+PRIOR_KEYS = ("live_lambda", "live_alpha", "live_beta", "lambda_hat", "alpha_hat", "beta_hat")
+
+
+def _six_forward_batch(state, t, idx):
+    """A batch as six forwards: f and g at batch start, then f and g again in each sub-step."""
+    cfg = state.config
+    tc = cfg.transform_config
+    X, O = state.dataset.features[idx], state.cache.mask[idx]
+    lam0 = floor_params(lambda_transform(state.f.forward(X)[0], tc))
+    alpha0, beta0 = map(floor_params, lambda_transform_pair(state.g.forward(X)[0], tc))
+    hats = state.cache.refresh(idx, lam0, alpha0, beta0, t)
+
+    def sub_step():
+        sf, cache_f = state.f.forward(X)
+        sg, cache_g = state.g.forward(X)
+        lam = floor_params(lambda_transform(sf, tc))
+        alpha, beta = map(floor_params, lambda_transform_pair(sg, tc))
+        theta = dirichlet_posterior_mean(lam, O)
+        z_raw = beta_posterior_mean(alpha, beta, O)
+        z = clamp_z(z_raw)
+        ml_v, d_theta, d_z = ml_loss_batch(theta, z, O)
+        if cfg.ml_only:
+            values, reg_v = ml_v, np.zeros_like(ml_v)
+        else:
+            reg_v, reg_dt, reg_dz = reg_loss_batch(theta, z, *hats)
+            values, d_theta, d_z = ml_v + reg_v, d_theta + reg_dt, d_z + reg_dz
+        d_lam = chain_to_lambda(d_theta / len(X), lam, O)
+        grad_f = state.f.backward(cache_f, d_lam * lambda_transform_grad(sf, tc))
+        d_zc = np.where((z_raw > Z_EPS) & (z_raw < 1.0 - Z_EPS), d_z, 0.0) / len(X)
+        d_ab = np.concatenate(chain_to_alpha_beta(d_zc, alpha, beta, O), axis=1)
+        grad_g = state.g.backward(cache_g, d_ab * lambda_transform_grad(sg, tc))
+        bounds = map_upper_bound_batch(theta, z, lam, alpha, beta, O, cfg.rho).value
+        return (values, ml_v, reg_v, bounds), grad_f, grad_g
+
+    sgd_step(state.opt_g, state.g, sub_step()[2], cfg.weight_decay)
+    outputs, grad_f, _ = sub_step()
+    sgd_step(state.opt_f, state.f, grad_f, cfg.weight_decay)
+    return (*outputs, dict(zip(PRIOR_KEYS, (lam0, alpha0, beta0, *hats))))
+
+
+class TestThreeForwards:
+    """Each batch runs f once and g twice, bit for bit the six-forward batch."""
+
+    @pytest.mark.parametrize("ml_only", [False, True])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])  # before r, at r, between r and q, after q
+    def test_batches_equal_the_six_forward_batch(self, t, ml_only):
+        ds = toy_dataset(n_per=20)
+        cfg = small_config(epochs=4, r=2, q=3, ml_only=ml_only)
+        state, ref = init_state(cfg, ds), init_state(cfg, ds)
+        for s in range(1, t):
+            train_epoch(state, s)
+            train_epoch(ref, s)
+        order = substream(cfg.seed, "shuffle", t).permutation(ds.n)
+        for start in range(0, ds.n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            *got, got_priors = trainer_mod._train_batch(state, t, idx)
+            *want, want_priors = _six_forward_batch(ref, t, idx)
+            for a, b in zip(got, want):  # values, ml and reg parts, bounds
+                assert np.array_equal(_bits(a), _bits(b))
+            assert list(got_priors) == list(PRIOR_KEYS)
+            for key in PRIOR_KEYS:
+                assert np.array_equal(_bits(got_priors[key]), _bits(want_priors[key])), key
+            for a, b in ((state.f.flat, ref.f.flat), (state.g.flat, ref.g.flat),
+                         (state.opt_f.velocity, ref.opt_f.velocity),
+                         (state.opt_g.velocity, ref.opt_g.velocity)):
+                assert np.array_equal(_bits(a), _bits(b))
+
+    def test_call_counts_per_batch(self, monkeypatch):
+        ds = toy_dataset(n_per=20)
+        cfg = small_config(epochs=3, r=1, q=2)
+        state = init_state(cfg, ds)
+        forwards = _count_calls(monkeypatch, DenseNet, "forward")
+        calls = _count_calls(monkeypatch, trainer_mod, "dirichlet_posterior_mean",
+                             "beta_posterior_mean", "ml_loss_batch", "reg_loss_batch")
+        batches = -(-ds.n // cfg.batch_size)
+        # running totals; one snapshot forward at r=1 (lambda), one at q=2 (alpha/beta)
+        for t, snapshots in ((1, 1), (2, 2), (3, 2)):
+            train_epoch(state, t)
+            assert forwards == {"forward": 3 * batches * t + snapshots}
+            assert calls == {"dirichlet_posterior_mean": batches * t,
+                             "beta_posterior_mean": 2 * batches * t,
+                             "ml_loss_batch": 2 * batches * t,
+                             "reg_loss_batch": 2 * batches * t}
 
 
 class TestTrainingLoop:
@@ -335,18 +452,7 @@ class TestTrainingLoop:
     def test_each_chain_rule_runs_once_per_batch(self, monkeypatch):
         ds = toy_dataset(n_per=10)
         cfg = small_config(epochs=1, batch_size=8, r=1, q=1)
-        calls = {"chain_to_lambda": 0, "chain_to_alpha_beta": 0}
-
-        def counting(name):
-            real = getattr(trainer_mod, name)
-
-            def spy(*args):
-                calls[name] += 1
-                return real(*args)
-            return spy
-
-        for name in calls:
-            monkeypatch.setattr(trainer_mod, name, counting(name))
+        calls = _count_calls(monkeypatch, trainer_mod, "chain_to_lambda", "chain_to_alpha_beta")
         train_epoch(init_state(cfg, ds), 1)
         batches = -(-ds.n // cfg.batch_size)
         assert calls == {"chain_to_lambda": batches, "chain_to_alpha_beta": batches}
