@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evaluation, gradcheck, generation, trainer
-from .data import FORMATS, load_dataset, read_text, write_dataset, write_sidecar
+from .data import (FORMATS, READ_BLOCK, load_dataset, read_lines, write_dataset,
+                   write_sidecar)
 from .errors import DataFormatError, DataInvariantError, NumericError
 from .network import DenseNet, TransformConfig, param_count, validate_transform_clamp
 from .trainer import TrainConfig
@@ -113,11 +114,11 @@ _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False}
 
 def parse_config_file(path) -> TrainConfig:
     """Flat key=value file; every key must be a TrainConfig field."""
-    text = read_text(path)
+    lines = read_lines(path)
     known = {f.name: f.type for f in TrainConfig.__dataclass_fields__.values()}
     defaults = TrainConfig()
     values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -150,7 +151,12 @@ def parse_config_file(path) -> TrainConfig:
 # -- manifest ---------------------------------------------------------------
 
 def _digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """SHA-256 of the file, read one block at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(READ_BLOCK):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def write_manifest(path, command: str, config: dict, seed: int, inputs, outputs):
@@ -280,7 +286,7 @@ def cmd_report(args) -> int:
         rows = []
         for hist_path in args.history:
             series = Path(hist_path).stem
-            for lineno, line in enumerate(read_text(hist_path).splitlines(), 1):
+            for lineno, line in enumerate(read_lines(hist_path), 1):
                 if not line.strip():
                     continue
                 try:

@@ -12,6 +12,10 @@ Labels are 1-indexed in files and 0-indexed in memory; conversion happens
 exactly once, at the I/O boundary.  Features are written as decimal text in
 the shortest representation that round-trips a 64-bit float, so
 ``write_dataset`` followed by ``load_dataset`` is the identity.
+
+File text is streamed: ``write_dataset`` holds one formatted row at a time,
+and ``load_dataset`` holds the list of decoded lines plus one block of
+``READ_BLOCK`` bytes, never the whole file as bytes or as one string.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from .errors import DataFormatError, DataInvariantError
 TEXT_FORMAT = "text"
 JSONL_FORMAT = "jsonl"
 FORMATS = (TEXT_FORMAT, JSONL_FORMAT)
+# bytes :func:`read_lines` decodes at a time, besides a carried partial line
+READ_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -165,40 +171,40 @@ def _check_format(fmt: str) -> None:
 
 
 def write_dataset(ds: PLLDataset, path, fmt: str = TEXT_FORMAT) -> None:
-    """Serialize a dataset so that :func:`load_dataset` inverts it exactly."""
+    """Serialize a dataset so that :func:`load_dataset` inverts it exactly.
+
+    Each line is written as soon as it is formatted, so the text held in
+    memory is one row, not the file.
+    """
     _check_format(fmt)
-    path = Path(path)
-    lines = []
     sets = ds.candidates
-    if fmt == TEXT_FORMAT:
-        lines.append(f"{ds.n} {ds.q} {ds.c}")
-        for i, values in enumerate(ds.features):
-            # repr() of a Python float is the shortest string that round-trips;
-            # one row at a time, as a whole-matrix tolist() raises peak memory
-            feats = " ".join(map(repr, values.tolist()))
-            cands = " ".join(str(j + 1) for j in sets[i])
-            row = f"{feats} | {cands}"
-            if ds.true_labels is not None:
-                row += f" | {int(ds.true_labels[i]) + 1}"
-            lines.append(row)
-    else:
-        lines.append(json.dumps({"n": ds.n, "q": ds.q, "c": ds.c}))
-        for i in range(ds.n):
-            obj = {
-                "features": [float(v) for v in ds.features[i]],
-                "candidates": [j + 1 for j in sets[i]],
-            }
-            if ds.true_labels is not None:
-                obj["true_label"] = int(ds.true_labels[i]) + 1
-            lines.append(json.dumps(obj))
-    path.write_text("\n".join(lines) + "\n")
+    with Path(path).open("w", encoding="utf-8") as fh:
+        if fmt == TEXT_FORMAT:
+            fh.write(f"{ds.n} {ds.q} {ds.c}\n")
+            for i, values in enumerate(ds.features):
+                # repr() of a Python float is the shortest string that round-trips;
+                # one row at a time, as a whole-matrix tolist() raises peak memory
+                feats = " ".join(map(repr, values.tolist()))
+                cands = " ".join(str(j + 1) for j in sets[i])
+                label = "" if ds.true_labels is None else f" | {int(ds.true_labels[i]) + 1}"
+                fh.write(f"{feats} | {cands}{label}\n")
+        else:
+            fh.write(json.dumps({"n": ds.n, "q": ds.q, "c": ds.c}) + "\n")
+            for i in range(ds.n):
+                obj = {
+                    "features": [float(v) for v in ds.features[i]],
+                    "candidates": [j + 1 for j in sets[i]],
+                }
+                if ds.true_labels is not None:
+                    obj["true_label"] = int(ds.true_labels[i]) + 1
+                fh.write(json.dumps(obj) + "\n")
 
 
 def load_dataset(path, fmt: str = TEXT_FORMAT) -> PLLDataset:
     """Parse a dataset file; raises with a line number on malformed input."""
     _check_format(fmt)
     path = Path(path)
-    lines = read_text(path).splitlines()
+    lines = read_lines(path)
     if not lines:
         raise DataFormatError(f"{path}: empty file")
     if fmt == TEXT_FORMAT:
@@ -212,10 +218,49 @@ def read_text(path) -> str:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    return _decode(data, path, 0)
+
+
+def read_lines(path) -> list:
+    """``read_text(path).splitlines()``, decoded one block at a time.
+
+    Each block of ``READ_BLOCK`` bytes is cut after its last ``\\n`` and the
+    rest carried into the next.  No UTF-8 multibyte sequence contains the
+    byte 0x0A and ``\\r\\n`` ends with it, so every piece decodes and splits
+    exactly as it would inside the whole text, ``\\x85``, ``\\u2028`` and the
+    other line boundaries of ``str.splitlines`` included.
+    """
+    lines, pending, newlines = [], [], 0
+    try:
+        with Path(path).open("rb") as fh:
+            while block := fh.read(READ_BLOCK):
+                cut = block.rfind(b"\n") + 1
+                if not cut:
+                    pending.append(block)
+                    continue
+                pending.append(block[:cut])
+                newlines = _split_piece(b"".join(pending), path, newlines, lines)
+                pending = [block[cut:]]
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    _split_piece(b"".join(pending), path, newlines, lines)
+    return lines
+
+
+def _split_piece(piece: bytes, path, newlines: int, lines: list) -> int:
+    """Append the lines of ``piece``, which follows ``newlines`` newlines in
+    the file, to ``lines``; returns the newline count after it."""
+    lines.extend(_decode(piece, path, newlines).splitlines())
+    return newlines + piece.count(b"\n")
+
+
+def _decode(data: bytes, path, newlines: int) -> str:
+    """``data`` as UTF-8; an error names the file line, counting ``newlines``
+    newlines before ``data``."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        line = newlines + data.count(b"\n", 0, exc.start) + 1
         raise DataFormatError(f"{path}:{line}: not UTF-8 text") from exc
 
 

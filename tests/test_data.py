@@ -1,5 +1,8 @@
 """Dataset container, candidate-set invariants, and bit-exact file I/O."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,6 +130,74 @@ class TestRoundTrip:
         write_dataset(ds, path)
         row = path.read_text().splitlines()[1]
         assert row.endswith("| 1 | 1")
+
+
+def reference_bytes(ds, fmt):
+    """The file as one ``"\\n".join`` of every formatted line, built here."""
+    labels = ds.true_labels
+    if fmt == "text":
+        lines = [f"{ds.n} {ds.q} {ds.c}"]
+        for i, s in enumerate(ds.candidates):
+            row = " ".join(repr(float(v)) for v in ds.features[i])
+            row += " | " + " ".join(str(j + 1) for j in s)
+            if labels is not None:
+                row += f" | {labels[i] + 1}"
+            lines.append(row)
+    else:
+        lines = [json.dumps({"n": ds.n, "q": ds.q, "c": ds.c})]
+        for i, s in enumerate(ds.candidates):
+            obj = {"features": ds.features[i].tolist(), "candidates": [j + 1 for j in s]}
+            if labels is not None:
+                obj["true_label"] = int(labels[i]) + 1
+            lines.append(json.dumps(obj))
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestStreamedIO:
+    @pytest.mark.parametrize("fmt", ["text", "jsonl"])
+    @pytest.mark.parametrize("with_labels", [True, False])
+    def test_written_bytes_equal_joined_lines(self, tmp_path, fmt, with_labels):
+        rng = np.random.default_rng(7)
+        for i in range(20):
+            ds = random_dataset(rng, with_labels=with_labels)
+            path = tmp_path / f"ds_{i}.{fmt}"
+            write_dataset(ds, path, fmt)
+            assert path.read_bytes() == reference_bytes(ds, fmt)
+
+    @pytest.fixture(scope="class")
+    def big(self, tmp_path_factory):
+        """A 20000 x 64 dataset and its text file, written untraced."""
+        rng = np.random.default_rng(3)
+        ds = PLLDataset(features=rng.normal(size=(20000, 64)),
+                        candidates=[(int(y),) for y in rng.integers(0, 10, 20000)], c=10)
+        path = tmp_path_factory.mktemp("big") / "big.pll"
+        write_dataset(ds, path)
+        return ds, path
+
+    @staticmethod
+    def traced_peak(fn):
+        """Bytes ``fn()`` allocated at its peak, above what was live when it started."""
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            return tracemalloc.get_traced_memory()[1] - start, result
+        finally:
+            tracemalloc.stop()
+
+    def test_write_holds_one_row(self, big, tmp_path):
+        ds, path = big
+        out = tmp_path / "again.pll"
+        peak, _ = self.traced_peak(lambda: write_dataset(ds, out))
+        assert peak <= 1 << 20, f"write peaked {peak / 2 ** 20:.1f} MB above its start"
+        assert out.read_bytes() == path.read_bytes()
+
+    def test_load_holds_lines_not_file_copies(self, big):
+        ds, path = big
+        size = path.stat().st_size
+        peak, back = self.traced_peak(lambda: load_dataset(path))
+        assert peak <= 1.85 * size, f"load peaked at {peak / size:.2f}x the file size"
+        assert np.array_equal(back.features, ds.features)
 
 
 HEAD = '{"n": 1, "q": 1, "c": 3}\n'

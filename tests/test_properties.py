@@ -3,22 +3,25 @@
 Dataset and model files must round-trip bit for bit (a model whose transform
 overflows at a net's clamp is instead refused), and any bytes given to
 ``load_dataset`` or ``load_model`` may only raise a package error, never a
-bare Python exception.  ``PLLDataset`` validation must agree with a per-row
+bare Python exception.  The block reader ``read_lines`` must split any bytes
+as ``read_text(...).splitlines()`` does, whatever its block size.  ``PLLDataset`` validation must agree with a per-row
 reference check.  The runs are derandomized so tier-1 stays repeatable.
 """
 
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idgp.cli import MODEL_MAGIC, load_model, save_model
-from idgp.data import PLLDataset, load_dataset, write_dataset
-from idgp.errors import DataInvariantError, IdgpError
+from idgp import data
+from idgp.data import PLLDataset, load_dataset, read_lines, read_text, write_dataset
+from idgp.errors import DataFormatError, DataInvariantError, IdgpError
 from idgp.network import DenseNet, TransformConfig, param_count
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150,
@@ -185,6 +188,57 @@ def test_damaged_dataset_files_raise_only_package_errors(data, fmt):
                  damaged_models()))
 def test_arbitrary_bytes_load_model_raise_only_package_errors(data):
     _load_bytes(load_model, data)
+
+
+# the byte runs that could split or decode differently across a block cut:
+# every line boundary of str.splitlines, 2-4-byte UTF-8 sequences, invalid
+# and truncated sequences, and plain text
+LINE_BYTES = [b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
+              "\x85".encode(), "\u2028".encode(), "\u2029".encode(),
+              "\xe9".encode(), "\u20ac".encode(), "\U0001f600".encode(),
+              b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98", b"\xed\xa0\x80",
+              b"a", b"bc"]
+
+
+def _split_outcome(path):
+    """``path``'s lines, or the message of the ``DataFormatError`` reading it raised."""
+    try:
+        return read_lines(path)
+    except DataFormatError as exc:
+        return str(exc)
+
+
+def _assert_splits_like_read_text(content: bytes, block: int):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lines"
+        path.write_bytes(content)
+        try:
+            expected = read_text(path).splitlines()
+        except DataFormatError as exc:
+            expected = str(exc)
+        with mock.patch.object(data, "READ_BLOCK", block):
+            assert _split_outcome(path) == expected
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.sampled_from(LINE_BYTES), st.binary(max_size=4)),
+                max_size=30).map(b"".join),
+       st.integers(1, 7))
+@example(b"", 1)
+@example(b"no newline at all, several blocks long", 3)
+@example("\u2028\r\n".encode() + b"\xe2\x82\n\xe2\x82", 2)
+def test_read_lines_matches_read_text_splitlines(content, block):
+    _assert_splits_like_read_text(content, block)
+
+
+@pytest.mark.parametrize("run", LINE_BYTES, ids=repr)
+def test_read_lines_at_every_block_cut(run):
+    # the run starts at every offset, so each of its bytes meets a cut
+    for block in range(1, 8):
+        for offset in range(block + 1):
+            body = b"x" * offset + run + b"y" + run
+            for content in (body, body + b"\n", b"\n" * offset + run):
+                _assert_splits_like_read_text(content, block)
 
 
 def _per_row_check(n, c, candidates, labels):
