@@ -34,8 +34,9 @@ def floor_params(x: np.ndarray) -> np.ndarray:
 
 
 def clamp_z(z: np.ndarray) -> np.ndarray:
-    """Clamp Bernoulli means into the open interval (0, 1)."""
-    return np.clip(np.asarray(z, dtype=np.float64), Z_EPS, 1.0 - Z_EPS)
+    """Clamp Bernoulli means into [Z_EPS, 1 - Z_EPS], as a new array."""
+    z = np.maximum(np.asarray(z, dtype=np.float64), Z_EPS)
+    return np.minimum(z, 1.0 - Z_EPS, out=z)
 
 
 def _require_positive(x: np.ndarray, name: str) -> np.ndarray:
@@ -59,10 +60,13 @@ def dirichlet_posterior_mean(lam: np.ndarray, o: np.ndarray) -> np.ndarray:
     Supports a single ``(c,)`` pair or batched ``(n, c)`` arrays; the
     result rows always lie on the simplex.
     """
-    lam = _require_positive(lam, "lam")
-    o = np.asarray(o, dtype=np.float64)
-    denom = np.sum(lam + o, axis=-1, keepdims=True)
-    return (o + lam) / denom
+    return _dirichlet_mean(_require_positive(lam, "lam"), np.asarray(o, dtype=np.float64))[0]
+
+
+def _dirichlet_mean(lam, o, axis=-1):
+    """Unchecked ``(theta_hat, D)``, with D = sum_k (lam_k + o_k) over ``axis`` kept."""
+    denom = np.sum(lam + o, axis=axis, keepdims=True)
+    return (o + lam) / denom, denom
 
 
 def dirichlet_posterior_mean_jacobian(lam: np.ndarray, o: np.ndarray) -> np.ndarray:

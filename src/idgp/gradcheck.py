@@ -201,16 +201,20 @@ def _generation_map_value(theta, z, cands, lambda_hat, alpha_hat, beta_hat) -> f
 
 
 def check_map_end_to_end(rng, c: int | None = None, width: int | None = None,
-                         max_coords: int = 300) -> float:
+                         max_coords: int = 300, ml_only: bool = False) -> float:
     """The trainer's batched MAP step through both networks vs FD.
 
-    The parameter gradients that :func:`trainer.map_step_batch` gives each
-    net from the forwards of :func:`trainer.forward_f` and
-    :func:`trainer.forward_g`, the ones training applies, go against central
-    differences of its batch-mean loss, on every coordinate of a net with at
-    most ``max_coords`` of them, else a random subset.  Each row's loss, from
+    The parameter gradients that training applies to each net from the
+    forwards of :func:`trainer.forward_f` and :func:`trainer.forward_g`,
+    f's from :func:`trainer.map_step_batch` and g's from
+    :func:`trainer.aux_gradient`, go against central differences of the
+    batch-mean loss of :func:`trainer.map_step_batch`, with the other net's
+    forward held fixed, on every coordinate of a net with at most
+    ``max_coords`` of them, else a random subset.  Each row's loss, from
     the step and from one :func:`objective.map_loss` call on the same rows,
-    goes against :func:`_generation_map_value`.
+    goes against :func:`_generation_map_value`.  ``ml_only`` checks the
+    likelihood-only step instead, against the same reference with every
+    prior constant at 1, where the prior term vanishes.
     """
     c = c if c is not None else int(rng.integers(3, 8))
     width = width if width is not None else int(rng.integers(4, 33))
@@ -224,21 +228,25 @@ def check_map_end_to_end(rng, c: int | None = None, width: int | None = None,
     mask = np.array([occurrence_vector(s, c) for s in cands])
     prior = tuple(rng.uniform(0.5, 3.0, size=(_MAP_ROWS, c)) for _ in range(3))
 
-    def step(f, g):
-        return trainer.map_step_batch(trainer.forward_f(f, x, tc, mask),
-                                      trainer.forward_g(g, x, tc, mask),
-                                      tc, mask, *prior, ml_only=False)
+    if ml_only:
+        prior = tuple(np.ones_like(h) for h in prior)
+    centred = None if ml_only else objective._prior_terms(*prior)
+    fwd_f, fwd_g = trainer.forward_f(net_f, x, tc, mask), trainer.forward_g(net_g, x, tc, mask)
 
-    res = step(net_f, net_g)
-    reference = [_generation_map_value(res.theta[i], res.z[i], s, *(h[i] for h in prior))
+    def mean_loss(f_fwd, g_fwd):
+        return trainer.map_step_batch(f_fwd, g_fwd, tc, mask, centred).values.mean(axis=-1)
+
+    res = trainer.map_step_batch(fwd_f, fwd_g, tc, mask, centred)
+    reference = [_generation_map_value(fwd_f.theta[i], fwd_g.zl.z[i], s, *(h[i] for h in prior))
                  for i, s in enumerate(cands)]
     err = max(rel_error(res.values, reference),
-              rel_error(objective.map_loss(res.lam, res.alpha, res.beta, mask, *prior).value,
-                        reference))
-    for net, grads, loss in (
-            (net_f, res.grads_f, lambda nets: step(nets, net_g).values.mean(axis=-1)),
-            (net_g, res.grads_g, lambda nets: step(net_f, nets).values.mean(axis=-1))):
-        analytic = grads()
+              rel_error(objective.map_loss(fwd_f.lam, fwd_g.alpha, fwd_g.beta, mask,
+                                           *prior).value, reference))
+    for net, analytic, loss in (
+            (net_f, res.grads_f(),
+             lambda nets: mean_loss(trainer.forward_f(nets, x, tc, mask), fwd_g)),
+            (net_g, trainer.aux_gradient(fwd_f, fwd_g, tc, mask, centred),
+             lambda nets: mean_loss(fwd_f, trainer.forward_g(nets, x, tc, mask)))):
         coords = np.arange(analytic.size)
         if analytic.size > max_coords:
             coords = rng.choice(analytic.size, size=max_coords, replace=False)

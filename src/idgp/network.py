@@ -199,7 +199,8 @@ class DenseNet:
             inputs.append(h)
         scores = h @ self.weights[-1]
         scores += self.biases[-1]
-        np.clip(scores, -self.clamp, self.clamp, out=scores)
+        np.maximum(scores, -self.clamp, out=scores)
+        np.minimum(scores, self.clamp, out=scores)
         return (scores[0] if single else scores), {"inputs": inputs, "scores": scores}
 
     def backward(self, cache, grad_scores: np.ndarray) -> np.ndarray:

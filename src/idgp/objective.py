@@ -20,18 +20,21 @@ The batch losses, the chain rules, :func:`map_loss` and the bound take
 :func:`ml_loss` and :func:`reg_loss` are 1-row views of the two batch
 losses for a single candidate set written by hand.  The two batch losses also
 take (..., B, c) stacks, such as the posterior means of K nets at once, and
-reduce over the last axis only.
+reduce over the last axis only.  All of them are composed from one set of
+private pieces (the z logs, the likelihood's log-sum-exp, each partial), which
+the trainer also composes, so that a batch takes each log once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .data import occurrence_vector
 from .distributions import (
+    _dirichlet_mean,
     _require_positive,
     beta_posterior_mean,
     check_unit_open,
@@ -52,26 +55,8 @@ def ml_loss_batch(theta: np.ndarray, z: np.ndarray, mask: np.ndarray):
     z = np.asarray(z, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     cand = mask > 0.0
-    log_theta = np.log(theta)
-    log_z = np.log(z)
-    log_1mz = np.log1p(-z)
-    sum_log_z = (mask * log_z).sum(axis=-1, keepdims=True)
-    sum_log_1mz = ((1.0 - mask) * log_1mz).sum(axis=-1, keepdims=True)
-    # log of the j-th summand: theta_j times z over S\{j} times (1-z) elsewhere
-    log_terms = log_theta + sum_log_z - log_z + sum_log_1mz + log_1mz
-    log_terms = np.where(cand, log_terms, -np.inf)
-    shift = log_terms.max(axis=-1, keepdims=True)
-    if not np.isfinite(shift).all():
-        raise NumericError("ML loss: every candidate term underflowed to zero")
-    expd = np.exp(log_terms - shift)
-    total = expd.sum(axis=-1, keepdims=True)
-    values = -(shift + np.log(total))[..., 0]
-    if not np.isfinite(values).all():
-        raise NumericError("ML loss became non-finite (degenerate z_hat at clamp?)")
-    w = expd / total
-    d_theta = np.where(cand, -w / theta, 0.0)
-    d_z = np.where(cand, -(1.0 - w) / z + w / (1.0 - z), 1.0 / (1.0 - z))
-    return values, d_theta, d_z
+    shift, total, w = _ml_softmax(np.log(theta), _z_logs(z, mask), cand)
+    return _ml_values(shift, total), _ml_d_theta(w, theta, cand), _ml_d_z(w, z, cand)
 
 
 def reg_loss_batch(theta, z, lambda_hat, alpha_hat, beta_hat):
@@ -82,16 +67,9 @@ def reg_loss_batch(theta, z, lambda_hat, alpha_hat, beta_hat):
     """
     theta = np.asarray(theta, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    lam_c = np.asarray(lambda_hat, dtype=np.float64) - 1.0
-    alp_c = np.asarray(alpha_hat, dtype=np.float64) - 1.0
-    bet_c = np.asarray(beta_hat, dtype=np.float64) - 1.0
-    log_theta = np.log(theta)
-    log_z = np.log(z)
-    log_1mz = np.log1p(-z)
-    values = -(lam_c * log_theta + alp_c * log_z + bet_c * log_1mz).sum(axis=-1)
-    d_theta = -lam_c / theta
-    d_z = -alp_c / z + bet_c / (1.0 - z)
-    return values, d_theta, d_z
+    prior = _prior_terms(lambda_hat, alpha_hat, beta_hat)
+    values = _reg_values(prior, np.log(theta), np.log(z), np.log1p(-z))
+    return values, _reg_d_theta(prior, theta), _reg_d_z(prior, z)
 
 
 def chain_to_lambda(d_theta: np.ndarray, lam: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -99,13 +77,11 @@ def chain_to_lambda(d_theta: np.ndarray, lam: np.ndarray, mask: np.ndarray) -> n
 
     With D = sum_k (lam_k + o_k) and theta_hat = (o + lam) / D:
     dL/dlam_k = (dL/dtheta_k - sum_j dL/dtheta_j * theta_hat_j) / D.
+    Both sums run over axis 1, the labels of (B, c) rows.
     """
     lam = np.asarray(lam, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
-    denom = (lam + mask).sum(axis=1, keepdims=True)
-    theta_hat = (mask + lam) / denom
-    inner = (d_theta * theta_hat).sum(axis=1, keepdims=True)
-    return (d_theta - inner) / denom
+    return _chain_lambda(d_theta, *_dirichlet_mean(lam, mask, axis=1))
 
 
 def chain_to_alpha_beta(d_z, alpha, beta, mask):
@@ -115,6 +91,108 @@ def chain_to_alpha_beta(d_z, alpha, beta, mask):
     mask = np.asarray(mask, dtype=np.float64)
     denom_sq = (alpha + beta + mask) ** 2
     return d_z * beta / denom_sq, d_z * (-(mask + alpha)) / denom_sq
+
+
+# -- the pieces every loss, gradient and bound above and in the trainer share --
+#
+# Each quantity of a batch is computed by exactly one of these, so the trainer
+# can take log theta once per batch and the z logs once per forward of g, and
+# each of its sub-steps evaluates only what it applies.  Composed, the pieces
+# must give the public functions above and below bit for bit their textbook
+# bodies, which tests/test_objective_textbook.py writes out.
+
+
+class _ZLogs(NamedTuple):
+    """z (clamped, in training) with the logs and masked row sums every z-side term reads."""
+
+    z: np.ndarray
+    log_z: np.ndarray
+    log_1mz: np.ndarray
+    sum_log_z: np.ndarray  # (..., B, 1): log z over each candidate set
+    sum_log_1mz: np.ndarray  # (..., B, 1): log(1 - z) over its complement
+
+
+def _z_logs(z, mask) -> _ZLogs:
+    log_z = np.log(z)
+    log_1mz = np.log1p(-z)
+    return _ZLogs(z, log_z, log_1mz, (mask * log_z).sum(axis=-1, keepdims=True),
+                  ((1.0 - mask) * log_1mz).sum(axis=-1, keepdims=True))
+
+
+def _prior_terms(lambda_hat, alpha_hat, beta_hat) -> tuple:
+    """The prior constants less one, ``(lambda_hat - 1, alpha_hat - 1, beta_hat - 1)``."""
+    return tuple(np.asarray(h, dtype=np.float64) - 1.0
+                 for h in (lambda_hat, alpha_hat, beta_hat))
+
+
+def _ml_softmax(log_theta, zl: _ZLogs, cand):
+    """Max shift, row total and weights w of the likelihood's sum over S.
+
+    The j-th summand is theta_j times z over S\\{j} times (1 - z) elsewhere;
+    w_j is its share of the row's sum.
+    """
+    log_terms = log_theta + zl.sum_log_z - zl.log_z + zl.sum_log_1mz + zl.log_1mz
+    log_terms = np.where(cand, log_terms, -np.inf)
+    shift = log_terms.max(axis=-1, keepdims=True)
+    if not np.isfinite(shift).all():
+        raise NumericError("ML loss: every candidate term underflowed to zero")
+    expd = np.exp(log_terms - shift)
+    total = expd.sum(axis=-1, keepdims=True)
+    return shift, total, expd / total
+
+
+def _ml_values(shift, total):
+    values = -(shift + np.log(total))[..., 0]
+    if not np.isfinite(values).all():
+        raise NumericError("ML loss became non-finite (degenerate z_hat at clamp?)")
+    return values
+
+
+def _ml_d_theta(w, theta, cand):
+    return np.where(cand, -w / theta, 0.0)
+
+
+def _ml_d_z(w, z, cand):
+    return np.where(cand, -(1.0 - w) / z + w / (1.0 - z), 1.0 / (1.0 - z))
+
+
+def _reg_values(prior, log_theta, log_z, log_1mz):
+    lam_c, alp_c, bet_c = prior
+    return -(lam_c * log_theta + alp_c * log_z + bet_c * log_1mz).sum(axis=-1)
+
+
+def _reg_d_theta(prior, theta):
+    return -prior[0] / theta
+
+
+def _reg_d_z(prior, z):
+    _, alp_c, bet_c = prior
+    return -alp_c / z + bet_c / (1.0 - z)
+
+
+def _map_d_z(w, zl: _ZLogs, cand, prior):
+    """d/dz of the per-row MAP loss, or of its likelihood part when ``prior`` is None."""
+    d_z = _ml_d_z(w, zl.z, cand)
+    return d_z if prior is None else d_z + _reg_d_z(prior, zl.z)
+
+
+def _map_values(shift, total, w, theta, log_theta, zl: _ZLogs, cand, prior):
+    """Per-row MAP values, their two parts and d/d(theta_hat).
+
+    Returns ``(values, ml_values, reg_values, d_theta)``; when ``prior`` is
+    None the loss is the likelihood alone and ``reg_values`` are zeros.
+    """
+    ml_v = _ml_values(shift, total)
+    d_theta = _ml_d_theta(w, theta, cand)
+    if prior is None:
+        return ml_v, ml_v, np.zeros_like(ml_v), d_theta
+    reg_v = _reg_values(prior, log_theta, zl.log_z, zl.log_1mz)
+    return ml_v + reg_v, ml_v, reg_v, d_theta + _reg_d_theta(prior, theta)
+
+
+def _chain_lambda(d_theta, theta, denom):
+    inner = (d_theta * theta).sum(axis=1, keepdims=True)
+    return (d_theta - inner) / denom
 
 
 def ml_loss(theta_hat, z_hat, candidates: Sequence[int]):
@@ -153,21 +231,27 @@ def map_loss(lam, alpha, beta, mask, lambda_hat, alpha_hat, beta_hat) -> MapLoss
 
     The trainer's composition without the 1/B mean or the z clamp: the
     posterior means of ``lam``, ``alpha`` and ``beta`` given the 0/1
-    ``mask``, :func:`ml_loss_batch` plus :func:`reg_loss_batch`, chained to
-    the live parameters by the same :func:`chain_to_lambda` and
-    :func:`chain_to_alpha_beta` that training applies.  The prior constants
-    affect the value but by construction receive zero gradient.
+    ``mask``, the likelihood plus the prior term from the same pieces the
+    trainer's two sub-steps apply, chained to the live parameters by
+    :func:`chain_to_lambda` and :func:`chain_to_alpha_beta`.  The prior
+    constants affect the value but by construction receive zero gradient.
     """
     for name, prior in (("lambda_hat", lambda_hat), ("alpha_hat", alpha_hat),
                         ("beta_hat", beta_hat)):
         _require_positive(prior, name)
     theta = dirichlet_posterior_mean(lam, mask)
     z = beta_posterior_mean(alpha, beta, mask)
-    ml_v, ml_dt, ml_dz = ml_loss_batch(theta, z, mask)
-    reg_v, reg_dt, reg_dz = reg_loss_batch(theta, z, lambda_hat, alpha_hat, beta_hat)
-    d_alpha, d_beta = chain_to_alpha_beta(ml_dz + reg_dz, alpha, beta, mask)
-    return MapLossResult(value=ml_v + reg_v, ml_value=ml_v, reg_value=reg_v,
-                         d_lambda=chain_to_lambda(ml_dt + reg_dt, lam, mask),
+    mask = np.asarray(mask, dtype=np.float64)
+    cand = mask > 0.0
+    log_theta = np.log(theta)
+    zl = _z_logs(z, mask)
+    shift, total, w = _ml_softmax(log_theta, zl, cand)
+    prior = _prior_terms(lambda_hat, alpha_hat, beta_hat)
+    values, ml_v, reg_v, d_theta = _map_values(shift, total, w, theta, log_theta, zl,
+                                               cand, prior)
+    d_alpha, d_beta = chain_to_alpha_beta(_map_d_z(w, zl, cand, prior), alpha, beta, mask)
+    return MapLossResult(value=values, ml_value=ml_v, reg_value=reg_v,
+                         d_lambda=chain_to_lambda(d_theta, lam, mask),
                          d_alpha=d_alpha, d_beta=d_beta)
 
 
@@ -194,18 +278,20 @@ def map_upper_bound_batch(theta, z, lam, alpha, beta, mask, rho: float) -> Upper
         raise ValueError("rho must be strictly positive")
     theta, z, lam, alpha, beta, mask = (np.asarray(v, dtype=np.float64)
                                         for v in (theta, z, lam, alpha, beta, mask))
+    return _upper_bound(np.log(theta), _z_logs(z, mask), lam, alpha, beta, mask, rho)
+
+
+def _upper_bound(log_theta, zl: _ZLogs, lam, alpha, beta, mask, rho: float) -> UpperBound:
     sizes = mask.sum(axis=1, keepdims=True)
-    log_z = np.log(z)
-    log_1mz = np.log1p(-z)
     # log prod_{k in S\{j}} z_k prod_{k not in S\{j}} (1-z_k), for each j
-    log_q = ((log_z * mask).sum(axis=1, keepdims=True) - log_z
-             + (log_1mz * (1.0 - mask)).sum(axis=1, keepdims=True) + log_1mz)
+    log_q = zl.sum_log_z - zl.log_z + zl.sum_log_1mz + zl.log_1mz
     k_term = (np.log(sizes[:, 0])
               + (log_q * mask).sum(axis=1) / sizes[:, 0]
-              + ((alpha - 1.0) * log_z + (beta - 1.0) * log_1mz).sum(axis=1))
+              + ((alpha - 1.0) * zl.log_z + (beta - 1.0) * zl.log_1mz).sum(axis=1))
     w_pre = np.where(mask > 0.0, lam - 1.0 + 1.0 / sizes, lam - 1.0)
-    w = np.clip(w_pre, 0.0, rho)
-    return UpperBound(value=-(k_term + (w * np.log(theta)).sum(axis=1)),
+    w = np.maximum(w_pre, 0.0)
+    np.minimum(w, rho, out=w)
+    return UpperBound(value=-(k_term + (w * log_theta).sum(axis=1)),
                       weights=w, weights_preclamp=w_pre)
 
 

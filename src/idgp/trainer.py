@@ -9,6 +9,15 @@ batch-start forward serves the refresh and both sub-steps; the auxiliary
 network is run again only after its own update, so the main sub-step sees
 its current values as constants.  That is three forwards per batch.
 
+Each quantity is evaluated once, and each sub-step evaluates only what it
+applies.  The main forward takes theta, its Dirichlet denominator and
+log theta; each auxiliary forward takes the clamped z, log z, log(1 - z)
+and their two masked row sums.  Sub-step 1 computes the likelihood weights
+and d/dz only, the z side that g's update needs, and no loss value.
+Sub-step 2 computes the loss values, their likelihood and prior parts and
+d/d(theta_hat) only; f's chain rule reuses the forward's theta and
+denominator.  The upper bound reads sub-step 2's logs and row sums.
+
 The prior cache implements the epoch-indexed mixing rules: per instance,
 
     lambda_hat_j = m * lambda_j^(r) + (1 - m) * lambda_j^(t)   j in S, t >= r
@@ -38,9 +47,10 @@ import numpy as np
 from .data import PLLDataset
 from .distributions import (
     Z_EPS,
+    _dirichlet_mean,
+    _require_positive,
     beta_posterior_mean,
     clamp_z,
-    dirichlet_posterior_mean,
     floor_params,
 )
 from .errors import NumericError
@@ -56,11 +66,16 @@ from .network import (
     validate_transform_clamp,
 )
 from .objective import (
+    _chain_lambda,
+    _map_d_z,
+    _map_values,
+    _ml_softmax,
+    _prior_terms,
+    _upper_bound,
+    _z_logs,
+    _ZLogs,
     chain_to_alpha_beta,
-    chain_to_lambda,
-    map_upper_bound_batch,
-    ml_loss_batch,
-    reg_loss_batch,
+    ml_loss_batch,  # noqa: F401  unused here; perfbench's tracer tests rebind trainer.ml_loss_batch
 )
 from .rng import substream
 
@@ -233,17 +248,19 @@ def _live_alpha_beta(scores: np.ndarray, tc: TransformConfig):
 
 
 class ForwardF(NamedTuple):
-    """The main net's forward on a batch and its Dirichlet posterior mean."""
+    """The main net's forward on a batch, its Dirichlet posterior mean and log."""
 
     net: DenseNet
     scores: np.ndarray
     cache: dict
     lam: np.ndarray
     theta: np.ndarray
+    denom: np.ndarray  # (B, 1): theta's denominator, sum_k (lam_k + o_k)
+    log_theta: np.ndarray
 
 
 class ForwardG(NamedTuple):
-    """The auxiliary net's forward on a batch and its Beta posterior mean."""
+    """The auxiliary net's forward on a batch and its clamped Beta posterior mean."""
 
     net: DenseNet
     scores: np.ndarray
@@ -251,78 +268,84 @@ class ForwardG(NamedTuple):
     alpha: np.ndarray
     beta: np.ndarray
     z_raw: np.ndarray  # before the z clamp, which decides where z gets a gradient
+    zl: _ZLogs  # z after the clamp, with its logs and masked row sums
 
 
 def forward_f(f: DenseNet, X: np.ndarray, tc: TransformConfig, mask) -> ForwardF:
     scores, cache = f.forward(X)
     lam = _live_lambda(scores, tc)
-    return ForwardF(f, scores, cache, lam, dirichlet_posterior_mean(lam, mask))
+    theta, denom = _dirichlet_mean(_require_positive(lam, "lam"), mask)
+    return ForwardF(f, scores, cache, lam, theta, denom, np.log(theta))
 
 
 def forward_g(g: DenseNet, X: np.ndarray, tc: TransformConfig, mask) -> ForwardG:
     scores, cache = g.forward(X)
     alpha, beta = _live_alpha_beta(scores, tc)
-    return ForwardG(g, scores, cache, alpha, beta, beta_posterior_mean(alpha, beta, mask))
+    z_raw = beta_posterior_mean(alpha, beta, mask)
+    return ForwardG(g, scores, cache, alpha, beta, z_raw, _z_logs(clamp_z(z_raw), mask))
+
+
+def aux_gradient(fwd_f: ForwardF, fwd_g: ForwardG, tc: TransformConfig,
+                 mask, prior) -> np.ndarray:
+    """Sub-step 1: g's flat (P,) gradient of the batch-mean MAP loss, f fixed.
+
+    Only the z side is evaluated: the likelihood weights, d/dz of the loss
+    (of its likelihood part when ``prior`` is None), the Beta chain rule and
+    g's backward; clamped z entries and the frozen hats get no gradient.
+    ``prior`` is :func:`objective._prior_terms` of the batch's hats.
+    """
+    cand = mask > 0.0
+    _, _, w = _ml_softmax(fwd_f.log_theta, fwd_g.zl, cand)
+    z_raw = fwd_g.z_raw
+    d_z = np.where((z_raw > Z_EPS) & (z_raw < 1.0 - Z_EPS),
+                   _map_d_z(w, fwd_g.zl, cand, prior), 0.0) / len(mask)
+    d_ab = np.concatenate(chain_to_alpha_beta(d_z, fwd_g.alpha, fwd_g.beta, mask), axis=1)
+    return fwd_g.net.backward(fwd_g.cache, d_ab * lambda_transform_grad(fwd_g.scores, tc))
 
 
 class MapStep(NamedTuple):
-    """Per-row MAP loss of one batch, its parts, inputs and per-net gradients."""
+    """Per-row MAP loss of one batch, its parts, and the main net's gradient."""
 
     values: np.ndarray
     ml_values: np.ndarray
     reg_values: np.ndarray  # zero under ``ml_only``
-    theta: np.ndarray
-    z: np.ndarray  # clamped
-    lam: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
     grads_f: Callable[[], np.ndarray]
-    grads_g: Callable[[], np.ndarray]
 
 
 def map_step_batch(fwd_f: ForwardF, fwd_g: ForwardG, tc: TransformConfig,
-                   mask, lam_hat, a_hat, b_hat, ml_only: bool) -> MapStep:
-    """The MAP loss of the posterior means of two forwards on the same batch.
+                   mask, prior) -> MapStep:
+    """Sub-step 2: the MAP loss of two forwards on the same batch, g fixed.
 
-    ``values`` is the sum of the likelihood and prior parts.
-    ``grads_f()``/``grads_g()`` give one net's flat (P,) parameter gradient
-    of the batch-mean loss, in the :meth:`DenseNet.get_flat` layout that
-    :func:`sgd_step` takes, running only that net's chain rule and backward
-    on its forward's cache; clamped z entries and the frozen hats get no
-    gradient.
+    Evaluates the values, their likelihood and prior parts and d/d(theta_hat);
+    ``prior`` is as in :func:`aux_gradient`.  ``grads_f()`` gives f's flat
+    (P,) parameter gradient of the batch-mean loss, in the
+    :meth:`DenseNet.get_flat` layout that :func:`sgd_step` takes, running the
+    Dirichlet chain rule on the forward's theta and denominator and f's
+    backward on its cache.
     """
-    theta, lam, alpha, beta = fwd_f.theta, fwd_f.lam, fwd_g.alpha, fwd_g.beta
-    z = clamp_z(fwd_g.z_raw)
-    ml_v, d_theta, d_z = ml_loss_batch(theta, z, mask)
-    if ml_only:
-        values, reg_v = ml_v, np.zeros_like(ml_v)
-    else:
-        reg_v, reg_dt, reg_dz = reg_loss_batch(theta, z, lam_hat, a_hat, b_hat)
-        values, d_theta, d_z = ml_v + reg_v, d_theta + reg_dt, d_z + reg_dz
+    cand = mask > 0.0
+    shift, total, w = _ml_softmax(fwd_f.log_theta, fwd_g.zl, cand)
+    values, ml_v, reg_v, d_theta = _map_values(shift, total, w, fwd_f.theta,
+                                               fwd_f.log_theta, fwd_g.zl, cand, prior)
     rows = len(mask)
 
     def grads_f():
-        d_lam = chain_to_lambda(d_theta / rows, lam, mask)
+        d_lam = _chain_lambda(d_theta / rows, fwd_f.theta, fwd_f.denom)
         return fwd_f.net.backward(fwd_f.cache, d_lam * lambda_transform_grad(fwd_f.scores, tc))
 
-    def grads_g():
-        z_raw = fwd_g.z_raw
-        d_zc = np.where((z_raw > Z_EPS) & (z_raw < 1.0 - Z_EPS), d_z, 0.0) / rows
-        d_ab = np.concatenate(chain_to_alpha_beta(d_zc, alpha, beta, mask), axis=1)
-        return fwd_g.net.backward(fwd_g.cache, d_ab * lambda_transform_grad(fwd_g.scores, tc))
-
-    return MapStep(values, ml_v, reg_v, theta, z, lam, alpha, beta, grads_f, grads_g)
+    return MapStep(values, ml_v, reg_v, grads_f)
 
 
 def _train_batch(state: TrainerState, t: int, idx: np.ndarray):
     """Both alternating sub-steps on the rows ``idx`` of epoch ``t``, in three forwards.
 
     f is fixed until the batch's last update, so its batch-start forward
-    serves the prior refresh, both sub-steps and f's backward.  g's
-    batch-start forward serves the refresh and g's update; g then runs once
-    more for the main sub-step.  Returns the MAP loss values of the rows
-    after the auxiliary update, their likelihood and prior parts, their
-    upper-bound values and the batch's live and frozen prior parameters.
+    (with log theta) serves the prior refresh, both sub-steps, the bound and
+    f's backward.  g's batch-start forward serves the refresh and g's
+    update; g then runs once more for the main sub-step and the bound.
+    Returns the MAP loss values of the rows after the auxiliary update,
+    their likelihood and prior parts, their upper-bound values and the
+    batch's live and frozen prior parameters.
     """
     cfg = state.config
     tc = cfg.transform_config
@@ -330,23 +353,24 @@ def _train_batch(state: TrainerState, t: int, idx: np.ndarray):
     O = state.cache.mask[idx]
     fwd_f = forward_f(state.f, X, tc, O)
     fwd_g = forward_g(state.g, X, tc, O)
-    lam_hat, a_hat, b_hat = state.cache.refresh(idx, fwd_f.lam, fwd_g.alpha, fwd_g.beta, t)
+    hats = state.cache.refresh(idx, fwd_f.lam, fwd_g.alpha, fwd_g.beta, t)
     priors = {"live_lambda": fwd_f.lam, "live_alpha": fwd_g.alpha, "live_beta": fwd_g.beta,
-              "lambda_hat": lam_hat, "alpha_hat": a_hat, "beta_hat": b_hat}
-    rest = (tc, O, lam_hat, a_hat, b_hat, cfg.ml_only)
+              "lambda_hat": hats[0], "alpha_hat": hats[1], "beta_hat": hats[2]}
+    prior = None if cfg.ml_only else _prior_terms(*hats)
 
     # Sub-step 1: main branch fixed, auxiliary branch updated; nothing of it
     # is kept, so g's batch-start cache is freed before g runs again.
-    sgd_step(state.opt_g, state.g, map_step_batch(fwd_f, fwd_g, *rest).grads_g(),
+    sgd_step(state.opt_g, state.g, aux_gradient(fwd_f, fwd_g, tc, O, prior),
              cfg.weight_decay)
     del fwd_g
 
     # Sub-step 2: auxiliary branch (just updated) fixed, main branch updated.
-    step = map_step_batch(fwd_f, forward_g(state.g, X, tc, O), *rest)
+    fwd_g = forward_g(state.g, X, tc, O)
+    step = map_step_batch(fwd_f, fwd_g, tc, O, prior)
     sgd_step(state.opt_f, state.f, step.grads_f(), cfg.weight_decay)
 
-    bounds = map_upper_bound_batch(step.theta, step.z, step.lam, step.alpha, step.beta,
-                                   O, cfg.rho).value
+    bounds = _upper_bound(fwd_f.log_theta, fwd_g.zl, fwd_f.lam, fwd_g.alpha, fwd_g.beta,
+                          O, cfg.rho).value
     return step.values, step.ml_values, step.reg_values, bounds, priors
 
 
@@ -371,11 +395,12 @@ def train_epoch(state: TrainerState, t: int,
         if not np.isfinite(values).all():
             bad = int(idx[int(np.flatnonzero(~np.isfinite(values))[0])])
             raise NumericError(f"non-finite loss at epoch {t}, batch {k}, instance {bad}")
-        batch_loss = float(values.mean())
-        gaps.append(float(bounds.mean()) - batch_loss)
+        rows = len(idx)
+        batch_loss = float(values.sum()) / rows
+        gaps.append(float(bounds.sum()) / rows - batch_loss)
         losses.append(batch_loss)
-        ml_losses.append(float(ml_v.mean()))
-        reg_losses.append(float(reg_v.mean()))
+        ml_losses.append(float(ml_v.sum()) / rows)
+        reg_losses.append(float(reg_v.sum()) / rows)
         if batch_hook is not None:
             batch_hook({"epoch": t, "batch": k, "indices": idx.copy(), **priors})
 

@@ -11,19 +11,36 @@ from pathlib import Path
 import numpy as np
 
 from idgp import trainer
+from idgp.generation import corrupt_uniform, make_clean_dataset
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# the traced calls one training epoch makes, its batches and the snapshots
+EPOCH_SPANS = {
+    "trainer.train_epoch", "trainer.prior_refresh", "network.forward", "network.backward",
+    "network.sgd_step", "network.lambda_transform", "network.lambda_transform_pair",
+    "network.lambda_transform_grad", "distributions.floor_params",
+    "distributions.beta_posterior_mean", "distributions.clamp_z",
+    "objective.chain_to_alpha_beta",
+}
 
 
 def test_tracing_wraps_and_restores_the_trainer(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
-    real = (trainer.ml_loss_batch, trainer.substream)
+    rng = np.random.default_rng(0)
+    y = rng.integers(0, 3, 40)
+    ds, _ = corrupt_uniform(make_clean_dataset(rng.normal(size=(40, 2)) + y[:, None], y, 3),
+                            0.3, 0)
+    state = trainer.init_state(trainer.TrainConfig(epochs=1, batch_size=16, hidden=4,
+                                                   clamp=2.0, b=1.0, r=1, q=1), ds)
+    real = (trainer.beta_posterior_mean, trainer.chain_to_alpha_beta, trainer.substream)
     with tracing.instrument(tracing.Tracer()) as tracer:
-        assert trainer.ml_loss_batch is not real[0]
-        assert trainer.substream is not real[1]
-        trainer.ml_loss_batch(np.full((1, 2), 0.5), np.full((1, 2), 0.5),
-                              np.array([[1.0, 0.0]]))
-    assert "objective.ml_loss_batch" in tracer.names
-    assert (trainer.ml_loss_batch, trainer.substream) == real
+        assert trainer.beta_posterior_mean is not real[0]
+        assert trainer.chain_to_alpha_beta is not real[1]
+        assert trainer.substream is not real[2]
+        trainer.train_epoch(state, 1)
+    recorded = {tracer.names[i] for i in set(tracer.arrays()[0].tolist())}
+    assert recorded == EPOCH_SPANS
+    assert (trainer.beta_posterior_mean, trainer.chain_to_alpha_beta, trainer.substream) == real

@@ -394,7 +394,7 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--trials", "2", "--seed", "1"]) == EXIT_GRADCHECK
         assert "posterior_jacobians" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("binding", ["chain_to_lambda", "chain_to_alpha_beta",
+    @pytest.mark.parametrize("binding", ["_chain_lambda", "chain_to_alpha_beta",
                                          "lambda_transform_grad"])
     def test_fault_in_trainer_step_detected(self, monkeypatch, capsys, binding):
         real = getattr(idgp.trainer, binding)
@@ -408,14 +408,12 @@ class TestGradcheckCommand:
         assert "map_loss" in capsys.readouterr().err
 
     def test_offset_in_loss_value_detected(self, monkeypatch, capsys):
-        real = idgp.objective.ml_loss_batch
+        real = idgp.objective._ml_values  # the likelihood values of every loss
 
-        def shifted(theta, z, mask):
-            values, d_theta, d_z = real(theta, z, mask)
-            return values + 1e-3, d_theta, d_z
+        def shifted(shift, total):
+            return real(shift, total) + 1e-3
 
-        monkeypatch.setattr(idgp.objective, "ml_loss_batch", shifted)
-        monkeypatch.setattr(idgp.trainer, "ml_loss_batch", shifted)
+        monkeypatch.setattr(idgp.objective, "_ml_values", shifted)
         assert main(["gradcheck", "--trials", "2", "--seed", "1"]) == EXIT_GRADCHECK
         assert "map_loss" in capsys.readouterr().err
 

@@ -1,9 +1,21 @@
-"""The finite-difference routine itself and a fault in the bare network's backward."""
+"""The finite-difference routine, a fault in the bare network's backward, and
+the MAP-step branches that ``run_suite`` does not reach: the likelihood-only
+step and rows past the z clamp."""
 
 import numpy as np
+import pytest
 
-from idgp.gradcheck import TOLERANCE, central_difference, check_forward
+from idgp.distributions import Z_EPS
+from idgp.gradcheck import (
+    TOLERANCE,
+    central_difference,
+    check_forward,
+    check_map_end_to_end,
+    rel_error,
+)
 from idgp.network import DenseNet
+from idgp.objective import _prior_terms
+from idgp.trainer import TrainConfig, aux_gradient, forward_f, forward_g, map_step_batch
 
 
 def test_central_difference_matches_closed_form_jacobian():
@@ -44,3 +56,49 @@ def test_offset_in_backward_fails_check_forward(monkeypatch):
     assert check_forward(np.random.default_rng(1)) <= TOLERANCE
     monkeypatch.setattr(DenseNet, "backward", offset)
     assert check_forward(np.random.default_rng(1)) > TOLERANCE
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ml_only_map_step_matches_finite_differences(seed):
+    # the likelihood-only step that ML-only fits apply, through both nets
+    assert check_map_end_to_end(np.random.default_rng([seed, 7]), ml_only=True) <= TOLERANCE
+
+
+@pytest.mark.parametrize("ml_only", [False, True])
+def test_rows_past_the_z_clamp_get_no_g_gradient(ml_only):
+    cfg = TrainConfig()  # clamp 20 and b 0: lambda runs from 2e-9 to 4.9e8
+    tc = cfg.transform_config
+    rng = np.random.default_rng(11)
+    c, rows = 3, 6
+    mask = np.zeros((rows, c))
+    mask[np.arange(rows), rng.integers(0, c, rows)] = 1.0
+    mask[::2, (rng.integers(0, c) + 1) % c] = 1.0
+    prior = None if ml_only else _prior_terms(*rng.uniform(0.5, 3.0, size=(3, rows, c)))
+    # A linear g.  Feature 0, set on the first three rows only, adds 15 to every
+    # alpha score and -15 to every beta score: inside the score clamp, but
+    # z_raw = 1 - 1e-13 there, far past the z clamp at 1 - Z_EPS.
+    x = np.zeros((rows, 2))
+    x[:3, 0] = 1.0
+    x[3:, 1] = rng.uniform(0.5, 1.0, rows - 3)
+    g = DenseNet([2, 2 * c], clamp=cfg.clamp, rng=rng)
+    g.weights[0][0] = np.repeat([15.0, -15.0], c)
+    f = DenseNet([2, 8, c], clamp=cfg.clamp, rng=rng)
+    fwd_f, fwd_g = forward_f(f, x, tc, mask), forward_g(g, x, tc, mask)
+    assert (np.abs(fwd_g.scores) < cfg.clamp - 1.0).all()  # no score is clamped
+    assert (fwd_g.z_raw[:3] > 1.0 - Z_EPS).all() and (fwd_g.z_raw[3:] < 0.99).all()
+
+    def mean_loss(nets):
+        return map_step_batch(fwd_f, forward_g(nets, x, tc, mask), tc, mask,
+                              prior).values.mean(axis=-1)
+
+    analytic = aux_gradient(fwd_f, fwd_g, tc, mask, prior)
+    numeric = central_difference(lambda flat: mean_loss(g.stacked(flat)), g.get_flat())
+    # W[0] (the first 2c entries) reaches the clamped rows only: both derivatives are 0
+    assert np.all(analytic[:2 * c] == 0.0) and np.all(numeric[:2 * c] == 0.0)
+    assert rel_error(analytic, numeric) <= TOLERANCE
+    assert np.any(analytic[2 * c:] != 0.0)
+    # with only the clamped rows in the batch, g's whole applied gradient is 0
+    fwd_g = forward_g(g, x[:3], tc, mask[:3])
+    part = None if ml_only else tuple(p[:3] for p in prior)
+    assert np.all(aux_gradient(forward_f(f, x[:3], tc, mask[:3]), fwd_g, tc, mask[:3],
+                               part) == 0.0)

@@ -369,17 +369,25 @@ class TestThreeForwards:
         cfg = small_config(epochs=3, r=1, q=2)
         state = init_state(cfg, ds)
         forwards = _count_calls(monkeypatch, DenseNet, "forward")
-        calls = _count_calls(monkeypatch, trainer_mod, "dirichlet_posterior_mean",
-                             "beta_posterior_mean", "ml_loss_batch", "reg_loss_batch")
+        calls = _count_calls(monkeypatch, trainer_mod, "_dirichlet_mean", "beta_posterior_mean",
+                             "_z_logs", "_ml_softmax", "_map_d_z", "_map_values",
+                             "_upper_bound")
+        logs = _count_calls(monkeypatch, np, "log", "log1p")
         batches = -(-ds.n // cfg.batch_size)
         # running totals; one snapshot forward at r=1 (lambda), one at q=2 (alpha/beta)
         for t, snapshots in ((1, 1), (2, 2), (3, 2)):
             train_epoch(state, t)
             assert forwards == {"forward": 3 * batches * t + snapshots}
-            assert calls == {"dirichlet_posterior_mean": batches * t,
+            # theta once per batch, z and its logs once per forward of g, the
+            # likelihood weights once per sub-step, d/dz in sub-step 1 only,
+            # the values in sub-step 2 only, and one bound
+            assert calls == {"_dirichlet_mean": batches * t,
                              "beta_posterior_mean": 2 * batches * t,
-                             "ml_loss_batch": 2 * batches * t,
-                             "reg_loss_batch": 2 * batches * t}
+                             "_z_logs": 2 * batches * t, "_ml_softmax": 2 * batches * t,
+                             "_map_d_z": batches * t, "_map_values": batches * t,
+                             "_upper_bound": batches * t}
+            # log theta, log z twice, log of the row total, log |S|; log(1 - z) twice
+            assert logs == {"log": 5 * batches * t, "log1p": 2 * batches * t}
 
 
 class TestTrainingLoop:
@@ -452,23 +460,23 @@ class TestTrainingLoop:
     def test_each_chain_rule_runs_once_per_batch(self, monkeypatch):
         ds = toy_dataset(n_per=10)
         cfg = small_config(epochs=1, batch_size=8, r=1, q=1)
-        calls = _count_calls(monkeypatch, trainer_mod, "chain_to_lambda", "chain_to_alpha_beta")
+        calls = _count_calls(monkeypatch, trainer_mod, "_chain_lambda", "chain_to_alpha_beta")
         train_epoch(init_state(cfg, ds), 1)
         batches = -(-ds.n // cfg.batch_size)
-        assert calls == {"chain_to_lambda": batches, "chain_to_alpha_beta": batches}
+        assert calls == {"_chain_lambda": batches, "chain_to_alpha_beta": batches}
 
     def test_nonfinite_loss_reports_location(self, monkeypatch):
         ds = toy_dataset(n_per=10)
         cfg = small_config(epochs=1, batch_size=30, r=1, q=1)
-        real = trainer_mod.ml_loss_batch
+        real = trainer_mod.map_step_batch
 
-        def poisoned(theta, z, mask):
-            values, d_t, d_z = real(theta, z, mask)
-            values = values.copy()
+        def poisoned(*args):
+            step = real(*args)
+            values = step.values.copy()
             values[2] = np.inf
-            return values, d_t, d_z
+            return step._replace(values=values)
 
-        monkeypatch.setattr(trainer_mod, "ml_loss_batch", poisoned)
+        monkeypatch.setattr(trainer_mod, "map_step_batch", poisoned)
         state = init_state(cfg, ds)
         # Batch 0 of epoch 1 is the head of that epoch's shuffle; its row 2 is
         # the poisoned one, reported by its dataset index.
