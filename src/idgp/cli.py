@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evaluation, gradcheck, generation, trainer
-from .data import (FORMATS, READ_BLOCK, load_dataset, read_lines, write_dataset,
+from .data import (READ_BLOCK, load_dataset, read_lines, sidecar_path, write_dataset,
                    write_sidecar)
 from .errors import DataFormatError, DataInvariantError, NumericError
 from .network import DenseNet, TransformConfig, param_count, validate_transform_clamp
@@ -182,6 +182,10 @@ def write_manifest(path, command: str, config: dict, seed: int, inputs, outputs)
 # -- subcommands ------------------------------------------------------------
 
 def cmd_corrupt(args) -> int:
+    sidecar = sidecar_path(args.out).resolve()
+    for flag, value in (("--out", args.out), ("--data", args.data)):
+        if Path(value).resolve() == sidecar:  # the sidecar is written last, over it
+            raise UsageError(f"{flag} {value} is the .meta sidecar path of --out")
     scorer = {k: getattr(args, f"scorer_{k}") for k in ("hidden", "epochs", "lr", "clamp")}
     scorer = {k: v for k, v in scorer.items() if v is not None}
     if args.mode == "uniform" and scorer:
@@ -193,7 +197,7 @@ def cmd_corrupt(args) -> int:
             scorer_cfg = generation.CleanScorerConfig(**scorer, seed=args.seed)
         except ValueError as exc:  # each message opens with the field, e.g. "lr must ..."
             raise UsageError(f"--scorer-{exc}") from None
-    ds = load_dataset(args.data, args.format)
+    ds = load_dataset(args.data)
     if args.mode == "uniform":
         if args.p is None:
             raise UsageError("--p is required for --mode uniform")
@@ -204,7 +208,7 @@ def cmd_corrupt(args) -> int:
         scores, _ = generation.train_clean_scorer(ds, scorer_cfg)
         corrupted, report = generation.corrupt_instance_dependent(
             ds, scores, args.seed, scorer_params=asdict(scorer_cfg))
-    write_dataset(corrupted, args.out, args.format)
+    write_dataset(corrupted, args.out)
     write_sidecar(args.out, report.to_metadata())
     print(f"wrote {args.out} (avg |S| = {report.avg_set_size:.3f})")
     return EXIT_OK
@@ -216,7 +220,7 @@ def cmd_train(args) -> int:
         config = replace(config, seed=args.seed)
     if args.ml_only:
         config = replace(config, ml_only=True)
-    ds = load_dataset(args.data, args.format)
+    ds = load_dataset(args.data)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     net_f, net_g, history = trainer.fit(config, ds)
@@ -238,7 +242,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     net_f, _, tc = load_model(args.model)
-    ds = load_dataset(args.data, args.format)
+    ds = load_dataset(args.data)
     if net_f.out_dim != ds.c:
         raise DataInvariantError(
             f"model predicts {net_f.out_dim} classes, dataset has {ds.c}"
@@ -326,7 +330,7 @@ def cmd_report(args) -> int:
                     for a in _parse_grid(args.sweep_a, "--sweep-a")]
         except ValueError as exc:
             raise UsageError(f"sensitivity sweep: {exc}") from None
-        ds = load_dataset(args.data, args.format)
+        ds = load_dataset(args.data)
         rows = []
         for cfg in grid:
             _, _, history = trainer.fit(cfg, ds)
@@ -369,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=None,
                    help="flip probability for --mode uniform")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--format", default="text", choices=FORMATS)
     p.add_argument("--scorer-hidden", type=int, default=None)
     p.add_argument("--scorer-epochs", type=int, default=None)
     p.add_argument("--scorer-lr", type=float, default=None)
@@ -383,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--ml-only", action="store_true",
                    help="drop the prior regularizer (ablation)")
-    p.add_argument("--format", default="text", choices=FORMATS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="accuracy of a trained model on labelled data")
@@ -391,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--method", default="idgp")
-    p.add_argument("--format", default="text", choices=FORMATS)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
@@ -407,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--format", default="text", choices=FORMATS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
     return parser

@@ -8,19 +8,25 @@ instance's candidate set.  Training code never reads ``true_labels``.  The
 sets are stored once, as a read-only bool ``(n, c)`` mask whose rows are the
 occurrence vectors the model reads; ``candidates`` is a view of it.
 
-Labels are 1-indexed in files and 0-indexed in memory; conversion happens
-exactly once, at the I/O boundary.  Features are written as decimal text in
-the shortest representation that round-trips a 64-bit float, so
-``write_dataset`` followed by ``load_dataset`` is the identity.
-
-File text is streamed: ``write_dataset`` holds one formatted row at a time,
-and ``load_dataset`` holds the list of decoded lines plus one block of
-``READ_BLOCK`` bytes, never the whole file as bytes or as one string.
+A file is npz when it starts with the zip magic (on write: when its path
+ends in ``.npz``) and text otherwise.  Text is the reference format.  Its
+labels are 1-indexed, and its features are written in the shortest decimal
+form that round-trips a 64-bit float, so ``write_dataset`` followed by
+``load_dataset`` is the identity.  Text is streamed: ``write_dataset`` holds
+one formatted row at a time, and ``load_dataset`` the list of decoded lines
+plus one block of ``READ_BLOCK`` bytes.  An npz file holds the arrays of
+:data:`NPZ_DTYPES`, each member's header checked against ``dims`` and the
+file size before its data is read.
 """
 
 from __future__ import annotations
 
 import json
+import lzma
+import math
+import tokenize
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -30,9 +36,14 @@ import numpy as np
 
 from .errors import DataFormatError, DataInvariantError
 
-TEXT_FORMAT = "text"
-JSONL_FORMAT = "jsonl"
-FORMATS = (TEXT_FORMAT, JSONL_FORMAT)
+# the first bytes of a zip archive, so of every npz file
+ZIP_MAGIC = b"PK\x03\x04"
+# npz member -> dtype: "dims" holds n q c, "features" is (n, q), "mask" (n, c)
+# and "labels" (n,), 0-indexed and present only when the true labels are known
+NPZ_DTYPES = {"dims": np.int64, "features": np.float64, "mask": np.bool_, "labels": np.int64}
+# what a damaged zip archive or .npy member can raise while it is read
+_NPZ_ERRORS = (OSError, EOFError, ValueError, TypeError, KeyError, RuntimeError,
+               SyntaxError, tokenize.TokenError, zipfile.BadZipFile, zlib.error, lzma.LZMAError)
 # bytes :func:`read_lines` decodes at a time, besides a carried partial line
 READ_BLOCK = 1 << 20
 
@@ -165,51 +176,48 @@ def occurrence_vector(candidates: Sequence[int], c: int) -> np.ndarray:
     return o
 
 
-def _check_format(fmt: str) -> None:
-    if fmt not in FORMATS:
-        raise DataFormatError(f"unknown format {fmt!r}; expected 'text' or 'jsonl'")
+def write_dataset(ds: PLLDataset, path) -> None:
+    """Serialize a dataset so that :func:`load_dataset` inverts it exactly:
+    npz when ``path`` ends in ``.npz``, text otherwise.
 
-
-def write_dataset(ds: PLLDataset, path, fmt: str = TEXT_FORMAT) -> None:
-    """Serialize a dataset so that :func:`load_dataset` inverts it exactly.
-
-    Each line is written as soon as it is formatted, so the text held in
-    memory is one row, not the file.
+    Each text line is written as soon as it is formatted, so the text held
+    in memory is one row, not the file.
     """
-    _check_format(fmt)
-    sets = ds.candidates
-    with Path(path).open("w", encoding="utf-8") as fh:
-        if fmt == TEXT_FORMAT:
-            fh.write(f"{ds.n} {ds.q} {ds.c}\n")
-            for i, values in enumerate(ds.features):
-                # repr() of a Python float is the shortest string that round-trips;
-                # one row at a time, as a whole-matrix tolist() raises peak memory
-                feats = " ".join(map(repr, values.tolist()))
-                cands = " ".join(str(j + 1) for j in sets[i])
-                label = "" if ds.true_labels is None else f" | {int(ds.true_labels[i]) + 1}"
-                fh.write(f"{feats} | {cands}{label}\n")
-        else:
-            fh.write(json.dumps({"n": ds.n, "q": ds.q, "c": ds.c}) + "\n")
-            for i in range(ds.n):
-                obj = {
-                    "features": [float(v) for v in ds.features[i]],
-                    "candidates": [j + 1 for j in sets[i]],
-                }
-                if ds.true_labels is not None:
-                    obj["true_label"] = int(ds.true_labels[i]) + 1
-                fh.write(json.dumps(obj) + "\n")
-
-
-def load_dataset(path, fmt: str = TEXT_FORMAT) -> PLLDataset:
-    """Parse a dataset file; raises with a line number on malformed input."""
-    _check_format(fmt)
     path = Path(path)
+    if path.suffix == ".npz":
+        arrays = {"dims": np.array([ds.n, ds.q, ds.c], dtype=np.int64),
+                  "features": ds.features, "mask": ds.mask}
+        if ds.true_labels is not None:
+            arrays["labels"] = ds.true_labels
+        with path.open("wb") as fh:
+            np.savez(fh, **arrays)
+        return
+    sets = ds.candidates
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(f"{ds.n} {ds.q} {ds.c}\n")
+        for i, values in enumerate(ds.features):
+            # repr() of a Python float is the shortest string that round-trips;
+            # one row at a time, as a whole-matrix tolist() raises peak memory
+            feats = " ".join(map(repr, values.tolist()))
+            cands = " ".join(str(j + 1) for j in sets[i])
+            label = "" if ds.true_labels is None else f" | {int(ds.true_labels[i]) + 1}"
+            fh.write(f"{feats} | {cands}{label}\n")
+
+
+def load_dataset(path) -> PLLDataset:
+    """Parse a dataset file, npz when it starts with :data:`ZIP_MAGIC` and
+    text otherwise; raises naming the text line or the npz key at fault."""
+    path = Path(path)
+    try:
+        with path.open("rb") as fh:
+            if fh.read(len(ZIP_MAGIC)) == ZIP_MAGIC:
+                return _load_npz(fh, path)
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
     lines = read_lines(path)
     if not lines:
         raise DataFormatError(f"{path}: empty file")
-    if fmt == TEXT_FORMAT:
-        return _parse_text(lines, path)
-    return _parse_jsonl(lines, path)
+    return _parse_text(lines, path)
 
 
 def read_text(path) -> str:
@@ -264,22 +272,25 @@ def _decode(data: bytes, path, newlines: int) -> str:
         raise DataFormatError(f"{path}:{line}: not UTF-8 text") from exc
 
 
-def _header_dims(fields, path, lines, to_int=int):
-    """``(n, q, c)`` from the three header fields of either format."""
+def _header_dims(fields, where, room):
+    """``(n, q, c)`` from the three header fields of either format.
+
+    ``where`` opens each message, and ``room`` is the most features the
+    file can hold: this bounds the feature allocation.
+    """
     try:
-        n, q, c = (to_int(v) for v in fields)
+        n, q, c = (int(v) for v in fields)
     except (TypeError, ValueError):
-        raise DataFormatError(f"{path}:1: non-integer header field") from None
+        raise DataFormatError(f"{where}: non-integer header field") from None
     if max(n, q, c) > np.iinfo(np.intp).max:
-        raise DataFormatError(f"{path}:1: header field above {np.iinfo(np.intp).max}")
+        raise DataFormatError(f"{where}: header field above {np.iinfo(np.intp).max}")
     if n < 0 or q < 0:
-        raise DataFormatError(f"{path}:1: negative header field (n={n}, q={q})")
+        raise DataFormatError(f"{where}: negative header field (n={n}, q={q})")
     # training holds (n, c) float64 arrays, whose byte count must be addressable
     if max(n, 1) * c > np.iinfo(np.intp).max // 8:
-        raise DataFormatError(f"{path}:1: n={n} rows of c={c} classes cannot be addressed")
-    # each feature takes at least one character: this bounds the allocation
-    if max(n, 1) * q > sum(map(len, lines)):
-        raise DataFormatError(f"{path}:1: n={n} rows of q={q} features cannot fit in the file")
+        raise DataFormatError(f"{where}: n={n} rows of c={c} classes cannot be addressed")
+    if max(n, 1) * q > room:
+        raise DataFormatError(f"{where}: n={n} rows of q={q} features cannot fit in the file")
     return n, q, c
 
 
@@ -287,7 +298,8 @@ def _parse_text(lines, path) -> PLLDataset:
     header = lines[0].split()
     if len(header) != 3:
         raise DataFormatError(f"{path}:1: header must be 'n q c'")
-    n, q, c = _header_dims(header, path, lines)
+    # each feature takes at least one character
+    n, q, c = _header_dims(header, f"{path}:1", sum(map(len, lines)))
     if len(lines) - 1 < n:
         raise DataFormatError(f"{path}: header says n={n} but only {len(lines) - 1} rows")
     features = np.empty((n, q))
@@ -319,72 +331,52 @@ def _parse_text(lines, path) -> PLLDataset:
                 labels.append(int(parts[2]) - 1)
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: malformed true label") from None
-    return _dataset(path, features, candidates, c, labels, enumerate(lines[n + 1:], n + 2))
-
-
-def _dataset(path, features, candidates, c, labels, rest) -> PLLDataset:
-    """The tail both parsers share.
-
-    ``labels`` must cover every row or none, and every ``(lineno, text)``
-    line of ``rest``, after the header's n rows, must be blank.
-    """
-    for lineno, text in rest:
+    for lineno, text in enumerate(lines[n + 1:], n + 2):
         if text.strip():
-            raise DataFormatError(f"{path}:{lineno}: row beyond the header's n={len(features)}")
-    if labels and len(labels) != len(features):
+            raise DataFormatError(f"{path}:{lineno}: row beyond the header's n={n}")
+    if labels and len(labels) != n:
         raise DataFormatError(f"{path}: true label present on some rows but not all")
     return PLLDataset(features, candidates, c, labels or None)
 
 
-def _json_int(value) -> int:
-    """A JSON integer; floats, booleans and strings are not read as one."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _json_number(value):
-    """A JSON number; booleans and strings are not read as one."""
-    if type(value) not in (int, float):
-        raise TypeError(f"expected a number, got {value!r}")
-    return value
-
-
-def _parse_jsonl(lines, path) -> PLLDataset:
-    def parse_object(lineno, text):
-        try:
-            obj = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-            raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise DataFormatError(f"{path}:{lineno}: expected a JSON object")
-        return obj
-
-    header = parse_object(1, lines[0])
-    for key in ("n", "q", "c"):
-        if key not in header:
-            raise DataFormatError(f"{path}:1: header object missing {key!r}")
-    n, q, c = _header_dims([header[key] for key in ("n", "q", "c")], path, lines,
-                           _json_int)
-    body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
-    if len(body) < n:
-        raise DataFormatError(f"{path}: header says n={n} but only {len(body)} rows")
-    features = np.empty((n, q))
-    candidates = []
-    labels = []
-    for i, (lineno, text) in enumerate(body[:n]):
-        obj = parse_object(lineno, text)
-        feats = obj.get("features")
-        if not isinstance(feats, list) or len(feats) != q:
-            raise DataFormatError(f"{path}:{lineno}: expected {q} features")
-        try:
-            features[i] = [_json_number(v) for v in feats]
-            candidates.append([_json_int(j) - 1 for j in obj.get("candidates", [])])
-            if "true_label" in obj:
-                labels.append(_json_int(obj["true_label"]) - 1)
-        except (TypeError, OverflowError) as exc:
-            raise DataFormatError(f"{path}:{lineno}: malformed value ({exc})") from exc
-    return _dataset(path, features, candidates, c, labels, body[n:])
+def _load_npz(fh, path) -> PLLDataset:
+    """The npz dataset in the open file ``fh``.  Each member's .npy header
+    must declare its :data:`NPZ_DTYPES` dtype, the shape ``dims`` implies and
+    at most the file's size in bytes before its data is read."""
+    arrays, key = {}, "zip"
+    try:
+        size = fh.seek(0, 2)
+        fh.seek(0)
+        with np.load(fh, allow_pickle=False) as npz:
+            keys = [name.removesuffix(".npy") for name in npz.zip.namelist()]
+            for key in ("dims", "features", "mask"):
+                if key not in keys:
+                    raise DataFormatError(f"{path}: missing key {key!r}")
+            if extra := sorted(set(keys).difference(NPZ_DTYPES)):
+                raise DataFormatError(f"{path}: unexpected key {extra[0]!r}")
+            if len(set(keys)) < len(keys):
+                raise DataFormatError(f"{path}: a key appears twice")
+            shapes = {"dims": (3,)}
+            for key in (k for k in NPZ_DTYPES if k in keys):  # dims first
+                with npz.zip.open(f"{key}.npy") as member:
+                    version = np.lib.format.read_magic(member)
+                    read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                                   else np.lib.format.read_array_header_2_0)
+                    shape, _, dtype = read_header(member)
+                if dtype != NPZ_DTYPES[key]:
+                    raise DataFormatError(f"{path}: {key}: dtype {dtype}, expected "
+                                          f"{np.dtype(NPZ_DTYPES[key])}")
+                if shape != shapes[key]:
+                    raise DataFormatError(f"{path}: {key}: shape {shape}, expected {shapes[key]}")
+                if dtype.itemsize * math.prod(shape) > size:
+                    raise DataFormatError(f"{path}: {key}: more bytes than the file's {size}")
+                arrays[key] = npz[key]
+                if key == "dims":  # each stored feature takes 8 bytes
+                    n, q, c = _header_dims(arrays["dims"].tolist(), f"{path}: dims", size // 8)
+                    shapes.update(features=(n, q), mask=(n, c), labels=(n,))
+    except _NPZ_ERRORS as exc:
+        raise DataFormatError(f"{path}: {key}: unreadable ({exc})") from exc
+    return PLLDataset(arrays["features"], arrays["mask"], c, arrays.get("labels"))
 
 
 def sidecar_path(path) -> Path:

@@ -132,6 +132,89 @@ class TestCorrupt:
                      "--p", "0.2"])
         assert code == 1
 
+    def test_out_that_is_its_own_sidecar_exits_2(self, tmp_path, clean_path, capsys):
+        out = tmp_path / "out.meta"
+        assert main(["corrupt", "--data", str(clean_path), "--out", str(out),
+                     "--mode", "uniform", "--p", "0.3"]) == EXIT_USAGE
+        assert "--out" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_data_that_is_the_sidecar_of_out_exits_2(self, tmp_path, clean_path, capsys):
+        data = tmp_path / "run.meta"
+        data.write_bytes(clean_path.read_bytes())
+        out = tmp_path / "run.pll"
+        assert main(["corrupt", "--data", str(data), "--out", str(out),
+                     "--mode", "uniform", "--p", "0.3"]) == EXIT_USAGE
+        assert "--data" in capsys.readouterr().err
+        assert data.read_bytes() == clean_path.read_bytes()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["corrupt", "--data", "a.pll", "--out", "b.pll", "--p", "0.3"], id="corrupt"),
+        pytest.param(["train", "--data", "a.pll", "--out-dir", "run"], id="train"),
+        pytest.param(["eval", "--model", "m.bin", "--data", "a.pll", "--out", "m.csv"], id="eval"),
+        pytest.param(["report", "--history", "h.jsonl", "--out", "c.csv"], id="report"),
+    ])
+    def test_format_flag_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "text"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --format text" in capsys.readouterr().err
+
+    def test_npz_out_feeds_train_eval_and_sweep(self, tmp_path, clean_path):
+        out = tmp_path / "pll.npz"
+        assert main(["corrupt", "--data", str(clean_path), "--out", str(out),
+                     "--mode", "uniform", "--p", "0.3", "--seed", "5"]) == 0
+        assert out.read_bytes()[:4] == b"PK\x03\x04"
+        assert read_sidecar(out)["mode"] == "uniform"
+        # the same corruption as the text output, array for array
+        text_out = tmp_path / "pll.pll"
+        assert main(["corrupt", "--data", str(clean_path), "--out", str(text_out),
+                     "--mode", "uniform", "--p", "0.3", "--seed", "5"]) == 0
+        ds, ds_text = load_dataset(out), load_dataset(text_out)
+        assert np.array_equal(ds.features, ds_text.features)
+        assert np.array_equal(ds.mask, ds_text.mask)
+        assert np.array_equal(ds.true_labels, ds_text.true_labels)
+
+        cfg = tiny_config(tmp_path, val_fraction=0.2)
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(out), "--config", str(cfg),
+                     "--seed", "1", "--out-dir", str(run)]) == 0
+        run_text = tmp_path / "run_text"
+        assert main(["train", "--data", str(text_out), "--config", str(cfg),
+                     "--seed", "1", "--out-dir", str(run_text)]) == 0
+        assert (run / "model.bin").read_bytes() == (run_text / "model.bin").read_bytes()
+        metrics = tmp_path / "metrics.csv"
+        assert main(["eval", "--model", str(run / "model.bin"), "--data", str(out),
+                     "--out", str(metrics)]) == 0
+        assert read_report_csv(metrics)[0]["dataset"] == "pll"
+        grid = tmp_path / "grid.csv"
+        assert main(["report", "--sweep-a", "1", "--sweep-gamma", "1", "--data", str(out),
+                     "--config", str(cfg), "--seed", "1", "--out", str(grid)]) == 0
+        assert len(grid.read_text().splitlines()) == 2
+
+
+    def test_npz_in_text_out_equals_text_in(self, tmp_path, clean_path):
+        clean_npz = tmp_path / "clean.npz"
+        write_dataset(load_dataset(clean_path), clean_npz)
+        outs = []
+        for data in (clean_path, clean_npz):
+            out = tmp_path / f"from_{data.suffix[1:]}.pll"
+            assert main(["corrupt", "--data", str(data), "--out", str(out),
+                         "--mode", "uniform", "--p", "0.3", "--seed", "2"]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_damaged_npz_exits_1_naming_key(self, tmp_path, clean_path, capsys):
+        data = tmp_path / "d.npz"
+        write_dataset(load_dataset(clean_path), data)
+        buf = bytearray(data.read_bytes())
+        at = buf.index(b"'descr': '<f8'") + len("'descr': '<")
+        buf[at] = ord("i")  # the stored CRC no longer matches the features member
+        data.write_bytes(bytes(buf))
+        assert main(["train", "--data", str(data), "--out-dir", str(tmp_path / "run")]) == 1
+        assert f"{data}: features: unreadable (Bad CRC-32" in capsys.readouterr().err
+
 
 class TestTrainEval:
     def test_train_then_eval_consistent(self, tmp_path, corrupted_path, monkeypatch):

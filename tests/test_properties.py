@@ -1,9 +1,10 @@
 """Property tests of the file boundary: round trips and arbitrary input bytes.
 
-Dataset and model files must round-trip bit for bit (a model whose transform
-overflows at a net's clamp is instead refused), and any bytes given to
-``load_dataset`` or ``load_model`` may only raise a package error, never a
-bare Python exception.  The block reader ``read_lines`` must split any bytes
+Dataset files of both formats (the path's suffix picks text or npz on
+write, and the first bytes on load) and model files must round-trip bit for
+bit (a model whose transform overflows at a net's clamp is instead refused),
+and any bytes given to ``load_dataset`` or ``load_model`` may only raise a
+package error, never a bare Python exception.  The block reader ``read_lines`` must split any bytes
 as ``read_text(...).splitlines()`` does, whatever its block size.  ``PLLDataset`` validation must agree with a per-row
 reference check.  The runs are derandomized so tier-1 stays repeatable.
 """
@@ -20,13 +21,14 @@ from hypothesis import strategies as st
 
 from idgp.cli import MODEL_MAGIC, load_model, save_model
 from idgp import data
-from idgp.data import PLLDataset, load_dataset, read_lines, read_text, write_dataset
+from idgp.data import ZIP_MAGIC, PLLDataset, load_dataset, read_lines, read_text, write_dataset
 from idgp.errors import DataFormatError, DataInvariantError, IdgpError
 from idgp.network import DenseNet, TransformConfig, param_count
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150,
                     database=None)
-FORMATS = ("text", "jsonl")
+# a dataset file name per format: the suffix picks the writer
+NAMES = ("d.data", "d.npz")
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # any 4-byte header field; the maximum is drawn often, as two adjacent
@@ -82,8 +84,9 @@ def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
-# fragments of both dataset syntaxes and integers of any size, spliced into valid files
-SYNTAX = st.one_of(st.text(alphabet='0123456789-+.eE[]{}":, |truefalsnNIy\n', max_size=30),
+# fragments of text and .npy header syntax and integers of any size, spliced into valid files
+SYNTAX = st.one_of(st.text(alphabet="0123456789-+.eE[]{}()\"':, |<>truefalsnNIyTFObicdhpo\n",
+                           max_size=30),
                    st.integers().map(str))
 
 
@@ -100,10 +103,10 @@ def _damaged(valid: bytes, draw) -> bytes:
 
 
 @st.composite
-def damaged_datasets(draw, fmt):
+def damaged_datasets(draw, name):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "d.data"
-        write_dataset(draw(datasets()), path, fmt)
+        path = Path(tmp) / name
+        write_dataset(draw(datasets()), path)
         return _damaged(path.read_bytes(), draw)
 
 
@@ -132,13 +135,13 @@ def _load_bytes(loader, data: bytes, *args):
 
 
 @PROPERTY
-@given(datasets(), st.sampled_from(FORMATS))
-def test_dataset_roundtrip_is_bitwise(ds, fmt):
+@given(datasets(), st.sampled_from(NAMES))
+def test_dataset_roundtrip_is_bitwise(ds, name):
     with tempfile.TemporaryDirectory() as tmp:
-        path, again = Path(tmp) / "d.data", Path(tmp) / "again.data"
-        write_dataset(ds, path, fmt)
-        back = load_dataset(path, fmt)
-        write_dataset(back, again, fmt)
+        path, again = Path(tmp) / name, Path(tmp) / f"again{Path(name).suffix}"
+        write_dataset(ds, path)
+        back = load_dataset(path)
+        write_dataset(back, again)
         assert again.read_bytes() == path.read_bytes()
     assert np.array_equal(_bits(back.features), _bits(ds.features))
     assert back.candidates == ds.candidates and back.c == ds.c
@@ -171,15 +174,16 @@ def test_model_roundtrip_is_bitwise(model):
 
 
 @PROPERTY
-@given(st.binary(max_size=200), st.sampled_from(FORMATS))
-def test_arbitrary_bytes_load_dataset_raise_only_package_errors(data, fmt):
-    _load_bytes(load_dataset, data, fmt)
+@given(st.one_of(st.binary(max_size=200),
+                 st.binary(max_size=200).map(lambda b: ZIP_MAGIC + b)))
+def test_arbitrary_bytes_load_dataset_raise_only_package_errors(data):
+    _load_bytes(load_dataset, data)
 
 
 @PROPERTY
-@given(st.data(), st.sampled_from(FORMATS))
-def test_damaged_dataset_files_raise_only_package_errors(data, fmt):
-    _load_bytes(load_dataset, data.draw(damaged_datasets(fmt)), fmt)
+@given(st.data(), st.sampled_from(NAMES))
+def test_damaged_dataset_files_raise_only_package_errors(data, name):
+    _load_bytes(load_dataset, data.draw(damaged_datasets(name)))
 
 
 @PROPERTY
