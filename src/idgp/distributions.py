@@ -65,8 +65,9 @@ def dirichlet_posterior_mean(lam: np.ndarray, o: np.ndarray) -> np.ndarray:
 
 def _dirichlet_mean(lam, o, axis=-1):
     """Unchecked ``(theta_hat, D)``, with D = sum_k (lam_k + o_k) over ``axis`` kept."""
-    denom = np.sum(lam + o, axis=axis, keepdims=True)
-    return (o + lam) / denom, denom
+    counts = lam + o
+    denom = np.sum(counts, axis=axis, keepdims=True)
+    return counts / denom, denom
 
 
 def dirichlet_posterior_mean_jacobian(lam: np.ndarray, o: np.ndarray) -> np.ndarray:
@@ -82,8 +83,14 @@ def beta_posterior_mean(alpha, beta, o) -> np.ndarray:
     """Posterior mean (o + alpha) / (alpha + beta + o), elementwise."""
     alpha = _require_positive(alpha, "alpha")
     beta = _require_positive(beta, "beta")
-    o = np.asarray(o, dtype=np.float64)
-    return (o + alpha) / (alpha + beta + o)
+    return _beta_mean(alpha, beta, np.asarray(o, dtype=np.float64))[0]
+
+
+def _beta_mean(alpha, beta, o):
+    """Unchecked ``(z_hat, N, D)``: numerator N = o + alpha, denominator D = alpha + beta + o."""
+    num = o + alpha
+    denom = alpha + beta + o
+    return num / denom, num, denom
 
 
 def beta_posterior_mean_grads(alpha, beta, o):

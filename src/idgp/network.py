@@ -51,11 +51,7 @@ def validate_transform_clamp(cfg: TransformConfig, clamp: float) -> None:
 
 def lambda_transform(scores: np.ndarray, cfg: TransformConfig) -> np.ndarray:
     """Map clamped scores to strictly positive Dirichlet parameters."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if not np.isfinite(scores).all():
-        raise NumericError("non-finite scores passed to lambda_transform")
-    lam = np.divide(scores, cfg.gamma, out=np.empty_like(scores))  # then written in place
-    np.exp(lam, out=lam)
+    lam = _transform_exp(scores, cfg)  # then written in place
     lam *= cfg.a
     lam += cfg.b
     return lam
@@ -68,6 +64,20 @@ def lambda_transform_grad(scores: np.ndarray, cfg: TransformConfig) -> np.ndarra
     np.exp(d, out=d)
     d *= cfg.a / cfg.gamma
     return d
+
+
+def _transform_exp(scores, cfg: TransformConfig) -> np.ndarray:
+    """e = exp(s / gamma) of finite scores, the factor lambda and its derivative share."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise NumericError("non-finite scores passed to lambda_transform")
+    e = np.divide(scores, cfg.gamma, out=np.empty_like(scores))
+    return np.exp(e, out=e)
+
+
+def _transform_grad(e, cfg: TransformConfig) -> np.ndarray:
+    """:func:`lambda_transform_grad` from e = exp(s / gamma), as a new array."""
+    return e * (cfg.a / cfg.gamma)
 
 
 def lambda_transform_pair(scores: np.ndarray, cfg: TransformConfig):

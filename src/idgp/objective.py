@@ -56,7 +56,8 @@ def ml_loss_batch(theta: np.ndarray, z: np.ndarray, mask: np.ndarray):
     mask = np.asarray(mask, dtype=np.float64)
     cand = mask > 0.0
     shift, total, w = _ml_softmax(np.log(theta), _z_logs(z, mask), cand)
-    return _ml_values(shift, total), _ml_d_theta(w, theta, cand), _ml_d_z(w, z, cand)
+    return (_ml_values(shift, total), _ml_d_theta(w, theta, cand),
+            _ml_d_z(w, z, 1.0 - z, cand))
 
 
 def reg_loss_batch(theta, z, lambda_hat, alpha_hat, beta_hat):
@@ -69,7 +70,7 @@ def reg_loss_batch(theta, z, lambda_hat, alpha_hat, beta_hat):
     z = np.asarray(z, dtype=np.float64)
     prior = _prior_terms(lambda_hat, alpha_hat, beta_hat)
     values = _reg_values(prior, np.log(theta), np.log(z), np.log1p(-z))
-    return values, _reg_d_theta(prior, theta), _reg_d_z(prior, z)
+    return values, _reg_d_theta(prior, theta), _reg_d_z(prior, z, 1.0 - z)
 
 
 def chain_to_lambda(d_theta: np.ndarray, lam: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -89,8 +90,7 @@ def chain_to_alpha_beta(d_z, alpha, beta, mask):
     alpha = np.asarray(alpha, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
-    denom_sq = (alpha + beta + mask) ** 2
-    return d_z * beta / denom_sq, d_z * (-(mask + alpha)) / denom_sq
+    return _chain_alpha_beta(d_z, beta, mask + alpha, alpha + beta + mask)
 
 
 # -- the pieces every loss, gradient and bound above and in the trainer share --
@@ -152,8 +152,8 @@ def _ml_d_theta(w, theta, cand):
     return np.where(cand, -w / theta, 0.0)
 
 
-def _ml_d_z(w, z, cand):
-    return np.where(cand, -(1.0 - w) / z + w / (1.0 - z), 1.0 / (1.0 - z))
+def _ml_d_z(w, z, one_minus_z, cand):
+    return np.where(cand, -(1.0 - w) / z + w / one_minus_z, 1.0 / one_minus_z)
 
 
 def _reg_values(prior, log_theta, log_z, log_1mz):
@@ -165,15 +165,16 @@ def _reg_d_theta(prior, theta):
     return -prior[0] / theta
 
 
-def _reg_d_z(prior, z):
+def _reg_d_z(prior, z, one_minus_z):
     _, alp_c, bet_c = prior
-    return -alp_c / z + bet_c / (1.0 - z)
+    return -alp_c / z + bet_c / one_minus_z
 
 
 def _map_d_z(w, zl: _ZLogs, cand, prior):
     """d/dz of the per-row MAP loss, or of its likelihood part when ``prior`` is None."""
-    d_z = _ml_d_z(w, zl.z, cand)
-    return d_z if prior is None else d_z + _reg_d_z(prior, zl.z)
+    one_minus_z = 1.0 - zl.z
+    d_z = _ml_d_z(w, zl.z, one_minus_z, cand)
+    return d_z if prior is None else d_z + _reg_d_z(prior, zl.z, one_minus_z)
 
 
 def _map_values(shift, total, w, theta, log_theta, zl: _ZLogs, cand, prior):
@@ -193,6 +194,12 @@ def _map_values(shift, total, w, theta, log_theta, zl: _ZLogs, cand, prior):
 def _chain_lambda(d_theta, theta, denom):
     inner = (d_theta * theta).sum(axis=1, keepdims=True)
     return (d_theta - inner) / denom
+
+
+def _chain_alpha_beta(d_z, beta, num, denom):
+    """d/d(alpha, beta) from the Beta mean's numerator o + alpha and denominator."""
+    denom_sq = denom ** 2
+    return d_z * beta / denom_sq, d_z * (-num) / denom_sq
 
 
 def ml_loss(theta_hat, z_hat, candidates: Sequence[int]):
@@ -278,17 +285,20 @@ def map_upper_bound_batch(theta, z, lam, alpha, beta, mask, rho: float) -> Upper
         raise ValueError("rho must be strictly positive")
     theta, z, lam, alpha, beta, mask = (np.asarray(v, dtype=np.float64)
                                         for v in (theta, z, lam, alpha, beta, mask))
-    return _upper_bound(np.log(theta), _z_logs(z, mask), lam, alpha, beta, mask, rho)
+    return _upper_bound(np.log(theta), _z_logs(z, mask), lam, alpha, beta, mask, mask > 0.0,
+                        rho)
 
 
-def _upper_bound(log_theta, zl: _ZLogs, lam, alpha, beta, mask, rho: float) -> UpperBound:
+def _upper_bound(log_theta, zl: _ZLogs, lam, alpha, beta, mask, cand,
+                 rho: float) -> UpperBound:
     sizes = mask.sum(axis=1, keepdims=True)
     # log prod_{k in S\{j}} z_k prod_{k not in S\{j}} (1-z_k), for each j
     log_q = zl.sum_log_z - zl.log_z + zl.sum_log_1mz + zl.log_1mz
     k_term = (np.log(sizes[:, 0])
               + (log_q * mask).sum(axis=1) / sizes[:, 0]
               + ((alpha - 1.0) * zl.log_z + (beta - 1.0) * zl.log_1mz).sum(axis=1))
-    w_pre = np.where(mask > 0.0, lam - 1.0 + 1.0 / sizes, lam - 1.0)
+    lam_c = lam - 1.0
+    w_pre = np.where(cand, lam_c + 1.0 / sizes, lam_c)
     w = np.maximum(w_pre, 0.0)
     np.minimum(w, rho, out=w)
     return UpperBound(value=-(k_term + (w * log_theta).sum(axis=1)),

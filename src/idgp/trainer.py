@@ -9,14 +9,23 @@ batch-start forward serves the refresh and both sub-steps; the auxiliary
 network is run again only after its own update, so the main sub-step sees
 its current values as constants.  That is three forwards per batch.
 
-Each quantity is evaluated once, and each sub-step evaluates only what it
-applies.  The main forward takes theta, its Dirichlet denominator and
-log theta; each auxiliary forward takes the clamped z, log z, log(1 - z)
+Each array is evaluated once, and each sub-step evaluates only what it
+applies.  Every forward takes e = exp(scores / gamma), from which come both
+the floored parameters a * e + b and the transform's derivative
+(a / gamma) * e.  The main forward takes theta, its Dirichlet denominator,
+log theta and the batch's candidate mask; each auxiliary forward takes the
+Beta mean's numerator and denominator, the clamped z, log z, log(1 - z)
 and their two masked row sums.  Sub-step 1 computes the likelihood weights
-and d/dz only, the z side that g's update needs, and no loss value.
+and d/dz only, the z side that g's update needs, and no loss value, and
+runs the Beta chain rule on the forward's numerator and denominator.
 Sub-step 2 computes the loss values, their likelihood and prior parts and
 d/d(theta_hat) only; f's chain rule reuses the forward's theta and
 denominator.  The upper bound reads sub-step 2's logs and row sums.
+
+The batch calls the unchecked private pieces of the public functions, so
+each domain check runs where its guarantee is made: the forward checks its
+input, the transform its scores and ``sgd_step`` each gradient; lam, alpha
+and beta are valid by construction (see :func:`forward_f`).
 
 The prior cache implements the epoch-indexed mixing rules: per instance,
 
@@ -40,32 +49,27 @@ one ``(n, 2c)`` score array above a steady epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .data import PLLDataset
-from .distributions import (
-    Z_EPS,
-    _dirichlet_mean,
-    _require_positive,
-    beta_posterior_mean,
-    clamp_z,
-    floor_params,
-)
+from .distributions import PARAM_FLOOR, Z_EPS, _beta_mean, _dirichlet_mean, clamp_z
 from .errors import NumericError
 from .network import (
     ACTIVATIONS,
     DenseNet,
     SGDState,
     TransformConfig,
+    _transform_exp,
+    _transform_grad,
     lambda_transform,
-    lambda_transform_grad,
-    lambda_transform_pair,
     sgd_step,
     validate_transform_clamp,
 )
 from .objective import (
+    _chain_alpha_beta,
     _chain_lambda,
     _map_d_z,
     _map_values,
@@ -74,7 +78,6 @@ from .objective import (
     _upper_bound,
     _z_logs,
     _ZLogs,
-    chain_to_alpha_beta,
     ml_loss_batch,  # noqa: F401  unused here; perfbench's tracer tests rebind trainer.ml_loss_batch
 )
 from .rng import substream
@@ -137,7 +140,7 @@ class TrainConfig:
             raise ValueError("seed must be nonnegative")
         validate_transform_clamp(self.transform_config, self.clamp)
 
-    @property
+    @cached_property  # built once; not a field, so asdict, replace and == ignore it
     def transform_config(self) -> TransformConfig:
         return TransformConfig(a=self.a, b=self.b, gamma=self.gamma)
 
@@ -167,14 +170,16 @@ class PriorCache:
         )
 
     def lambda_hat_values(self, idx: np.ndarray, live_lam: np.ndarray,
-                          t: int) -> np.ndarray:
-        """Frozen lambda constants for the given rows at epoch t."""
+                          t: int, cand: Optional[np.ndarray] = None) -> np.ndarray:
+        """Frozen lambda constants for the given rows at epoch t; ``cand`` is ``mask[idx] > 0``."""
         cfg = self.config
         if t >= cfg.r and self.lambda_snapshot is not None:
             mixed = cfg.m * self.lambda_snapshot[idx] + (1.0 - cfg.m) * live_lam
         else:
             mixed = live_lam
-        return np.where(self.mask[idx] > 0.0, mixed, 1.0 + cfg.epsilon)
+        if cand is None:
+            cand = self.mask[idx] > 0.0
+        return np.where(cand, mixed, 1.0 + cfg.epsilon)
 
     def alpha_beta_hat_values(self, idx, live_alpha, live_beta, t: int):
         d = self.config.d
@@ -184,9 +189,9 @@ class PriorCache:
             return a_hat, b_hat
         return live_alpha.copy(), live_beta.copy()
 
-    def refresh(self, idx, live_lam, live_alpha, live_beta, t: int):
+    def refresh(self, idx, live_lam, live_alpha, live_beta, t: int, cand=None):
         """Compute, store and return the prior constants for a batch."""
-        lam_hat = self.lambda_hat_values(idx, live_lam, t)
+        lam_hat = self.lambda_hat_values(idx, live_lam, t, cand)
         a_hat, b_hat = self.alpha_beta_hat_values(idx, live_alpha, live_beta, t)
         self.lambda_hat[idx] = lam_hat
         self.alpha_hat[idx] = a_hat
@@ -238,25 +243,30 @@ def init_state(config: TrainConfig, dataset: PLLDataset) -> TrainerState:
     )
 
 
-def _live_lambda(scores: np.ndarray, tc: TransformConfig) -> np.ndarray:
-    return floor_params(lambda_transform(scores, tc))
+def _live_params(e: np.ndarray, tc: TransformConfig) -> np.ndarray:
+    """``floor_params(lambda_transform(s))`` bit for bit, from e = exp(s / gamma)."""
+    lam = e * tc.a
+    lam += tc.b
+    return np.maximum(lam, PARAM_FLOOR, out=lam)
 
 
-def _live_alpha_beta(scores: np.ndarray, tc: TransformConfig):
-    alpha, beta = lambda_transform_pair(scores, tc)
-    return floor_params(alpha), floor_params(beta)
+def _live_alpha_beta(e: np.ndarray, tc: TransformConfig):
+    """The floored Beta parameters (alpha, beta) of the two halves of g's e."""
+    half = e.shape[-1] // 2
+    return _live_params(e[..., :half], tc), _live_params(e[..., half:], tc)
 
 
 class ForwardF(NamedTuple):
     """The main net's forward on a batch, its Dirichlet posterior mean and log."""
 
     net: DenseNet
-    scores: np.ndarray
     cache: dict
+    e: np.ndarray  # exp(scores / gamma), shared by lam and d lam / d score
     lam: np.ndarray
     theta: np.ndarray
     denom: np.ndarray  # (B, 1): theta's denominator, sum_k (lam_k + o_k)
     log_theta: np.ndarray
+    cand: np.ndarray  # the batch's candidate sets, mask > 0
 
 
 class ForwardG(NamedTuple):
@@ -265,24 +275,42 @@ class ForwardG(NamedTuple):
     net: DenseNet
     scores: np.ndarray
     cache: dict
+    e: np.ndarray  # exp(scores / gamma), as in ForwardF
     alpha: np.ndarray
     beta: np.ndarray
     z_raw: np.ndarray  # before the z clamp, which decides where z gets a gradient
+    num: np.ndarray  # z_raw's numerator o + alpha
+    denom: np.ndarray  # and its denominator alpha + beta + o
     zl: _ZLogs  # z after the clamp, with its logs and masked row sums
 
 
 def forward_f(f: DenseNet, X: np.ndarray, tc: TransformConfig, mask) -> ForwardF:
+    """f's forward on a batch, with lam, theta, theta's denominator and log theta.
+
+    Nothing here checks lam: it is the floored transform of scores that
+    :meth:`DenseNet.forward` clamps to [-A, A] and that the transform finds
+    finite (the check of :func:`lambda_transform`), so every entry is finite
+    and at least ``PARAM_FLOOR`` whenever ``tc`` and the net's clamp A pass
+    :func:`validate_transform_clamp`, as every :class:`TrainConfig` does.
+    """
     scores, cache = f.forward(X)
-    lam = _live_lambda(scores, tc)
-    theta, denom = _dirichlet_mean(_require_positive(lam, "lam"), mask)
-    return ForwardF(f, scores, cache, lam, theta, denom, np.log(theta))
+    e = _transform_exp(scores, tc)
+    lam = _live_params(e, tc)
+    theta, denom = _dirichlet_mean(lam, mask)
+    return ForwardF(f, cache, e, lam, theta, denom, np.log(theta), mask > 0.0)
 
 
 def forward_g(g: DenseNet, X: np.ndarray, tc: TransformConfig, mask) -> ForwardG:
+    """g's forward on a batch, with alpha, beta, the Beta mean's terms and the z logs.
+
+    alpha and beta are unchecked under the precondition of :func:`forward_f`.
+    """
     scores, cache = g.forward(X)
-    alpha, beta = _live_alpha_beta(scores, tc)
-    z_raw = beta_posterior_mean(alpha, beta, mask)
-    return ForwardG(g, scores, cache, alpha, beta, z_raw, _z_logs(clamp_z(z_raw), mask))
+    e = _transform_exp(scores, tc)
+    alpha, beta = _live_alpha_beta(e, tc)
+    z_raw, num, denom = _beta_mean(alpha, beta, mask)
+    return ForwardG(g, scores, cache, e, alpha, beta, z_raw, num, denom,
+                    _z_logs(clamp_z(z_raw), mask))
 
 
 def aux_gradient(fwd_f: ForwardF, fwd_g: ForwardG, tc: TransformConfig,
@@ -290,17 +318,19 @@ def aux_gradient(fwd_f: ForwardF, fwd_g: ForwardG, tc: TransformConfig,
     """Sub-step 1: g's flat (P,) gradient of the batch-mean MAP loss, f fixed.
 
     Only the z side is evaluated: the likelihood weights, d/dz of the loss
-    (of its likelihood part when ``prior`` is None), the Beta chain rule and
-    g's backward; clamped z entries and the frozen hats get no gradient.
-    ``prior`` is :func:`objective._prior_terms` of the batch's hats.
+    (of its likelihood part when ``prior`` is None), the Beta chain rule on
+    the forward's numerator and denominator, and g's backward; clamped z
+    entries and the frozen hats get no gradient.  ``prior`` is
+    :func:`objective._prior_terms` of the batch's hats.
     """
-    cand = mask > 0.0
+    cand = fwd_f.cand
     _, _, w = _ml_softmax(fwd_f.log_theta, fwd_g.zl, cand)
     z_raw = fwd_g.z_raw
     d_z = np.where((z_raw > Z_EPS) & (z_raw < 1.0 - Z_EPS),
                    _map_d_z(w, fwd_g.zl, cand, prior), 0.0) / len(mask)
-    d_ab = np.concatenate(chain_to_alpha_beta(d_z, fwd_g.alpha, fwd_g.beta, mask), axis=1)
-    return fwd_g.net.backward(fwd_g.cache, d_ab * lambda_transform_grad(fwd_g.scores, tc))
+    d_ab = np.concatenate(_chain_alpha_beta(d_z, fwd_g.beta, fwd_g.num, fwd_g.denom), axis=1)
+    d_ab *= _transform_grad(fwd_g.e, tc)
+    return fwd_g.net.backward(fwd_g.cache, d_ab)
 
 
 class MapStep(NamedTuple):
@@ -323,7 +353,7 @@ def map_step_batch(fwd_f: ForwardF, fwd_g: ForwardG, tc: TransformConfig,
     Dirichlet chain rule on the forward's theta and denominator and f's
     backward on its cache.
     """
-    cand = mask > 0.0
+    cand = fwd_f.cand
     shift, total, w = _ml_softmax(fwd_f.log_theta, fwd_g.zl, cand)
     values, ml_v, reg_v, d_theta = _map_values(shift, total, w, fwd_f.theta,
                                                fwd_f.log_theta, fwd_g.zl, cand, prior)
@@ -331,7 +361,8 @@ def map_step_batch(fwd_f: ForwardF, fwd_g: ForwardG, tc: TransformConfig,
 
     def grads_f():
         d_lam = _chain_lambda(d_theta / rows, fwd_f.theta, fwd_f.denom)
-        return fwd_f.net.backward(fwd_f.cache, d_lam * lambda_transform_grad(fwd_f.scores, tc))
+        d_lam *= _transform_grad(fwd_f.e, tc)
+        return fwd_f.net.backward(fwd_f.cache, d_lam)
 
     return MapStep(values, ml_v, reg_v, grads_f)
 
@@ -340,12 +371,12 @@ def _train_batch(state: TrainerState, t: int, idx: np.ndarray):
     """Both alternating sub-steps on the rows ``idx`` of epoch ``t``, in three forwards.
 
     f is fixed until the batch's last update, so its batch-start forward
-    (with log theta) serves the prior refresh, both sub-steps, the bound and
-    f's backward.  g's batch-start forward serves the refresh and g's
-    update; g then runs once more for the main sub-step and the bound.
-    Returns the MAP loss values of the rows after the auxiliary update,
-    their likelihood and prior parts, their upper-bound values and the
-    batch's live and frozen prior parameters.
+    (with log theta and the candidate mask) serves the prior refresh, both
+    sub-steps, the bound and f's backward.  g's batch-start forward serves
+    the refresh and g's update; g then runs once more for the main sub-step
+    and the bound.  Returns the MAP loss values of the rows after the
+    auxiliary update, their likelihood and prior parts, their upper-bound
+    values and the batch's live and frozen prior parameters.
     """
     cfg = state.config
     tc = cfg.transform_config
@@ -353,7 +384,7 @@ def _train_batch(state: TrainerState, t: int, idx: np.ndarray):
     O = state.cache.mask[idx]
     fwd_f = forward_f(state.f, X, tc, O)
     fwd_g = forward_g(state.g, X, tc, O)
-    hats = state.cache.refresh(idx, fwd_f.lam, fwd_g.alpha, fwd_g.beta, t)
+    hats = state.cache.refresh(idx, fwd_f.lam, fwd_g.alpha, fwd_g.beta, t, fwd_f.cand)
     priors = {"live_lambda": fwd_f.lam, "live_alpha": fwd_g.alpha, "live_beta": fwd_g.beta,
               "lambda_hat": hats[0], "alpha_hat": hats[1], "beta_hat": hats[2]}
     prior = None if cfg.ml_only else _prior_terms(*hats)
@@ -370,7 +401,7 @@ def _train_batch(state: TrainerState, t: int, idx: np.ndarray):
     sgd_step(state.opt_f, state.f, step.grads_f(), cfg.weight_decay)
 
     bounds = _upper_bound(fwd_f.log_theta, fwd_g.zl, fwd_f.lam, fwd_g.alpha, fwd_g.beta,
-                          O, cfg.rho).value
+                          O, fwd_f.cand, cfg.rho).value
     return step.values, step.ml_values, step.reg_values, bounds, priors
 
 
@@ -405,10 +436,11 @@ def train_epoch(state: TrainerState, t: int,
             batch_hook({"epoch": t, "batch": k, "indices": idx.copy(), **priors})
 
     if t == cfg.r:
-        state.cache.take_lambda_snapshot(_live_lambda(state.f.forward(ds.features)[0], tc))
+        state.cache.take_lambda_snapshot(
+            _live_params(_transform_exp(state.f.forward(ds.features)[0], tc), tc))
     if t == cfg.q:
         state.cache.take_alpha_beta_snapshot(
-            *_live_alpha_beta(state.g.forward(ds.features)[0], tc))
+            *_live_alpha_beta(_transform_exp(state.g.forward(ds.features)[0], tc), tc))
     return {
         "epoch": t,
         "train_loss": float(np.mean(losses)),

@@ -477,8 +477,8 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--trials", "2", "--seed", "1"]) == EXIT_GRADCHECK
         assert "posterior_jacobians" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("binding", ["_chain_lambda", "chain_to_alpha_beta",
-                                         "lambda_transform_grad"])
+    @pytest.mark.parametrize("binding", ["_chain_lambda", "_chain_alpha_beta",
+                                         "_transform_grad"])
     def test_fault_in_trainer_step_detected(self, monkeypatch, capsys, binding):
         real = getattr(idgp.trainer, binding)
 

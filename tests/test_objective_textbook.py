@@ -5,13 +5,30 @@ of shared private pieces.  Each ``textbook_*`` function below writes one of
 them out as plain numpy expressions, in the order of evaluation that fixes
 its bits.  On random (B, c) rows and (K, B, c) stacks the two must give the
 same IEEE bits, so a piece cannot drift from the formula it stands for.
+The unchecked pieces the trainer calls in place of a checked public
+function (the posterior means with their terms, the Beta chain rule on
+those terms, the transform's shared exp) must equal that function too.
 """
 
 import numpy as np
 import pytest
 
-from idgp.distributions import beta_posterior_mean, dirichlet_posterior_mean
+from idgp.distributions import (
+    _beta_mean,
+    _dirichlet_mean,
+    beta_posterior_mean,
+    dirichlet_posterior_mean,
+    floor_params,
+)
+from idgp.network import (
+    TransformConfig,
+    _transform_exp,
+    _transform_grad,
+    lambda_transform,
+    lambda_transform_grad,
+)
 from idgp.objective import (
+    _chain_alpha_beta,
     chain_to_alpha_beta,
     chain_to_lambda,
     map_loss,
@@ -19,6 +36,7 @@ from idgp.objective import (
     ml_loss_batch,
     reg_loss_batch,
 )
+from idgp.trainer import _live_params
 
 
 def textbook_ml(theta, z, mask):
@@ -155,3 +173,39 @@ def test_map_upper_bound_batch(seed):
         res = map_upper_bound_batch(*args, rho)
         assert_same_bits((res.value, res.weights, res.weights_preclamp),
                          textbook_bound(*args, rho))
+
+
+@pytest.mark.parametrize("stack", [False, True])
+@pytest.mark.parametrize("seed", SEEDS)
+class TestTrainerPieceBits:
+    def test_dirichlet_mean(self, seed, stack):
+        d = draw(seed, stack)
+        theta, denom = _dirichlet_mean(d["lam"], d["mask"])
+        want = (d["lam"] + d["mask"]).sum(axis=-1, keepdims=True)
+        assert_same_bits((theta, denom), ((d["mask"] + d["lam"]) / want, want))
+        assert_same_bits((theta,), (dirichlet_posterior_mean(d["lam"], d["mask"]),))
+
+    def test_beta_mean_and_its_terms(self, seed, stack):
+        d = draw(seed, stack)
+        alpha, beta, mask = d["alpha"], d["beta"], d["mask"]
+        assert_same_bits(_beta_mean(alpha, beta, mask),
+                         (beta_posterior_mean(alpha, beta, mask), mask + alpha,
+                          alpha + beta + mask))
+
+    def test_chain_alpha_beta_on_the_mean_terms(self, seed, stack):
+        d = draw(seed, stack)
+        alpha, beta, mask = d["alpha"], d["beta"], d["mask"]
+        _, num, denom = _beta_mean(alpha, beta, mask)
+        assert_same_bits(_chain_alpha_beta(d["grad"], beta, num, denom),
+                         chain_to_alpha_beta(d["grad"], alpha, beta, mask))
+
+    def test_transform_from_its_exp(self, seed, stack):
+        d = draw(seed, stack)
+        rng = np.random.default_rng(seed)
+        tc = TransformConfig(a=rng.uniform(0.1, 3.0), b=rng.choice([0.0, 1.0]),
+                             gamma=rng.uniform(0.5, 2.0))
+        scores = 20.0 * d["grad"]  # some far enough below 0 that b = 0 hits the floor
+        e = _transform_exp(scores, tc)
+        assert_same_bits((_transform_grad(e, tc), _live_params(e, tc)),
+                         (lambda_transform_grad(scores, tc),
+                          floor_params(lambda_transform(scores, tc))))

@@ -6,7 +6,10 @@ bit (a model whose transform overflows at a net's clamp is instead refused),
 and any bytes given to ``load_dataset`` or ``load_model`` may only raise a
 package error, never a bare Python exception.  The block reader ``read_lines`` must split any bytes
 as ``read_text(...).splitlines()`` does, whatever its block size.  ``PLLDataset`` validation must agree with a per-row
-reference check.  The runs are derandomized so tier-1 stays repeatable.
+reference check.  The floored transform of clamped scores, which the
+trainer feeds to the posterior means without a check, must be finite and
+at least ``PARAM_FLOOR`` under every transform and clamp a ``TrainConfig``
+accepts.  The runs are derandomized so tier-1 stays repeatable.
 """
 
 import struct
@@ -22,8 +25,10 @@ from hypothesis import strategies as st
 from idgp.cli import MODEL_MAGIC, load_model, save_model
 from idgp import data
 from idgp.data import ZIP_MAGIC, PLLDataset, load_dataset, read_lines, read_text, write_dataset
+from idgp.distributions import PARAM_FLOOR, floor_params
 from idgp.errors import DataFormatError, DataInvariantError, IdgpError
-from idgp.network import DenseNet, TransformConfig, param_count
+from idgp.network import DenseNet, TransformConfig, lambda_transform, param_count
+from idgp.trainer import TrainConfig
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150,
                     database=None)
@@ -320,3 +325,54 @@ def test_validation_matches_per_row_check(raw):
             assert np.array_equal(ds.mask, mask) and not np.shares_memory(ds.mask, mask)
             assert not ds.mask.flags.writeable and mask.flags.writeable
             assert np.array_equal(ds.mask, PLLDataset(features, sets, c, labels).mask)
+
+
+def _admitted(a, b, gamma, clamp) -> bool:
+    try:
+        TrainConfig(a=a, b=b, gamma=gamma, clamp=clamp)
+    except ValueError:
+        return False
+    return True
+
+
+def _largest_clamp(a, b, gamma) -> float:
+    """The largest clamp ``TrainConfig`` accepts with this transform."""
+    # within a few ulps: exp(A / gamma) and a * exp(A / gamma) must both be
+    # finite, and b <= 1e30 is below half an ulp of the largest float
+    top = np.log(np.finfo(np.float64).max)
+    clamp = gamma * min(top, top - np.log(a))
+    for _ in range(64):
+        if _admitted(a, b, gamma, clamp):
+            break
+        clamp = np.nextafter(clamp, 0.0)
+    for _ in range(64):
+        if not _admitted(a, b, gamma, np.nextafter(clamp, np.inf)):
+            break
+        clamp = np.nextafter(clamp, np.inf)
+    assert _admitted(a, b, gamma, clamp) and not _admitted(a, b, gamma,
+                                                           np.nextafter(clamp, np.inf))
+    return float(clamp)
+
+
+@st.composite
+def transform_configs(draw):
+    """A ``TrainConfig``'s (a, b, gamma, clamp); the clamp is often the largest it admits."""
+    a = draw(st.floats(1e-30, 1e30))
+    b = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e30)))
+    gamma = draw(st.floats(1e-3, 1e3))
+    top = _largest_clamp(a, b, gamma)
+    clamp = draw(st.one_of(st.just(top), st.floats(0.0, top, exclude_min=True)))
+    return TrainConfig(a=a, b=b, gamma=gamma, clamp=clamp)
+
+
+@PROPERTY
+@given(transform_configs(), st.lists(finite, max_size=8))
+# b = 0 at the largest clamp: exp(-A / gamma) is subnormal, and with a < 1
+# the product a * exp(-A / gamma) underflows to 0 before the floor
+@example(TrainConfig(a=1.0, b=0.0, gamma=1.0, clamp=_largest_clamp(1.0, 0.0, 1.0)), [])
+@example(TrainConfig(a=1e-20, b=0.0, gamma=1.0, clamp=_largest_clamp(1e-20, 0.0, 1.0)), [])
+def test_floored_transform_of_clamped_scores_is_finite_and_floored(cfg, scores):
+    # the clamp's two ends are always among the scores
+    s = np.clip(np.array([*scores, -1e308, 1e308]), -cfg.clamp, cfg.clamp)
+    lam = floor_params(lambda_transform(s, cfg.transform_config))
+    assert np.isfinite(lam).all() and (lam >= PARAM_FLOOR).all()

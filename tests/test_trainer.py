@@ -2,11 +2,13 @@
 
 import tracemalloc
 import weakref
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
 import idgp.trainer as trainer_mod
+from idgp import distributions
 from idgp.data import PLLDataset
 from idgp.distributions import (
     Z_EPS,
@@ -86,6 +88,14 @@ class TestConfigValidation:
     def test_overflowing_transform_rejected(self):
         with pytest.raises(ValueError, match="overflows"):
             small_config(gamma=0.01, clamp=20.0)
+
+    def test_transform_config_is_built_once_and_is_not_a_field(self):
+        cfg = small_config(a=2.0)
+        assert cfg.transform_config is cfg.transform_config
+        assert cfg.transform_config == TransformConfig(a=2.0, b=1.0, gamma=1.0)
+        assert set(asdict(cfg)) == {f.name for f in fields(TrainConfig)}
+        assert cfg == small_config(a=2.0) and hash(cfg) == hash(small_config(a=2.0))
+        assert replace(cfg, gamma=2.0).transform_config.gamma == 2.0
 
 
 class TestPriorCacheRules:
@@ -224,9 +234,9 @@ def _count_calls(monkeypatch, owner, *names):
     """Replace each named attribute of ``owner`` by a spy; returns the live call counts."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        def spy(*args, _name=name, _real=getattr(owner, name)):
+        def spy(*args, _name=name, _real=getattr(owner, name), **kwargs):
             calls[_name] += 1
-            return _real(*args)
+            return _real(*args, **kwargs)
         monkeypatch.setattr(owner, name, spy)
     return calls
 
@@ -369,10 +379,11 @@ class TestThreeForwards:
         cfg = small_config(epochs=3, r=1, q=2)
         state = init_state(cfg, ds)
         forwards = _count_calls(monkeypatch, DenseNet, "forward")
-        calls = _count_calls(monkeypatch, trainer_mod, "_dirichlet_mean", "beta_posterior_mean",
+        calls = _count_calls(monkeypatch, trainer_mod, "_dirichlet_mean", "_beta_mean",
                              "_z_logs", "_ml_softmax", "_map_d_z", "_map_values",
                              "_upper_bound")
-        logs = _count_calls(monkeypatch, np, "log", "log1p")
+        logs = _count_calls(monkeypatch, np, "log", "log1p", "exp")
+        checks = _count_calls(monkeypatch, distributions, "_require_positive")
         batches = -(-ds.n // cfg.batch_size)
         # running totals; one snapshot forward at r=1 (lambda), one at q=2 (alpha/beta)
         for t, snapshots in ((1, 1), (2, 2), (3, 2)):
@@ -382,12 +393,18 @@ class TestThreeForwards:
             # likelihood weights once per sub-step, d/dz in sub-step 1 only,
             # the values in sub-step 2 only, and one bound
             assert calls == {"_dirichlet_mean": batches * t,
-                             "beta_posterior_mean": 2 * batches * t,
+                             "_beta_mean": 2 * batches * t,
                              "_z_logs": 2 * batches * t, "_ml_softmax": 2 * batches * t,
                              "_map_d_z": batches * t, "_map_values": batches * t,
                              "_upper_bound": batches * t}
-            # log theta, log z twice, log of the row total, log |S|; log(1 - z) twice
-            assert logs == {"log": 5 * batches * t, "log1p": 2 * batches * t}
+            # log theta, log z twice, log of the row total, log |S|; log(1 - z)
+            # twice; exp(s / gamma) once per forward (its derivative reuses
+            # it) and the likelihood's softmax once per sub-step
+            assert logs == {"log": 5 * batches * t, "log1p": 2 * batches * t,
+                            "exp": 5 * batches * t + snapshots}
+            # lam, alpha and beta are floored transforms of clamped finite
+            # scores, so no batch re-checks them
+            assert checks == {"_require_positive": 0}
 
 
 class TestTrainingLoop:
@@ -460,10 +477,10 @@ class TestTrainingLoop:
     def test_each_chain_rule_runs_once_per_batch(self, monkeypatch):
         ds = toy_dataset(n_per=10)
         cfg = small_config(epochs=1, batch_size=8, r=1, q=1)
-        calls = _count_calls(monkeypatch, trainer_mod, "_chain_lambda", "chain_to_alpha_beta")
+        calls = _count_calls(monkeypatch, trainer_mod, "_chain_lambda", "_chain_alpha_beta")
         train_epoch(init_state(cfg, ds), 1)
         batches = -(-ds.n // cfg.batch_size)
-        assert calls == {"_chain_lambda": batches, "chain_to_alpha_beta": batches}
+        assert calls == {"_chain_lambda": batches, "_chain_alpha_beta": batches}
 
     def test_nonfinite_loss_reports_location(self, monkeypatch):
         ds = toy_dataset(n_per=10)
