@@ -51,19 +51,21 @@ def validate_transform_clamp(cfg: TransformConfig, clamp: float) -> None:
 
 def lambda_transform(scores: np.ndarray, cfg: TransformConfig) -> np.ndarray:
     """Map clamped scores to strictly positive Dirichlet parameters."""
-    lam = _transform_exp(scores, cfg)  # then written in place
-    lam *= cfg.a
-    lam += cfg.b
-    return lam
+    e = _transform_exp(scores, cfg)
+    return _transform_from_exp(e, cfg, e)
 
 
 def lambda_transform_grad(scores: np.ndarray, cfg: TransformConfig) -> np.ndarray:
     """Elementwise derivative d lambda / d score = (a / gamma) * exp(s / gamma)."""
+    e = _exp_over_gamma(scores, cfg)
+    return _transform_grad(e, cfg, e)
+
+
+def _exp_over_gamma(scores, cfg: TransformConfig) -> np.ndarray:
+    """exp(s / gamma) as a new float64 array, with no check of the scores."""
     scores = np.asarray(scores, dtype=np.float64)
-    d = np.divide(scores, cfg.gamma, out=np.empty_like(scores))  # then written in place
-    np.exp(d, out=d)
-    d *= cfg.a / cfg.gamma
-    return d
+    e = np.divide(scores, cfg.gamma, out=np.empty_like(scores))
+    return np.exp(e, out=e)
 
 
 def _transform_exp(scores, cfg: TransformConfig) -> np.ndarray:
@@ -71,13 +73,19 @@ def _transform_exp(scores, cfg: TransformConfig) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
         raise NumericError("non-finite scores passed to lambda_transform")
-    e = np.divide(scores, cfg.gamma, out=np.empty_like(scores))
-    return np.exp(e, out=e)
+    return _exp_over_gamma(scores, cfg)
 
 
-def _transform_grad(e, cfg: TransformConfig) -> np.ndarray:
-    """:func:`lambda_transform_grad` from e = exp(s / gamma), as a new array."""
-    return e * (cfg.a / cfg.gamma)
+def _transform_from_exp(e, cfg: TransformConfig, out) -> np.ndarray:
+    """lambda = a * e + b from e = exp(s / gamma), into ``out`` (a new array if None)."""
+    lam = np.multiply(e, cfg.a, out=out)
+    lam += cfg.b
+    return lam
+
+
+def _transform_grad(e, cfg: TransformConfig, out) -> np.ndarray:
+    """d lambda / d score = (a / gamma) * e, into ``out`` (a new array if None)."""
+    return np.multiply(e, cfg.a / cfg.gamma, out=out)
 
 
 def lambda_transform_pair(scores: np.ndarray, cfg: TransformConfig):

@@ -55,7 +55,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .data import PLLDataset
-from .distributions import PARAM_FLOOR, Z_EPS, _beta_mean, _dirichlet_mean, clamp_z
+from .distributions import Z_EPS, _beta_mean, _dirichlet_mean, clamp_z, floor_params
 from .errors import NumericError
 from .network import (
     ACTIVATIONS,
@@ -63,6 +63,7 @@ from .network import (
     SGDState,
     TransformConfig,
     _transform_exp,
+    _transform_from_exp,
     _transform_grad,
     lambda_transform,
     sgd_step,
@@ -169,17 +170,14 @@ class PriorCache:
             config=config,
         )
 
-    def lambda_hat_values(self, idx: np.ndarray, live_lam: np.ndarray,
-                          t: int, cand: Optional[np.ndarray] = None) -> np.ndarray:
-        """Frozen lambda constants for the given rows at epoch t; ``cand`` is ``mask[idx] > 0``."""
+    def lambda_hat_values(self, idx: np.ndarray, live_lam: np.ndarray, t: int) -> np.ndarray:
+        """Frozen lambda constants for the given rows at epoch t."""
         cfg = self.config
         if t >= cfg.r and self.lambda_snapshot is not None:
             mixed = cfg.m * self.lambda_snapshot[idx] + (1.0 - cfg.m) * live_lam
         else:
             mixed = live_lam
-        if cand is None:
-            cand = self.mask[idx] > 0.0
-        return np.where(cand, mixed, 1.0 + cfg.epsilon)
+        return np.where(self.mask[idx] > 0.0, mixed, 1.0 + cfg.epsilon)
 
     def alpha_beta_hat_values(self, idx, live_alpha, live_beta, t: int):
         d = self.config.d
@@ -189,9 +187,9 @@ class PriorCache:
             return a_hat, b_hat
         return live_alpha.copy(), live_beta.copy()
 
-    def refresh(self, idx, live_lam, live_alpha, live_beta, t: int, cand=None):
+    def refresh(self, idx, live_lam, live_alpha, live_beta, t: int):
         """Compute, store and return the prior constants for a batch."""
-        lam_hat = self.lambda_hat_values(idx, live_lam, t, cand)
+        lam_hat = self.lambda_hat_values(idx, live_lam, t)
         a_hat, b_hat = self.alpha_beta_hat_values(idx, live_alpha, live_beta, t)
         self.lambda_hat[idx] = lam_hat
         self.alpha_hat[idx] = a_hat
@@ -245,9 +243,7 @@ def init_state(config: TrainConfig, dataset: PLLDataset) -> TrainerState:
 
 def _live_params(e: np.ndarray, tc: TransformConfig) -> np.ndarray:
     """``floor_params(lambda_transform(s))`` bit for bit, from e = exp(s / gamma)."""
-    lam = e * tc.a
-    lam += tc.b
-    return np.maximum(lam, PARAM_FLOOR, out=lam)
+    return floor_params(_transform_from_exp(e, tc, None))
 
 
 def _live_alpha_beta(e: np.ndarray, tc: TransformConfig):
@@ -273,7 +269,6 @@ class ForwardG(NamedTuple):
     """The auxiliary net's forward on a batch and its clamped Beta posterior mean."""
 
     net: DenseNet
-    scores: np.ndarray
     cache: dict
     e: np.ndarray  # exp(scores / gamma), as in ForwardF
     alpha: np.ndarray
@@ -309,7 +304,7 @@ def forward_g(g: DenseNet, X: np.ndarray, tc: TransformConfig, mask) -> ForwardG
     e = _transform_exp(scores, tc)
     alpha, beta = _live_alpha_beta(e, tc)
     z_raw, num, denom = _beta_mean(alpha, beta, mask)
-    return ForwardG(g, scores, cache, e, alpha, beta, z_raw, num, denom,
+    return ForwardG(g, cache, e, alpha, beta, z_raw, num, denom,
                     _z_logs(clamp_z(z_raw), mask))
 
 
@@ -329,7 +324,7 @@ def aux_gradient(fwd_f: ForwardF, fwd_g: ForwardG, tc: TransformConfig,
     d_z = np.where((z_raw > Z_EPS) & (z_raw < 1.0 - Z_EPS),
                    _map_d_z(w, fwd_g.zl, cand, prior), 0.0) / len(mask)
     d_ab = np.concatenate(_chain_alpha_beta(d_z, fwd_g.beta, fwd_g.num, fwd_g.denom), axis=1)
-    d_ab *= _transform_grad(fwd_g.e, tc)
+    d_ab *= _transform_grad(fwd_g.e, tc, None)
     return fwd_g.net.backward(fwd_g.cache, d_ab)
 
 
@@ -361,7 +356,7 @@ def map_step_batch(fwd_f: ForwardF, fwd_g: ForwardG, tc: TransformConfig,
 
     def grads_f():
         d_lam = _chain_lambda(d_theta / rows, fwd_f.theta, fwd_f.denom)
-        d_lam *= _transform_grad(fwd_f.e, tc)
+        d_lam *= _transform_grad(fwd_f.e, tc, None)
         return fwd_f.net.backward(fwd_f.cache, d_lam)
 
     return MapStep(values, ml_v, reg_v, grads_f)
@@ -384,7 +379,7 @@ def _train_batch(state: TrainerState, t: int, idx: np.ndarray):
     O = state.cache.mask[idx]
     fwd_f = forward_f(state.f, X, tc, O)
     fwd_g = forward_g(state.g, X, tc, O)
-    hats = state.cache.refresh(idx, fwd_f.lam, fwd_g.alpha, fwd_g.beta, t, fwd_f.cand)
+    hats = state.cache.refresh(idx, fwd_f.lam, fwd_g.alpha, fwd_g.beta, t)
     priors = {"live_lambda": fwd_f.lam, "live_alpha": fwd_g.alpha, "live_beta": fwd_g.beta,
               "lambda_hat": hats[0], "alpha_hat": hats[1], "beta_hat": hats[2]}
     prior = None if cfg.ml_only else _prior_terms(*hats)
@@ -395,12 +390,15 @@ def _train_batch(state: TrainerState, t: int, idx: np.ndarray):
              cfg.weight_decay)
     del fwd_g
 
-    # Sub-step 2: auxiliary branch (just updated) fixed, main branch updated.
+    # Sub-step 2: auxiliary branch (just updated) fixed, main branch updated;
+    # of g's second forward the bound reads only z's logs, alpha and beta.
     fwd_g = forward_g(state.g, X, tc, O)
     step = map_step_batch(fwd_f, fwd_g, tc, O, prior)
+    zl, alpha, beta = fwd_g.zl, fwd_g.alpha, fwd_g.beta
+    del fwd_g
     sgd_step(state.opt_f, state.f, step.grads_f(), cfg.weight_decay)
 
-    bounds = _upper_bound(fwd_f.log_theta, fwd_g.zl, fwd_f.lam, fwd_g.alpha, fwd_g.beta,
+    bounds = _upper_bound(fwd_f.log_theta, zl, fwd_f.lam, alpha, beta,
                           O, fwd_f.cand, cfg.rho).value
     return step.values, step.ml_values, step.reg_values, bounds, priors
 

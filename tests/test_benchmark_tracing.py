@@ -18,7 +18,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # the traced calls one training epoch makes, its batches and the snapshots
 EPOCH_SPANS = {
     "trainer.train_epoch", "trainer.prior_refresh", "network.forward", "network.backward",
-    "network.sgd_step", "distributions.clamp_z",
+    "network.sgd_step", "distributions.floor_params", "distributions.clamp_z",
 }
 
 

@@ -23,6 +23,7 @@ from idgp.distributions import (
 from idgp.network import (
     TransformConfig,
     _transform_exp,
+    _transform_from_exp,
     _transform_grad,
     lambda_transform,
     lambda_transform_grad,
@@ -206,6 +207,8 @@ class TestTrainerPieceBits:
                              gamma=rng.uniform(0.5, 2.0))
         scores = 20.0 * d["grad"]  # some far enough below 0 that b = 0 hits the floor
         e = _transform_exp(scores, tc)
-        assert_same_bits((_transform_grad(e, tc), _live_params(e, tc)),
-                         (lambda_transform_grad(scores, tc),
-                          floor_params(lambda_transform(scores, tc))))
+        kept = e.copy()
+        assert_same_bits((_transform_grad(e, tc, None), _transform_from_exp(e, tc, None),
+                          _live_params(e, tc), e),
+                         (lambda_transform_grad(scores, tc), lambda_transform(scores, tc),
+                          floor_params(lambda_transform(scores, tc)), kept))

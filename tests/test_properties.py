@@ -27,8 +27,8 @@ from idgp import data
 from idgp.data import ZIP_MAGIC, PLLDataset, load_dataset, read_lines, read_text, write_dataset
 from idgp.distributions import PARAM_FLOOR, floor_params
 from idgp.errors import DataFormatError, DataInvariantError, IdgpError
-from idgp.network import DenseNet, TransformConfig, lambda_transform, param_count
-from idgp.trainer import TrainConfig
+from idgp.network import DenseNet, TransformConfig, _transform_exp, lambda_transform, param_count
+from idgp.trainer import TrainConfig, _live_params
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150,
                     database=None)
@@ -374,5 +374,8 @@ def transform_configs(draw):
 def test_floored_transform_of_clamped_scores_is_finite_and_floored(cfg, scores):
     # the clamp's two ends are always among the scores
     s = np.clip(np.array([*scores, -1e308, 1e308]), -cfg.clamp, cfg.clamp)
-    lam = floor_params(lambda_transform(s, cfg.transform_config))
+    tc = cfg.transform_config
+    lam = _live_params(_transform_exp(s, tc), tc)  # what the trainer's forwards run
     assert np.isfinite(lam).all() and (lam >= PARAM_FLOOR).all()
+    assert np.array_equal(lam.view(np.uint64),
+                          floor_params(lambda_transform(s, tc)).view(np.uint64))
