@@ -214,10 +214,14 @@ def cmd_corrupt(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
+def _train_config(args) -> TrainConfig:
+    """The ``--config`` file's config, else the :class:`TrainConfig` defaults, with ``--seed``."""
     config = parse_config_file(args.config) if args.config else TrainConfig()
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    return config if args.seed is None else replace(config, seed=args.seed)
+
+
+def cmd_train(args) -> int:
+    config = _train_config(args)
     if args.ml_only:
         config = replace(config, ml_only=True)
     ds = load_dataset(args.data)
@@ -321,9 +325,7 @@ def cmd_report(args) -> int:
     else:
         if not (args.sweep_a and args.sweep_gamma and args.data):
             raise UsageError("sensitivity sweep needs --sweep-a, --sweep-gamma and --data")
-        config = parse_config_file(args.config) if args.config else TrainConfig()
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
+        config = _train_config(args)
         try:
             grid = [replace(config, a=a, gamma=gamma)
                     for gamma in _parse_grid(args.sweep_gamma, "--sweep-gamma")

@@ -10,8 +10,10 @@ vector ``o`` of an observed candidate set:
     theta_hat_j = (o_j + lam_j) / sum_k (lam_k + o_k)
     z_hat_j     = (o_j + alpha_j) / (alpha_j + beta_j + o_j)
 
-Those two estimators, their exact partial derivatives, the parameter
-floors and the domain checks the losses apply live here.  The log
+Those two estimators, their chain rules (a loss's partials in theta_hat
+and z_hat carried back to lam, alpha and beta on (..., B, c) stacks, which
+every public derivative and the trainer apply), the parameter floors and
+the domain checks the losses apply live here.  The log
 densities themselves are written out where they are used: the losses in
 :mod:`idgp.objective` and the candidate-set density in
 :mod:`idgp.generation`.
@@ -63,20 +65,18 @@ def dirichlet_posterior_mean(lam: np.ndarray, o: np.ndarray) -> np.ndarray:
     return _dirichlet_mean(_require_positive(lam, "lam"), np.asarray(o, dtype=np.float64))[0]
 
 
-def _dirichlet_mean(lam, o, axis=-1):
-    """Unchecked ``(theta_hat, D)``, with D = sum_k (lam_k + o_k) over ``axis`` kept."""
+def _dirichlet_mean(lam, o):
+    """Unchecked ``(theta_hat, D)``, with D = sum_k (lam_k + o_k) over the last axis kept."""
     counts = lam + o
-    denom = np.sum(counts, axis=axis, keepdims=True)
+    denom = np.sum(counts, axis=-1, keepdims=True)
     return counts / denom, denom
 
 
 def dirichlet_posterior_mean_jacobian(lam: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """(c, c) matrix J[j, k] = d theta_hat_j / d lam_k = (delta_jk - theta_hat_j) / D."""
-    lam = _require_positive(lam, "lam")
-    o = np.asarray(o, dtype=np.float64)
-    denom = float(np.sum(lam + o))
-    theta_hat = (o + lam) / denom
-    return (np.eye(lam.shape[-1]) - theta_hat[:, None]) / denom
+    """(..., c, c) matrices J[j, k] = d theta_hat_j / d lam_k = (delta_jk - theta_hat_j) / D."""
+    theta, denom = _dirichlet_mean(_require_positive(lam, "lam"), np.asarray(o, dtype=np.float64))
+    # row j of the identity is the cotangent of theta_hat_j
+    return _chain_lambda(np.eye(theta.shape[-1]), theta[..., None, :], denom[..., None, :])
 
 
 def beta_posterior_mean(alpha, beta, o) -> np.ndarray:
@@ -97,6 +97,17 @@ def beta_posterior_mean_grads(alpha, beta, o):
     """Exact partials (dz/dalpha, dz/dbeta) of the Beta posterior mean."""
     alpha = _require_positive(alpha, "alpha")
     beta = _require_positive(beta, "beta")
-    o = np.asarray(o, dtype=np.float64)
-    denom_sq = (alpha + beta + o) ** 2
-    return beta / denom_sq, -(o + alpha) / denom_sq
+    _, num, denom = _beta_mean(alpha, beta, np.asarray(o, dtype=np.float64))
+    return _chain_alpha_beta(1.0, beta, num, denom)
+
+
+def _chain_lambda(d_theta, theta, denom):
+    """dL/dlam_k = (dL/dtheta_k - sum_j dL/dtheta_j theta_hat_j) / D, j over the last axis."""
+    inner = (d_theta * theta).sum(axis=-1, keepdims=True)
+    return (d_theta - inner) / denom
+
+
+def _chain_alpha_beta(d_z, beta, num, denom):
+    """d/d(alpha, beta) = dL/dz * (beta, -N) / D**2, from :func:`_beta_mean`'s N and D."""
+    denom_sq = denom ** 2
+    return d_z * beta / denom_sq, d_z * (-num) / denom_sq

@@ -57,23 +57,17 @@ def lambda_transform(scores: np.ndarray, cfg: TransformConfig) -> np.ndarray:
 
 def lambda_transform_grad(scores: np.ndarray, cfg: TransformConfig) -> np.ndarray:
     """Elementwise derivative d lambda / d score = (a / gamma) * exp(s / gamma)."""
-    e = _exp_over_gamma(scores, cfg)
+    e = _transform_exp(scores, cfg)
     return _transform_grad(e, cfg, e)
 
 
-def _exp_over_gamma(scores, cfg: TransformConfig) -> np.ndarray:
-    """exp(s / gamma) as a new float64 array, with no check of the scores."""
-    scores = np.asarray(scores, dtype=np.float64)
-    e = np.divide(scores, cfg.gamma, out=np.empty_like(scores))
-    return np.exp(e, out=e)
-
-
 def _transform_exp(scores, cfg: TransformConfig) -> np.ndarray:
-    """e = exp(s / gamma) of finite scores, the factor lambda and its derivative share."""
+    """e = exp(s / gamma) of finite scores as a new array, the factor lambda and its grad share."""
     scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
         raise NumericError("non-finite scores passed to lambda_transform")
-    return _exp_over_gamma(scores, cfg)
+    e = np.divide(scores, cfg.gamma, out=np.empty_like(scores))
+    return np.exp(e, out=e)
 
 
 def _transform_from_exp(e, cfg: TransformConfig, out) -> np.ndarray:

@@ -12,17 +12,19 @@ Per instance, with candidate set S, posterior means ``theta_hat`` and
 
 The interior sum of L_ml is evaluated in log space with a max shift; the
 products underflow in raw space once c is in the hundreds.  Gradients with
-respect to the live Dirichlet/Beta parameters compose the d/d(theta_hat)
-and d/d(z_hat) partials with the exact posterior-mean Jacobians.
+respect to the live Dirichlet/Beta parameters carry the d/d(theta_hat)
+and d/d(z_hat) partials through the posterior-mean chain rules of
+:mod:`idgp.distributions`.
 
 The batch losses, the chain rules, :func:`map_loss` and the bound take
 (B, c) rows with a 0/1 candidate mask, the arrays the trainer holds;
 :func:`ml_loss` and :func:`reg_loss` are 1-row views of the two batch
-losses for a single candidate set written by hand.  The two batch losses also
-take (..., B, c) stacks, such as the posterior means of K nets at once, and
-reduce over the last axis only.  All of them are composed from one set of
-private pieces (the z logs, the likelihood's log-sum-exp, each partial), which
-the trainer also composes, so that a batch takes each log once.
+losses for a single candidate set written by hand.  All but the bound and
+these two also take (..., B, c) stacks, such as the posterior means of K
+nets at once, and reduce over the last axis only.  All of them are composed
+from one set of private pieces (the z logs, the likelihood's log-sum-exp,
+each partial, the chain rules), which the trainer also composes, so that a
+batch takes each log once.
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ import numpy as np
 
 from .data import occurrence_vector
 from .distributions import (
+    _beta_mean,
+    _chain_alpha_beta,
+    _chain_lambda,
     _dirichlet_mean,
     _require_positive,
-    beta_posterior_mean,
     check_unit_open,
-    dirichlet_posterior_mean,
 )
 from .errors import NumericError
 
@@ -78,19 +81,19 @@ def chain_to_lambda(d_theta: np.ndarray, lam: np.ndarray, mask: np.ndarray) -> n
 
     With D = sum_k (lam_k + o_k) and theta_hat = (o + lam) / D:
     dL/dlam_k = (dL/dtheta_k - sum_j dL/dtheta_j * theta_hat_j) / D.
-    Both sums run over axis 1, the labels of (B, c) rows.
+    Both sums run over the last axis, the labels of (..., B, c) stacks.
     """
     lam = np.asarray(lam, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
-    return _chain_lambda(d_theta, *_dirichlet_mean(lam, mask, axis=1))
+    return _chain_lambda(d_theta, *_dirichlet_mean(lam, mask))
 
 
 def chain_to_alpha_beta(d_z, alpha, beta, mask):
     """Compose d/d(z_hat) with the Beta posterior-mean partials, batched."""
-    alpha = np.asarray(alpha, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    return _chain_alpha_beta(d_z, beta, mask + alpha, alpha + beta + mask)
+    _, num, denom = _beta_mean(np.asarray(alpha, dtype=np.float64), beta,
+                               np.asarray(mask, dtype=np.float64))
+    return _chain_alpha_beta(d_z, beta, num, denom)
 
 
 # -- the pieces every loss, gradient and bound above and in the trainer share --
@@ -191,17 +194,6 @@ def _map_values(shift, total, w, theta, log_theta, zl: _ZLogs, cand, prior):
     return ml_v + reg_v, ml_v, reg_v, d_theta + _reg_d_theta(prior, theta)
 
 
-def _chain_lambda(d_theta, theta, denom):
-    inner = (d_theta * theta).sum(axis=1, keepdims=True)
-    return (d_theta - inner) / denom
-
-
-def _chain_alpha_beta(d_z, beta, num, denom):
-    """d/d(alpha, beta) from the Beta mean's numerator o + alpha and denominator."""
-    denom_sq = denom ** 2
-    return d_z * beta / denom_sq, d_z * (-num) / denom_sq
-
-
 def ml_loss(theta_hat, z_hat, candidates: Sequence[int]):
     """Single-instance likelihood loss: (value, d/d theta_hat, d/d z_hat)."""
     theta_hat = _require_positive(theta_hat, "theta_hat")
@@ -239,16 +231,20 @@ def map_loss(lam, alpha, beta, mask, lambda_hat, alpha_hat, beta_hat) -> MapLoss
     The trainer's composition without the 1/B mean or the z clamp: the
     posterior means of ``lam``, ``alpha`` and ``beta`` given the 0/1
     ``mask``, the likelihood plus the prior term from the same pieces the
-    trainer's two sub-steps apply, chained to the live parameters by
-    :func:`chain_to_lambda` and :func:`chain_to_alpha_beta`.  The prior
-    constants affect the value but by construction receive zero gradient.
+    trainer's two sub-steps apply, chained to the live parameters by the
+    same chain rules on the same means.  ``lam``, ``alpha`` and ``beta`` may
+    be (..., B, c) stacks.  The prior constants affect the value but by
+    construction receive zero gradient.
     """
     for name, prior in (("lambda_hat", lambda_hat), ("alpha_hat", alpha_hat),
                         ("beta_hat", beta_hat)):
         _require_positive(prior, name)
-    theta = dirichlet_posterior_mean(lam, mask)
-    z = beta_posterior_mean(alpha, beta, mask)
+    lam = _require_positive(lam, "lam")
+    alpha = _require_positive(alpha, "alpha")
+    beta = _require_positive(beta, "beta")
     mask = np.asarray(mask, dtype=np.float64)
+    theta, denom = _dirichlet_mean(lam, mask)
+    z, num, denom_z = _beta_mean(alpha, beta, mask)
     cand = mask > 0.0
     log_theta = np.log(theta)
     zl = _z_logs(z, mask)
@@ -256,9 +252,9 @@ def map_loss(lam, alpha, beta, mask, lambda_hat, alpha_hat, beta_hat) -> MapLoss
     prior = _prior_terms(lambda_hat, alpha_hat, beta_hat)
     values, ml_v, reg_v, d_theta = _map_values(shift, total, w, theta, log_theta, zl,
                                                cand, prior)
-    d_alpha, d_beta = chain_to_alpha_beta(_map_d_z(w, zl, cand, prior), alpha, beta, mask)
+    d_alpha, d_beta = _chain_alpha_beta(_map_d_z(w, zl, cand, prior), beta, num, denom_z)
     return MapLossResult(value=values, ml_value=ml_v, reg_value=reg_v,
-                         d_lambda=chain_to_lambda(d_theta, lam, mask),
+                         d_lambda=_chain_lambda(d_theta, theta, denom),
                          d_alpha=d_alpha, d_beta=d_beta)
 
 

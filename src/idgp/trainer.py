@@ -1,31 +1,20 @@
 """Alternating two-network training loop with iteratively refined priors.
 
-Each minibatch step runs through the same sequence: forward both networks,
-turn their outputs into posterior means, refresh the frozen prior constants
-from the prior cache, then update the auxiliary network with the main one
-fixed and the main network with the (just-updated) auxiliary fixed.  The
-main network does not change before the batch's last update, so its one
-batch-start forward serves the refresh and both sub-steps; the auxiliary
-network is run again only after its own update, so the main sub-step sees
-its current values as constants.  That is three forwards per batch.
+Each minibatch step forwards both networks, turns their outputs into
+posterior means, refreshes the frozen prior constants from the prior cache,
+then updates the auxiliary network g with the main network f fixed
+(sub-step 1, :func:`aux_gradient`) and f with the just-updated g fixed
+(sub-step 2, :func:`map_step_batch`).  f does not change before the
+batch's last update, so its one batch-start forward serves the refresh and
+both sub-steps; g runs again after its update: three forwards per batch.
 
-Each array is evaluated once, and each sub-step evaluates only what it
-applies.  Every forward takes e = exp(scores / gamma), from which come both
-the floored parameters a * e + b and the transform's derivative
-(a / gamma) * e.  The main forward takes theta, its Dirichlet denominator,
-log theta and the batch's candidate mask; each auxiliary forward takes the
-Beta mean's numerator and denominator, the clamped z, log z, log(1 - z)
-and their two masked row sums.  Sub-step 1 computes the likelihood weights
-and d/dz only, the z side that g's update needs, and no loss value, and
-runs the Beta chain rule on the forward's numerator and denominator.
-Sub-step 2 computes the loss values, their likelihood and prior parts and
-d/d(theta_hat) only; f's chain rule reuses the forward's theta and
-denominator.  The upper bound reads sub-step 2's logs and row sums.
-
-The batch calls the unchecked private pieces of the public functions, so
-each domain check runs where its guarantee is made: the forward checks its
-input, the transform its scores and ``sgd_step`` each gradient; lam, alpha
-and beta are valid by construction (see :func:`forward_f`).
+A forward (:func:`forward_f`, :func:`forward_g`) computes once each array
+its sub-step reads, and a sub-step evaluates only what it applies.  Both
+compose the unchecked pieces that the public functions of
+:mod:`idgp.network`, :mod:`idgp.distributions` and :mod:`idgp.objective`
+are built from, so each domain check runs where its guarantee is made: the
+forward checks its input, the transform its scores and ``sgd_step`` each
+gradient (see :func:`forward_f`).
 
 The prior cache implements the epoch-indexed mixing rules: per instance,
 
@@ -39,11 +28,9 @@ pass at the end of epochs r and q and never change afterwards.  Within
 epoch r itself the snapshot does not exist yet; mixing current values with
 themselves would be the identity, which is exactly what the fallback does.
 
-Every forward keeps its cache only while ``backward`` may need it: the
-main network's batch-start cache lives until its update at the batch's end,
-the auxiliary one's until its update in the first sub-step.  A fit's memory
-peak is still the epoch-r/q snapshot: one ``(n, hidden)`` activation plus
-one ``(n, 2c)`` score array above a steady epoch.
+Each forward's cache lives until its net's update.  A fit's memory peak
+is the epoch-r/q snapshot: one ``(n, hidden)`` activation plus one
+``(n, 2c)`` score array above a steady epoch.
 """
 
 from __future__ import annotations
@@ -55,7 +42,15 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .data import PLLDataset
-from .distributions import Z_EPS, _beta_mean, _dirichlet_mean, clamp_z, floor_params
+from .distributions import (
+    Z_EPS,
+    _beta_mean,
+    _chain_alpha_beta,
+    _chain_lambda,
+    _dirichlet_mean,
+    clamp_z,
+    floor_params,
+)
 from .errors import NumericError
 from .network import (
     ACTIVATIONS,
@@ -70,8 +65,6 @@ from .network import (
     validate_transform_clamp,
 )
 from .objective import (
-    _chain_alpha_beta,
-    _chain_lambda,
     _map_d_z,
     _map_values,
     _ml_softmax,

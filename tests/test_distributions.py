@@ -145,6 +145,15 @@ class TestJacobians:
         expected = (np.eye(3) - theta[:, None]) / denom
         assert np.allclose(jac, expected, rtol=1e-14)
 
+    def test_dirichlet_jacobian_of_stacked_rows_is_each_rows(self):
+        rng = np.random.default_rng(21)
+        lam = rng.uniform(0.5, 3.0, size=(3, 4, 4))
+        o = (rng.random((4, 4)) < 0.5).astype(float)
+        jac = dirichlet_posterior_mean_jacobian(lam, o)
+        assert jac.shape == (3, 4, 4, 4)
+        for k, i in np.ndindex(3, 4):
+            assert np.array_equal(jac[k, i], dirichlet_posterior_mean_jacobian(lam[k, i], o[i]))
+
     def test_beta_grads_formula(self):
         alpha, beta, o = np.array([2.0]), np.array([3.0]), np.array([1.0])
         da, db = beta_posterior_mean_grads(alpha, beta, o)

@@ -1,6 +1,8 @@
-"""The finite-difference routine, a fault in the bare network's backward, and
-the MAP-step branches that ``run_suite`` does not reach: the likelihood-only
-step and rows past the z clamp."""
+"""The finite-difference routine, faults in the bare network's backward and in
+the posterior-mean chain rules, and the MAP-step branches that ``run_suite``
+does not reach: the likelihood-only step and rows past the z clamp."""
+
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from idgp.gradcheck import (
     check_forward,
     check_map_end_to_end,
     rel_error,
+    run_suite,
 )
 from idgp.network import DenseNet
 from idgp.objective import _prior_terms
@@ -56,6 +59,25 @@ def test_offset_in_backward_fails_check_forward(monkeypatch):
     assert check_forward(np.random.default_rng(1)) <= TOLERANCE
     monkeypatch.setattr(DenseNet, "backward", offset)
     assert check_forward(np.random.default_rng(1)) > TOLERANCE
+
+
+@pytest.mark.parametrize("binding", ["_chain_lambda", "_chain_alpha_beta"])
+def test_chain_rule_fault_fails_jacobians_and_map_loss(monkeypatch, binding):
+    # the public Jacobians and the trainer's step apply the same chain rule,
+    # so a fault in it shows in the component that checks it alone as well
+    modules = [m for name, m in sys.modules.items()
+               if name.startswith("idgp.") and hasattr(m, binding)]
+    real = getattr(modules[0], binding)
+
+    def doubled(*args):
+        out = real(*args)
+        return tuple(2.0 * o for o in out) if isinstance(out, tuple) else 2.0 * out
+
+    for module in modules:
+        monkeypatch.setattr(module, binding, doubled)
+    errors = run_suite(seed=1, trials=2)
+    assert errors["posterior_jacobians"] > TOLERANCE
+    assert errors["map_loss"] > TOLERANCE
 
 
 @pytest.mark.parametrize("seed", range(4))

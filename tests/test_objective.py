@@ -10,6 +10,8 @@ from idgp.distributions import beta_posterior_mean, dirichlet_posterior_mean
 from idgp.generation import candidate_set_density
 from idgp.network import TransformConfig, lambda_range, loss_sup
 from idgp.objective import (
+    chain_to_alpha_beta,
+    chain_to_lambda,
     degenerate_uniform_loss,
     map_loss,
     map_upper_bound_batch,
@@ -242,6 +244,26 @@ class TestMapLoss:
             one = map_loss(*(v[i:i + 1] for v in rows))
             for field in res.__dataclass_fields__:
                 assert np.array_equal(getattr(res, field)[i], getattr(one, field)[0])
+
+    def test_stacked_nets_match_each_slice_bitwise(self):
+        # K nets' parameters on one batch: every sum runs over the labels, not the rows
+        rng = np.random.default_rng(18)
+        k, b, c = 3, 5, 4
+        lam, alpha, beta = (rng.uniform(0.5, 4.0, size=(k, b, c)) for _ in range(3))
+        _, _, _, mask, *hats = random_rows(rng, b=b, c=c)
+        d_theta = rng.normal(size=(k, b, c))
+        res = map_loss(lam, alpha, beta, mask, *hats)
+        assert res.d_lambda.shape == (k, b, c)
+        stacked_chains = (chain_to_lambda(d_theta, lam, mask),
+                          *chain_to_alpha_beta(d_theta, alpha, beta, mask))
+        for i in range(k):
+            one = map_loss(lam[i], alpha[i], beta[i], mask, *hats)
+            for field in res.__dataclass_fields__:
+                assert np.array_equal(getattr(res, field)[i], getattr(one, field))
+            one_chains = (chain_to_lambda(d_theta[i], lam[i], mask),
+                          *chain_to_alpha_beta(d_theta[i], alpha[i], beta[i], mask))
+            for whole, part in zip(stacked_chains, one_chains):
+                assert np.array_equal(whole[i], part)
 
     def test_prior_shifts_value_but_returns_no_prior_gradient(self):
         rng = np.random.default_rng(7)

@@ -69,9 +69,9 @@ def textbook_reg(theta, z, lambda_hat, alpha_hat, beta_hat):
 
 
 def textbook_chain_lambda(d_theta, lam, mask):
-    denom = (lam + mask).sum(axis=1, keepdims=True)
+    denom = (lam + mask).sum(axis=-1, keepdims=True)
     theta_hat = (mask + lam) / denom
-    inner = (d_theta * theta_hat).sum(axis=1, keepdims=True)
+    inner = (d_theta * theta_hat).sum(axis=-1, keepdims=True)
     return (d_theta - inner) / denom
 
 
