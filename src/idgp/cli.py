@@ -247,10 +247,6 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     net_f, _, tc = load_model(args.model)
     ds = load_dataset(args.data)
-    if net_f.out_dim != ds.c:
-        raise DataInvariantError(
-            f"model predicts {net_f.out_dim} classes, dataset has {ds.c}"
-        )
     acc = evaluation.accuracy(net_f, ds, tc)
     row = {"method": args.method, "dataset": Path(args.data).stem,
            "seed_count": 1, "mean_acc": acc, "std_acc": 0.0}

@@ -1,4 +1,4 @@
-"""Accuracy metrics, deterministic splits, multi-seed aggregation and report CSVs."""
+"""Prediction and accuracy, deterministic splits, multi-seed aggregation and report CSVs."""
 
 from __future__ import annotations
 
@@ -12,9 +12,8 @@ import numpy as np
 
 from .data import PLLDataset, read_text
 from .errors import DataFormatError, DataInvariantError
-from .network import DenseNet, TransformConfig
+from .network import DenseNet, TransformConfig, lambda_transform
 from .rng import substream
-from .trainer import predict_batch
 
 CSV_COLUMNS = ("method", "dataset", "seed_count", "mean_acc", "std_acc")
 
@@ -55,12 +54,30 @@ def accuracy(net_f: DenseNet, dataset: PLLDataset, tc: TransformConfig) -> float
     """Fraction of instances whose predicted label matches the true one."""
     if dataset.true_labels is None:
         raise DataInvariantError("accuracy needs a dataset with true labels")
+    if net_f.out_dim != dataset.c:
+        raise DataInvariantError(
+            f"model predicts {net_f.out_dim} classes, dataset has {dataset.c}"
+        )
     if net_f.in_dim != dataset.q:
         raise DataInvariantError(
             f"model expects {net_f.in_dim} features, dataset has {dataset.q}"
         )
     labels, _ = predict_batch(net_f, dataset.features, tc)
     return float(np.mean(labels == dataset.true_labels))
+
+
+def predict_batch(net_f: DenseNet, X: np.ndarray, tc: TransformConfig):
+    """Labels and label-confidence rows for a feature matrix.
+
+    At test time there is no candidate set, so the occurrence vector is
+    zero and the posterior mean reduces to lam / sum(lam); its argmax
+    coincides with the raw score argmax because the transform is strictly
+    increasing coordinate-wise.  Ties go to the lowest label index.  The
+    forward's cache is dropped before the transform allocates.
+    """
+    lam = lambda_transform(net_f.forward(np.atleast_2d(X))[0], tc)
+    theta = lam / lam.sum(axis=1, keepdims=True)
+    return np.argmax(theta, axis=1), theta
 
 
 def aggregate(values: Sequence[float]):

@@ -29,11 +29,15 @@ import numpy as np
 
 from .data import PLLDataset
 from .errors import DataInvariantError, NumericError
-from .network import ACTIVATIONS, DenseNet, SGDState, sgd_step
+from .network import DenseNet, SGDState, layer_sizes, sgd_step
 from .rng import substream
 
 MODE_INSTANCE = "instance_dependent"
 MODE_UNIFORM = "uniform"
+
+SCORER_ACTIVATION = "relu"
+SCORER_BATCH_SIZE = 64
+SCORER_MOMENTUM = 0.9
 
 
 @dataclass(frozen=True)
@@ -58,32 +62,23 @@ class CorruptionReport:
 
 @dataclass(frozen=True)
 class CleanScorerConfig:
-    """Training hyperparameters for the clean network behind instance-dependent flips."""
+    """The clean scorer's settable hyperparameters; the ``SCORER_*`` constants fix the rest."""
 
     hidden: int = 64
-    activation: str = "relu"
     clamp: float = 20.0
     epochs: int = 50
-    batch_size: int = 64
     lr: float = 0.1
-    momentum: float = 0.9
     seed: int = 0
 
     def __post_init__(self):
         if self.hidden < 0:
             raise ValueError("hidden must be nonnegative (0 means linear)")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if not (self.clamp > 0.0):
             raise ValueError("clamp must be strictly positive")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
         if not (0.0 < self.lr < np.inf):
             raise ValueError("lr must be finite and strictly positive")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must lie in [0, 1)")
 
 
 def candidate_set_density(candidates: Sequence[int], theta: np.ndarray,
@@ -183,16 +178,15 @@ def train_clean_scorer(ds: PLLDataset, config: CleanScorerConfig | None = None):
     """
     config = config or CleanScorerConfig()
     labels = _require_clean(ds)
-    sizes = [ds.q, ds.c] if config.hidden == 0 else [ds.q, config.hidden, ds.c]
-    net = DenseNet(sizes, activation=config.activation, clamp=config.clamp,
-                   rng=substream(config.seed, "init", 0))
-    state = SGDState(lr=config.lr, momentum=config.momentum)
+    net = DenseNet(layer_sizes(ds.q, config.hidden, ds.c), activation=SCORER_ACTIVATION,
+                   clamp=config.clamp, rng=substream(config.seed, "init", 0))
+    state = SGDState(lr=config.lr, momentum=SCORER_MOMENTUM)
     onehot = np.zeros((ds.n, ds.c))
     onehot[np.arange(ds.n), labels] = 1.0
     for epoch in range(config.epochs):
         order = substream(config.seed, "shuffle", epoch).permutation(ds.n)
-        for start in range(0, ds.n, config.batch_size):
-            idx = order[start:start + config.batch_size]
+        for start in range(0, ds.n, SCORER_BATCH_SIZE):
+            idx = order[start:start + SCORER_BATCH_SIZE]
             scores, cache = net.forward(ds.features[idx])
             shifted = scores - scores.max(axis=1, keepdims=True)
             probs = np.exp(shifted)

@@ -32,21 +32,23 @@ from .network import DenseNet, TransformConfig, lambda_transform, lambda_transfo
 
 FD_STEP = 1e-5
 TOLERANCE = 1e-6
-COMPONENTS = ("forward", "transform", "posterior_jacobians",
-              "ml_loss", "reg_loss", "map_loss")
 
 _HARNESS_CLAMP = 8.0  # generous headroom: scores stay far inside [-A, A]
+_MAX_TRIES = 200  # draws of a well-conditioned net before giving up
+_KINK_MARGIN = 1e-3  # least |preactivation| a drawn net may have
+_SCORE_BOUND = 4.0  # far below the clamp: the FD step stays off every clamp and floor
+_FORWARD_WIDTH = 16  # hidden width of the bare-network check
 _MAP_ROWS = 3  # batch rows of the MAP check: more than one exercises the 1/B mean
 _FD_CHUNK = 64  # most points handed to one call of the differenced function
 
 
-def central_difference(fun, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+def central_difference(fun, x: np.ndarray) -> np.ndarray:
     """Central differences of ``fun`` at ``x``, shaped ``fun(x).shape + x.shape``.
 
     The gradient of a scalar function, the Jacobian of a vector one.  ``fun``
     takes a stack of m points, shaped ``(m,) + x.shape``, and returns one
-    value per point, shaped ``(m,) + fun(x).shape``.  The 2 ``x.size``
-    points x + h e_i and x - h e_i go to it in chunks of at most 64.
+    value per point, shaped ``(m,) + fun(x).shape``.  The 2 ``x.size`` points
+    x + h e_i and x - h e_i, h = ``FD_STEP``, go to it in chunks of at most 64.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
@@ -54,10 +56,10 @@ def central_difference(fun, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     for start in range(0, 2 * n, _FD_CHUNK):
         k = np.arange(start, min(start + _FD_CHUNK, 2 * n))  # point k moves x_{k mod n}
         points = np.tile(x.ravel(), (k.size, 1))
-        points[np.arange(k.size), k % n] += np.where(k < n, h, -h)
+        points[np.arange(k.size), k % n] += np.where(k < n, FD_STEP, -FD_STEP)
         values.append(np.asarray(fun(points.reshape((-1,) + x.shape))))
     values = np.concatenate(values)
-    diff = (values[:n] - values[n:]) / (2.0 * h)
+    diff = (values[:n] - values[n:]) / (2.0 * FD_STEP)
     return np.moveaxis(diff, 0, -1).reshape(diff.shape[1:] + x.shape)
 
 
@@ -84,11 +86,11 @@ def _random_z(rng, c):
     return rng.uniform(0.05, 0.95, size=c)
 
 
-def check_forward(rng, width: int = 16) -> float:
+def check_forward(rng) -> float:
     """Backprop through the bare network against FD on a linear probe."""
     q = int(rng.integers(2, 6))
     c = int(rng.integers(2, 6))
-    net, x = _well_conditioned_net(rng, [q, width, c])
+    net, x = _well_conditioned_net(rng, [q, _FORWARD_WIDTH, c])
     v = rng.normal(size=c)
     _, cache = net.forward(x)
     analytic = net.backward(cache, v)
@@ -169,13 +171,13 @@ def _net_error(net, analytic, coords, loss) -> float:
     return rel_error(analytic[coords], central_difference(perturbed, flat0[coords]))
 
 
-def _well_conditioned_net(rng, sizes, clamp=_HARNESS_CLAMP, max_tries=200, x=None):
+def _well_conditioned_net(rng, sizes, x=None):
     """Net/input pair whose preactivations avoid relu kinks and the clamp.
 
     A given input ``x`` is kept and only the net is redrawn.
     """
-    for _ in range(max_tries):
-        net = DenseNet(sizes, activation="relu", clamp=clamp,
+    for _ in range(_MAX_TRIES):
+        net = DenseNet(sizes, activation="relu", clamp=_HARNESS_CLAMP,
                        rng=np.random.default_rng(rng.integers(2 ** 63)))
         x_try = rng.normal(size=sizes[0]) if x is None else x
         if _margins_ok(net, x_try):
@@ -183,14 +185,12 @@ def _well_conditioned_net(rng, sizes, clamp=_HARNESS_CLAMP, max_tries=200, x=Non
     raise RuntimeError("could not draw a well-conditioned instance")
 
 
-def _margins_ok(net, x, kink_margin=1e-3, score_bound=4.0):
-    # score_bound stays far below the harness clamp, so bounding the clamped scores
-    # keeps the FD step off the clamp, the z clamp and the parameter floor
+def _margins_ok(net, x):
     scores, cache = net.forward(x)
     for h, W, b in zip(cache["inputs"], net.weights[:-1], net.biases[:-1]):
-        if np.min(np.abs(h @ W + b)) < kink_margin:
+        if np.min(np.abs(h @ W + b)) < _KINK_MARGIN:
             return False
-    return bool(np.max(np.abs(scores)) < score_bound)
+    return bool(np.max(np.abs(scores)) < _SCORE_BOUND)
 
 
 def _generation_map_value(theta, z, cands, lambda_hat, alpha_hat, beta_hat) -> float:
@@ -262,6 +262,7 @@ _CHECKS = {
     "reg_loss": check_reg_loss,
     "map_loss": check_map_end_to_end,
 }
+COMPONENTS = tuple(_CHECKS)
 
 
 def run_suite(seed: int = 0, trials: int = 20) -> dict:

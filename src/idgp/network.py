@@ -42,7 +42,7 @@ def validate_transform_clamp(cfg: TransformConfig, clamp: float) -> None:
     if not (clamp > 0.0):
         raise ValueError("clamp bound A must be strictly positive")
     with np.errstate(over="ignore"):
-        hi = cfg.a * np.exp(clamp / cfg.gamma) + cfg.b
+        _, hi = lambda_range(cfg, clamp)
     if not np.isfinite(hi):
         raise ValueError(
             f"a*exp(A/gamma)+b overflows for a={cfg.a}, A={clamp}, gamma={cfg.gamma}"
@@ -90,6 +90,11 @@ def lambda_transform_pair(scores: np.ndarray, cfg: TransformConfig):
     lam = lambda_transform(scores, cfg)
     half = width // 2
     return lam[..., :half], lam[..., half:]
+
+
+def layer_sizes(q: int, hidden: int, out: int) -> list:
+    """Layer sizes of a net from q features to ``out`` scores; ``hidden == 0`` means linear."""
+    return [q, out] if hidden == 0 else [q, hidden, out]
 
 
 def _check_net_spec(layer_sizes, activation: str, clamp: float) -> tuple:

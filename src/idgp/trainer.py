@@ -52,6 +52,7 @@ from .distributions import (
     floor_params,
 )
 from .errors import NumericError
+from .evaluation import accuracy
 from .network import (
     ACTIVATIONS,
     DenseNet,
@@ -60,7 +61,7 @@ from .network import (
     _transform_exp,
     _transform_from_exp,
     _transform_grad,
-    lambda_transform,
+    layer_sizes,
     sgd_step,
     validate_transform_clamp,
 )
@@ -173,12 +174,13 @@ class PriorCache:
         return np.where(self.mask[idx] > 0.0, mixed, 1.0 + cfg.epsilon)
 
     def alpha_beta_hat_values(self, idx, live_alpha, live_beta, t: int):
+        """Frozen alpha and beta constants for the rows idx at epoch t; before q, the live ones."""
         d = self.config.d
         if t >= self.config.q and self.alpha_snapshot is not None:
             a_hat = d * self.alpha_snapshot[idx] + (1.0 - d) * live_alpha
             b_hat = d * self.beta_snapshot[idx] + (1.0 - d) * live_beta
             return a_hat, b_hat
-        return live_alpha.copy(), live_beta.copy()
+        return live_alpha, live_beta
 
     def refresh(self, idx, live_lam, live_alpha, live_beta, t: int):
         """Compute, store and return the prior constants for a batch."""
@@ -215,14 +217,9 @@ class TrainerState:
 
 
 def init_state(config: TrainConfig, dataset: PLLDataset) -> TrainerState:
-    sizes_f = ([dataset.q, dataset.c] if config.hidden == 0
-               else [dataset.q, config.hidden, dataset.c])
-    sizes_g = ([dataset.q, 2 * dataset.c] if config.hidden == 0
-               else [dataset.q, config.hidden, 2 * dataset.c])
-    f = DenseNet(sizes_f, activation=config.activation, clamp=config.clamp,
-                 rng=substream(config.seed, "init", 0))
-    g = DenseNet(sizes_g, activation=config.activation, clamp=config.clamp,
-                 rng=substream(config.seed, "init", 1))
+    f, g = (DenseNet(layer_sizes(dataset.q, config.hidden, out), activation=config.activation,
+                     clamp=config.clamp, rng=substream(config.seed, "init", k))
+            for k, out in enumerate((dataset.c, 2 * dataset.c)))
     return TrainerState(
         config=config,
         f=f,
@@ -471,19 +468,4 @@ def fit(config: TrainConfig, dataset: PLLDataset,
 def _maybe_accuracy(net_f, dataset, tc) -> Optional[float]:
     if dataset is None or dataset.true_labels is None:
         return None
-    labels, _ = predict_batch(net_f, dataset.features, tc)
-    return float(np.mean(labels == dataset.true_labels))
-
-
-def predict_batch(net_f: DenseNet, X: np.ndarray, tc: TransformConfig):
-    """Labels and label-confidence rows for a feature matrix.
-
-    At test time there is no candidate set, so the occurrence vector is
-    zero and the posterior mean reduces to lam / sum(lam); its argmax
-    coincides with the raw score argmax because the transform is strictly
-    increasing coordinate-wise.  Ties go to the lowest label index.  The
-    forward's cache is dropped before the transform allocates.
-    """
-    lam = lambda_transform(net_f.forward(np.atleast_2d(X))[0], tc)
-    theta = lam / lam.sum(axis=1, keepdims=True)
-    return np.argmax(theta, axis=1), theta
+    return accuracy(net_f, dataset, tc)

@@ -126,6 +126,13 @@ class TestCorrupt:
         assert meta["mode"] == "instance_dependent"
         assert meta["params"]["scorer"]["epochs"] == 2
 
+    def test_instance_meta_holds_the_five_scorer_fields(self, tmp_path, clean_path):
+        out = tmp_path / "i.pll"
+        assert main(["corrupt", "--data", str(clean_path), "--out", str(out),
+                     "--mode", "instance", "--seed", "3", "--scorer-epochs", "2"]) == 0
+        assert read_sidecar(out)["params"]["scorer"] == {
+            "hidden": 64, "clamp": 20.0, "epochs": 2, "lr": 0.1, "seed": 3}
+
     def test_missing_input_exits_1(self, tmp_path):
         code = main(["corrupt", "--data", str(tmp_path / "nope.pll"),
                      "--out", str(tmp_path / "x.pll"), "--mode", "uniform",
@@ -277,6 +284,15 @@ class TestTrainEval:
         code = main(["eval", "--model", str(model), "--data",
                      str(corrupted_path), "--out", str(tmp_path / "m.csv")])
         assert code == EXIT_INVARIANT
+
+    def test_eval_class_count_mismatch_names_both_counts(self, tmp_path, clean_path, capsys):
+        model = tmp_path / "m.bin"
+        save_model(model, DenseNet([2, 4, 5], rng=np.random.default_rng(0)),
+                   DenseNet([2, 4, 10], rng=np.random.default_rng(1)), TransformConfig())
+        assert main(["eval", "--model", str(model), "--data", str(clean_path),
+                     "--out", str(tmp_path / "m.csv")]) == EXIT_INVARIANT
+        assert "model predicts 5 classes, dataset has 3" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
 
     def test_eval_into_malformed_csv_exits_1_unchanged(self, tmp_path, clean_path, capsys):
         model = tmp_path / "m.bin"

@@ -108,6 +108,24 @@ class TestAccuracy:
         with pytest.raises(DataInvariantError, match="features"):
             accuracy(net, bad, TransformConfig())
 
+    def test_class_count_mismatch(self):
+        ds = toy_dataset()
+        from idgp.data import PLLDataset
+        wide = PLLDataset(features=ds.features, candidates=ds.candidates, c=ds.c + 1,
+                          true_labels=ds.true_labels)
+        net = self._constant_net(wide, np.zeros(ds.c + 1))
+        with pytest.raises(DataInvariantError,
+                           match=f"predicts {ds.c + 1} classes, dataset has {ds.c}"):
+            accuracy(net, ds, TransformConfig())
+
+    def test_missing_labels_reported_before_class_mismatch(self):
+        ds = toy_dataset()
+        from idgp.data import PLLDataset
+        bare = PLLDataset(features=ds.features, candidates=ds.candidates, c=ds.c + 1)
+        net = self._constant_net(ds, np.zeros(ds.c))
+        with pytest.raises(DataInvariantError, match="true labels"):
+            accuracy(net, bare, TransformConfig())
+
 
 class TestAggregate:
     def test_identical_values_zero_std(self):

@@ -16,6 +16,7 @@ from idgp.network import (
     lambda_transform,
     lambda_transform_grad,
     lambda_transform_pair,
+    layer_sizes,
     loss_sup,
     param_count,
     sgd_step,
@@ -468,6 +469,11 @@ class TestSGD:
             SGDState(lr=-1.0)
         with pytest.raises(ValueError):
             SGDState(lr=0.1, momentum=1.0)
+
+
+def test_layer_sizes_are_linear_at_zero_hidden_width():
+    assert layer_sizes(3, 0, 4) == [3, 4]
+    assert layer_sizes(3, 8, 4) == [3, 8, 4]
 
 
 class TestInducedBounds:

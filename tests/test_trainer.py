@@ -18,6 +18,7 @@ from idgp.distributions import (
     floor_params,
 )
 from idgp.errors import NumericError
+from idgp.evaluation import accuracy, predict_batch
 from idgp.generation import corrupt_uniform, make_clean_dataset
 from idgp.network import (
     DenseNet,
@@ -40,7 +41,6 @@ from idgp.trainer import (
     TrainConfig,
     fit,
     init_state,
-    predict_batch,
     train_epoch,
 )
 
@@ -536,6 +536,21 @@ class TestTrainingLoop:
         _, _, history = fit(small_config(epochs=1, r=1, q=1, val_fraction=0.2),
                             unlabeled)
         assert history[0]["val_acc"] is None
+
+    def test_val_acc_is_evaluation_accuracy(self):
+        ds = toy_dataset()
+        cfg = small_config(epochs=2)
+        train, val = ds.subset(np.arange(60)), ds.subset(np.arange(60, ds.n))
+        f, _, history = fit(cfg, train, val_dataset=val)
+        assert history[-1]["val_acc"] == accuracy(f, val, cfg.transform_config)
+
+    @pytest.mark.parametrize("hidden", [0, 5])
+    def test_init_state_net_shapes(self, hidden):
+        ds = toy_dataset()
+        state = init_state(small_config(hidden=hidden), ds)
+        inner = [hidden] if hidden else []
+        assert state.f.layer_sizes == (ds.q, *inner, ds.c)
+        assert state.g.layer_sizes == (ds.q, *inner, 2 * ds.c)
 
 
 class TestPredict:
