@@ -114,11 +114,10 @@ _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False}
 
 def parse_config_file(path) -> TrainConfig:
     """Flat key=value file; every key must be a TrainConfig field."""
-    lines = read_lines(path)
     known = {f.name: f.type for f in TrainConfig.__dataclass_fields__.values()}
     defaults = TrainConfig()
     values = {}
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -13,8 +13,9 @@ ends in ``.npz``) and text otherwise.  Text is the reference format.  Its
 labels are 1-indexed, and its features are written in the shortest decimal
 form that round-trips a 64-bit float, so ``write_dataset`` followed by
 ``load_dataset`` is the identity.  Text is streamed: ``write_dataset`` holds
-one formatted row at a time, and ``load_dataset`` the list of decoded lines
-plus one block of ``READ_BLOCK`` bytes.  An npz file holds the arrays of
+one formatted row at a time, and ``load_dataset`` parses each line as it is
+read, holding its arrays plus the decoded lines of one block of
+``READ_BLOCK`` bytes.  An npz file holds the arrays of
 :data:`NPZ_DTYPES`, each member's header checked against ``dims`` and the
 file size before its data is read.
 """
@@ -210,14 +211,14 @@ def load_dataset(path) -> PLLDataset:
     path = Path(path)
     try:
         with path.open("rb") as fh:
-            if fh.read(len(ZIP_MAGIC)) == ZIP_MAGIC:
-                return _load_npz(fh, path)
+            magic = fh.read(len(ZIP_MAGIC))
+            size = fh.seek(0, 2)
+            fh.seek(0)
+            if magic == ZIP_MAGIC:
+                return _load_npz(fh, path, size)
+            return _parse_text(_lines(fh, path), path, size)
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    lines = read_lines(path)
-    if not lines:
-        raise DataFormatError(f"{path}: empty file")
-    return _parse_text(lines, path)
 
 
 def read_text(path) -> str:
@@ -229,37 +230,35 @@ def read_text(path) -> str:
     return _decode(data, path, 0)
 
 
-def read_lines(path) -> list:
-    """``read_text(path).splitlines()``, decoded one block at a time.
-
-    Each block of ``READ_BLOCK`` bytes is cut after its last ``\\n`` and the
-    rest carried into the next.  No UTF-8 multibyte sequence contains the
-    byte 0x0A and ``\\r\\n`` ends with it, so every piece decodes and splits
-    exactly as it would inside the whole text, ``\\x85``, ``\\u2028`` and the
-    other line boundaries of ``str.splitlines`` included.
-    """
-    lines, pending, newlines = [], [], 0
+def read_lines(path):
+    """Yield the lines of ``read_text(path).splitlines()``, one block at a time."""
     try:
         with Path(path).open("rb") as fh:
-            while block := fh.read(READ_BLOCK):
-                cut = block.rfind(b"\n") + 1
-                if not cut:
-                    pending.append(block)
-                    continue
-                pending.append(block[:cut])
-                newlines = _split_piece(b"".join(pending), path, newlines, lines)
-                pending = [block[cut:]]
+            yield from _lines(fh, path)
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    _split_piece(b"".join(pending), path, newlines, lines)
-    return lines
 
 
-def _split_piece(piece: bytes, path, newlines: int, lines: list) -> int:
-    """Append the lines of ``piece``, which follows ``newlines`` newlines in
-    the file, to ``lines``; returns the newline count after it."""
-    lines.extend(_decode(piece, path, newlines).splitlines())
-    return newlines + piece.count(b"\n")
+def _lines(fh, path):
+    """Yield the lines of the open binary file ``fh`` of ``path``.
+
+    Each block of ``READ_BLOCK`` bytes but the last is cut after its last
+    ``\\n``, the rest carried into the next.  No UTF-8 multibyte sequence
+    contains 0x0A and ``\\r\\n`` ends with it, so every piece decodes and
+    splits as inside the whole text, all of ``str.splitlines``'s line
+    boundaries included.  Each piece is decoded before its lines are yielded.
+    """
+    pending, newlines = [], 0
+    while block := fh.read(READ_BLOCK):
+        cut = block.rfind(b"\n") + 1 if fh.peek(1) else len(block)
+        if not cut:
+            pending.append(block)
+            continue
+        pending.append(block[:cut])
+        piece = b"".join(pending)
+        pending = [block[cut:]]
+        yield from _decode(piece, path, newlines).splitlines()
+        newlines += piece.count(b"\n")
 
 
 def _decode(data: bytes, path, newlines: int) -> str:
@@ -294,20 +293,22 @@ def _header_dims(fields, where, room):
     return n, q, c
 
 
-def _parse_text(lines, path) -> PLLDataset:
-    header = lines[0].split()
+def _parse_text(lines, path, size) -> PLLDataset:
+    """The dataset of the text file of ``size`` bytes, parsed as ``lines`` yields it."""
+    header = next(lines, None)
+    if header is None:
+        raise DataFormatError(f"{path}: empty file")
+    header = header.split()
     if len(header) != 3:
         raise DataFormatError(f"{path}:1: header must be 'n q c'")
-    # each feature takes at least one character
-    n, q, c = _header_dims(header, f"{path}:1", sum(map(len, lines)))
-    if len(lines) - 1 < n:
-        raise DataFormatError(f"{path}: header says n={n} but only {len(lines) - 1} rows")
+    # each feature takes at least one byte
+    n, q, c = _header_dims(header, f"{path}:1", size)
     features = np.empty((n, q))
     candidates = []
     labels = []
-    for i in range(n):
+    for i, text in zip(range(n), lines):
         lineno = i + 2
-        parts = [p.strip() for p in lines[i + 1].split("|")]
+        parts = [p.strip() for p in text.split("|")]
         if len(parts) not in (2, 3):
             raise DataFormatError(
                 f"{path}:{lineno}: expected 'features | candidates [| label]'"
@@ -331,7 +332,9 @@ def _parse_text(lines, path) -> PLLDataset:
                 labels.append(int(parts[2]) - 1)
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: malformed true label") from None
-    for lineno, text in enumerate(lines[n + 1:], n + 2):
+    if len(candidates) < n:
+        raise DataFormatError(f"{path}: header says n={n} but only {len(candidates)} rows")
+    for lineno, text in enumerate(lines, n + 2):
         if text.strip():
             raise DataFormatError(f"{path}:{lineno}: row beyond the header's n={n}")
     if labels and len(labels) != n:
@@ -339,14 +342,12 @@ def _parse_text(lines, path) -> PLLDataset:
     return PLLDataset(features, candidates, c, labels or None)
 
 
-def _load_npz(fh, path) -> PLLDataset:
-    """The npz dataset in the open file ``fh``.  Each member's .npy header
-    must declare its :data:`NPZ_DTYPES` dtype, the shape ``dims`` implies and
-    at most the file's size in bytes before its data is read."""
+def _load_npz(fh, path, size) -> PLLDataset:
+    """The npz dataset in the open file ``fh`` of ``size`` bytes.  Each
+    member's .npy header must declare its :data:`NPZ_DTYPES` dtype, the shape
+    ``dims`` implies and at most ``size`` bytes before its data is read."""
     arrays, key = {}, "zip"
     try:
-        size = fh.seek(0, 2)
-        fh.seek(0)
         with np.load(fh, allow_pickle=False) as npz:
             keys = [name.removesuffix(".npy") for name in npz.zip.namelist()]
             for key in ("dims", "features", "mask"):

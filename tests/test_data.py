@@ -6,6 +6,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from idgp import data
 from idgp.data import (
     PLLDataset,
     load_dataset,
@@ -187,11 +188,66 @@ class TestStreamedIO:
         assert out.read_bytes() == path.read_bytes()
 
     def test_load_holds_lines_not_file_copies(self, big):
+        # the arrays plus one block of lines: a budget that does not grow with the text
         ds, path = big
-        size = path.stat().st_size
         peak, back = self.traced_peak(lambda: load_dataset(path))
-        assert peak <= 1.85 * size, f"load peaked at {peak / size:.2f}x the file size"
+        budget = back.features.nbytes + (8 << 20)
+        assert peak <= budget, (f"load peaked {(peak - back.features.nbytes) / 2 ** 20:.1f} MB "
+                                "above its features")
         assert np.array_equal(back.features, ds.features)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64, 1000])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("with_labels", [True, False])
+    def test_rows_straddling_block_cuts_parse_as_one_block(self, tmp_path, monkeypatch,
+                                                           block, newline, with_labels):
+        ds = random_dataset(np.random.default_rng(block), n=40, with_labels=with_labels)
+        path = tmp_path / "d.pll"
+        write_dataset(ds, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", newline))
+        assert path.stat().st_size < data.READ_BLOCK
+        whole = load_dataset(path)
+        monkeypatch.setattr(data, "READ_BLOCK", block)
+        cut = load_dataset(path)
+        assert cut.features.tobytes() == whole.features.tobytes() == ds.features.tobytes()
+        assert cut.candidates == whole.candidates == ds.candidates
+        assert cut.c == ds.c
+        if with_labels:
+            assert cut.true_labels.tobytes() == whole.true_labels.tobytes()
+        else:
+            assert cut.true_labels is None and whole.true_labels is None
+
+
+class TestStreamedErrorOrder:
+    """Rows are parsed as their block is read, so on a file of several blocks
+    a fault is reported in file order, before the text of later blocks is read."""
+
+    BLOCK = 16
+
+    def load_error(self, tmp_path, monkeypatch, content: bytes) -> str:
+        path = tmp_path / "d.pll"
+        path.write_bytes(content)
+        assert len(content) > 2 * self.BLOCK  # at least three blocks
+        monkeypatch.setattr(data, "READ_BLOCK", self.BLOCK)
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(path)
+        return str(info.value)
+
+    def test_row_fault_wins_over_later_non_utf8(self, tmp_path, monkeypatch):
+        # line 2's bad index lies in the first block, line 5's 0xff in a later one
+        content = b"4 1 3\n0.5 | x\n0.5 | 1\n0.5 | 2\n0.\xff | 1\n"
+        message = self.load_error(tmp_path, monkeypatch, content)
+        assert message == f"{tmp_path / 'd.pll'}:2: malformed candidate index"
+
+    def test_malformed_row_wins_over_too_few_rows(self, tmp_path, monkeypatch):
+        content = b"5 1 3\n0.5 | 1\n0.5 | 2\n0.5 | y\n0.5 | 3\n"
+        message = self.load_error(tmp_path, monkeypatch, content)
+        assert message == f"{tmp_path / 'd.pll'}:4: malformed candidate index"
+
+    def test_too_few_rows_after_the_last_block(self, tmp_path, monkeypatch):
+        content = b"5 1 3\n0.5 | 1\n0.5 | 2\n0.5 | 3\n0.5 | 1\n"
+        message = self.load_error(tmp_path, monkeypatch, content)
+        assert message == f"{tmp_path / 'd.pll'}: header says n=5 but only 4 rows"
 
 
 def write_npz(path, compression=zipfile.ZIP_STORED, **members):
@@ -398,6 +454,19 @@ class TestParseErrors:
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
         with pytest.raises(DataFormatError, match=rf"d\.data:{line}: "):
             load_dataset(path)
+
+    @pytest.mark.parametrize("q, message", [
+        (15, "2: expected 15 features, got 1"),
+        (16, "1: n=1 rows of q=16 features cannot fit in the file"),
+    ])
+    def test_feature_room_is_the_file_size(self, tmp_path, q, message):
+        # the file is 15 bytes, so a header may declare up to 15 features
+        path = tmp_path / "d.pll"
+        path.write_bytes(f"1 {q} 3\n0.5 | 1\n".encode())
+        assert path.stat().st_size == 15
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}:{message}"
 
     def test_huge_true_label_is_out_of_range(self, tmp_path):
         path = tmp_path / "d.pll"

@@ -4,8 +4,8 @@ Dataset files of both formats (the path's suffix picks text or npz on
 write, and the first bytes on load) and model files must round-trip bit for
 bit (a model whose transform overflows at a net's clamp is instead refused),
 and any bytes given to ``load_dataset`` or ``load_model`` may only raise a
-package error, never a bare Python exception.  The block reader ``read_lines`` must split any bytes
-as ``read_text(...).splitlines()`` does, whatever its block size.  ``PLLDataset`` validation must agree with a per-row
+package error, never a bare Python exception.  The lines the block reader ``read_lines`` yields
+must be those of ``read_text(...).splitlines()`` for any bytes, whatever its block size.  ``PLLDataset`` validation must agree with a per-row
 reference check.  The floored transform of clamped scores, which the
 trainer feeds to the posterior means without a check, must be finite and
 at least ``PARAM_FLOOR`` under every transform and clamp a ``TrainConfig``
@@ -212,7 +212,7 @@ LINE_BYTES = [b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e"
 def _split_outcome(path):
     """``path``'s lines, or the message of the ``DataFormatError`` reading it raised."""
     try:
-        return read_lines(path)
+        return list(read_lines(path))
     except DataFormatError as exc:
         return str(exc)
 
