@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import PLLDataset, read_text
+from .data import PLLDataset, read_lines
 from .errors import DataFormatError, DataInvariantError
 from .network import DenseNet, TransformConfig, lambda_transform
 from .rng import substream
@@ -98,7 +97,8 @@ def write_report_csv(path, rows) -> None:
 
 def read_report_csv(path):
     """Rows of a report CSV; a missing field or non-numeric accuracy names its line."""
-    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    # the "\n" read_lines drops is given back, so a quoted newline stays in its field
+    reader = csv.DictReader(line + "\n" for line in read_lines(path))
     rows = []
     try:
         for row in reader:

@@ -380,6 +380,14 @@ class TestConfigFile:
         with pytest.raises(cli.UsageError, match=":1"):
             parse_config_file(cfg)
 
+    def test_only_newline_ends_a_config_line(self, tmp_path):
+        # "\x85" is no line end, so line 1 gives epochs the value "2\x85hidden=4"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes("epochs=2\x85hidden=4\nbogus=1\n".encode())
+        with pytest.raises(cli.UsageError) as info:
+            parse_config_file(cfg)
+        assert str(info.value) == f"{cfg}:1: bad value '2\\x85hidden=4' for key 'epochs'"
+
     def test_negative_seed_is_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("seed=-1\n")

@@ -219,8 +219,9 @@ class TestStreamedIO:
 
 
 class TestStreamedErrorOrder:
-    """Rows are parsed as their block is read, so on a file of several blocks
-    a fault is reported in file order, before the text of later blocks is read."""
+    """Each line is decoded and parsed when the parser reaches it, so the
+    fault reported is the first faulty line in file order, whatever its kind
+    and whichever block it lies in; later blocks are never read."""
 
     BLOCK = 16
 
@@ -238,6 +239,14 @@ class TestStreamedErrorOrder:
         content = b"4 1 3\n0.5 | x\n0.5 | 1\n0.5 | 2\n0.\xff | 1\n"
         message = self.load_error(tmp_path, monkeypatch, content)
         assert message == f"{tmp_path / 'd.pll'}:2: malformed candidate index"
+
+    def test_row_fault_wins_over_later_non_utf8_in_one_block(self, tmp_path):
+        path = tmp_path / "d.pll"
+        path.write_bytes(b"4 1 3\n0.5 | x\n0.5 | 1\n0.5 | 2\n0.\xff | 1\n")
+        assert path.stat().st_size < data.READ_BLOCK
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}:2: malformed candidate index"
 
     def test_malformed_row_wins_over_too_few_rows(self, tmp_path, monkeypatch):
         content = b"5 1 3\n0.5 | 1\n0.5 | 2\n0.5 | y\n0.5 | 3\n"
@@ -448,12 +457,21 @@ class TestParseErrors:
         pytest.param("1 1000000000000 3\n0.5 | 1\n", 1, id="text-huge-q"),
         pytest.param("1 1 100000000000000000000000\n0.5 | 1\n", 1, id="text-huge-c"),
         pytest.param("1 1 2\n0.5 | 1\n0.7 | 2\n", 3, id="text-extra-row"),
+        # only \n ends a line: row 2 reads the candidates "1\u20280.7"
+        pytest.param("2 1 3\n0.5 | 1\u20280.7 | 2\n0.9 | q\n", 2, id="text-line-separator-in-row"),
+        pytest.param("2 1 3\r0.5 | 1\r0.7 | 2\r", 1, id="text-bare-cr-is-one-line"),
     ])
     def test_malformed_input_names_line(self, tmp_path, text, line):
         path = tmp_path / "d.data"
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
         with pytest.raises(DataFormatError, match=rf"d\.data:{line}: "):
             load_dataset(path)
+
+    def test_form_feed_between_features_is_whitespace(self, tmp_path):
+        path = tmp_path / "d.pll"
+        path.write_bytes(b"1 2 3\n0.5\x0c0.25 | 1 2\n")
+        ds = load_dataset(path)
+        assert ds.features.tolist() == [[0.5, 0.25]] and ds.candidates == ((0, 1),)
 
     @pytest.mark.parametrize("q, message", [
         (15, "2: expected 15 features, got 1"),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from idgp.errors import DataInvariantError
+from idgp.errors import DataFormatError, DataInvariantError
 from idgp.evaluation import (
     SplitSpec,
     accuracy,
@@ -145,10 +145,22 @@ class TestAggregate:
 
 
 def test_report_csv_roundtrip(tmp_path):
+    # a quoted newline and comma stay inside their field
     rows = [{"method": "idgp", "dataset": "toy", "seed_count": 3,
-             "mean_acc": 0.91, "std_acc": 0.02}]
+             "mean_acc": 0.91, "std_acc": 0.02},
+            {"method": "idgp\nv2, tuned", "dataset": "toy", "seed_count": 3,
+             "mean_acc": 0.5, "std_acc": 0.1}]
     path = tmp_path / "report.csv"
     write_report_csv(path, rows)
     back = read_report_csv(path)
-    assert back[0]["method"] == "idgp"
+    assert [row["method"] for row in back] == ["idgp", "idgp\nv2, tuned"]
     assert float(back[0]["mean_acc"]) == 0.91
+
+
+def test_report_csv_non_utf8_names_line(tmp_path):
+    path = tmp_path / "report.csv"
+    path.write_bytes(b"method,dataset,seed_count,mean_acc,std_acc\n"
+                     b"idgp,toy,3,0.9,0.01\nidgp,t\xffy,3,0.8,0.02\n")
+    with pytest.raises(DataFormatError) as info:
+        read_report_csv(path)
+    assert str(info.value) == f"{path}:3: not UTF-8 text"

@@ -4,12 +4,14 @@ Dataset files of both formats (the path's suffix picks text or npz on
 write, and the first bytes on load) and model files must round-trip bit for
 bit (a model whose transform overflows at a net's clamp is instead refused),
 and any bytes given to ``load_dataset`` or ``load_model`` may only raise a
-package error, never a bare Python exception.  The lines the block reader ``read_lines`` yields
-must be those of ``read_text(...).splitlines()`` for any bytes, whatever its block size.  ``PLLDataset`` validation must agree with a per-row
-reference check.  The floored transform of clamped scores, which the
-trainer feeds to the posterior means without a check, must be finite and
-at least ``PARAM_FLOOR`` under every transform and clamp a ``TrainConfig``
-accepts.  The runs are derandomized so tier-1 stays repeatable.
+package error, never a bare Python exception.  The lines the block reader
+``read_lines`` yields must be the file's bytes split at ``\\n`` and decoded,
+for any bytes, whatever its block size.  ``PLLDataset`` validation must
+agree with a per-row reference check.  The floored transform of clamped
+scores, which the trainer feeds to the posterior means without a check,
+must be finite and at least ``PARAM_FLOOR`` under every transform and clamp
+a ``TrainConfig`` accepts.  The runs are derandomized so tier-1 stays
+repeatable.
 """
 
 import struct
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 
 from idgp.cli import MODEL_MAGIC, load_model, save_model
 from idgp import data
-from idgp.data import ZIP_MAGIC, PLLDataset, load_dataset, read_lines, read_text, write_dataset
+from idgp.data import ZIP_MAGIC, PLLDataset, load_dataset, read_lines, write_dataset
 from idgp.distributions import PARAM_FLOOR, floor_params
 from idgp.errors import DataFormatError, DataInvariantError, IdgpError
 from idgp.network import DenseNet, TransformConfig, _transform_exp, lambda_transform, param_count
@@ -200,8 +202,8 @@ def test_arbitrary_bytes_load_model_raise_only_package_errors(data):
 
 
 # the byte runs that could split or decode differently across a block cut:
-# every line boundary of str.splitlines, 2-4-byte UTF-8 sequences, invalid
-# and truncated sequences, and plain text
+# \n, \r\n and the other line boundaries of str.splitlines, which must not
+# split, 2-4-byte UTF-8 sequences, invalid and truncated sequences, and plain text
 LINE_BYTES = [b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
               "\x85".encode(), "\u2028".encode(), "\u2029".encode(),
               "\xe9".encode(), "\u20ac".encode(), "\U0001f600".encode(),
@@ -217,16 +219,27 @@ def _split_outcome(path):
         return str(exc)
 
 
-def _assert_splits_like_read_text(content: bytes, block: int):
+def _newline_split(content: bytes, path):
+    """The pieces of ``content`` split at ``\\n``, a final empty one dropped,
+    each decoded; or the message naming the first piece that does not decode."""
+    pieces = content.split(b"\n")
+    if not pieces[-1]:
+        pieces.pop()
+    lines = []
+    for lineno, piece in enumerate(pieces, 1):
+        try:
+            lines.append(piece.decode("utf-8"))
+        except UnicodeDecodeError:
+            return f"{path}:{lineno}: not UTF-8 text"
+    return lines
+
+
+def _assert_splits_at_newlines(content: bytes, block: int):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "lines"
         path.write_bytes(content)
-        try:
-            expected = read_text(path).splitlines()
-        except DataFormatError as exc:
-            expected = str(exc)
         with mock.patch.object(data, "READ_BLOCK", block):
-            assert _split_outcome(path) == expected
+            assert _split_outcome(path) == _newline_split(content, path)
 
 
 @PROPERTY
@@ -236,8 +249,8 @@ def _assert_splits_like_read_text(content: bytes, block: int):
 @example(b"", 1)
 @example(b"no newline at all, several blocks long", 3)
 @example("\u2028\r\n".encode() + b"\xe2\x82\n\xe2\x82", 2)
-def test_read_lines_matches_read_text_splitlines(content, block):
-    _assert_splits_like_read_text(content, block)
+def test_read_lines_splits_at_newlines(content, block):
+    _assert_splits_at_newlines(content, block)
 
 
 @pytest.mark.parametrize("run", LINE_BYTES, ids=repr)
@@ -247,7 +260,7 @@ def test_read_lines_at_every_block_cut(run):
         for offset in range(block + 1):
             body = b"x" * offset + run + b"y" + run
             for content in (body, body + b"\n", b"\n" * offset + run):
-                _assert_splits_like_read_text(content, block)
+                _assert_splits_at_newlines(content, block)
 
 
 def _per_row_check(n, c, candidates, labels):
