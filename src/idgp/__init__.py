@@ -2,6 +2,7 @@
 
 from .data import (
     PLLDataset,
+    candidate_mask,
     load_dataset,
     occurrence_vector,
     read_sidecar,
@@ -61,6 +62,7 @@ __all__ = [
     "accuracy",
     "aggregate",
     "beta_posterior_mean",
+    "candidate_mask",
     "candidate_set_density",
     "corrupt_instance_dependent",
     "corrupt_uniform",

@@ -285,6 +285,9 @@ def cmd_report(args) -> int:
     if sum(map(bool, (args.history, args.merge, args.sweep_a or args.sweep_gamma))) != 1:
         raise UsageError("report needs exactly one of --history, --merge "
                          "or a sweep spec")
+    stray = [flag for flag in ("data", "config", "seed") if getattr(args, flag) is not None]
+    if stray and not (args.sweep_a or args.sweep_gamma):
+        raise UsageError(f"--{stray[0]} applies only to a sensitivity sweep")
     if args.history:
         rows = []
         for hist_path in args.history:

@@ -1,12 +1,12 @@
 """Partial-label dataset container and bit-exact file I/O.
 
 A partial-label dataset pairs an ``n x q`` feature matrix with one
-candidate-label set per instance.  Each candidate set is a nonempty strict
-subset of the ``c`` available labels; when the true label is known (for
-synthetic corruption provenance and evaluation) it must be a member of its
-instance's candidate set.  Training code never reads ``true_labels``.  The
-sets are stored once, as a read-only bool ``(n, c)`` mask whose rows are the
-occurrence vectors the model reads; ``candidates`` is a view of it.
+candidate-label set per instance, a nonempty strict subset of the ``c``
+labels that holds the true label when it is known (for corruption
+provenance and evaluation; training never reads ``true_labels``).  The sets
+are stored once, as a read-only bool ``(n, c)`` mask of the occurrence
+vectors the model reads, which :func:`candidate_mask` builds from label
+sets; the tuple view ``candidates`` is derived from it on first read.
 
 A file is npz when it starts with the zip magic (on write: when its path
 ends in ``.npz``) and text otherwise.  Text is the reference format.  Its
@@ -28,7 +28,8 @@ import math
 import tokenize
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
@@ -49,35 +50,29 @@ _NPZ_ERRORS = (OSError, EOFError, ValueError, TypeError, KeyError, RuntimeError,
 READ_BLOCK = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PLLDataset:
-    """Feature matrix plus per-instance candidate label sets.
-
-    The constructor takes ``candidates`` as one iterable of 0-indexed label
-    indices per instance or as a bool ``(n, c)`` mask, and copies it into
-    ``mask``, the one candidate store.
+    """Feature matrix plus per-instance candidate label sets, given as a bool
+    ``(n, c)`` mask that the constructor copies.  Equality is identity.
 
     Attributes
     ----------
     features : (n, q) float64 array
         Instance feature vectors; all entries must be finite.
-    candidates : tuple of tuples of int
-        Read-only view of ``mask``: per-instance candidate sets, 0-indexed,
-        sorted, each a nonempty strict subset of ``{0, ..., c-1}``.
+    mask : (n, c) bool array, read-only
+        ``mask[i, j]`` is True iff label j is a candidate of instance i.
+        Each row is a nonempty strict subset of the ``c`` labels.
     c : int
         Number of classes (>= 2).
     true_labels : optional (n,) int array
         Hidden correct labels.  Used only for corruption provenance and
         accuracy evaluation, never by the trainer.
-    mask : (n, c) bool array, read-only
-        ``mask[i, j]`` is True iff label j is a candidate of instance i.
     """
 
     features: np.ndarray
-    candidates: tuple
+    mask: np.ndarray
     c: int
     true_labels: Optional[np.ndarray] = None
-    mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
@@ -92,38 +87,16 @@ class PLLDataset:
         if not np.isfinite(feats).all():
             bad = int(np.argwhere(~np.isfinite(feats).all(axis=1))[0, 0])
             raise DataInvariantError(f"non-finite feature at instance {bad}")
-        sets = self.candidates
-        if isinstance(sets, np.ndarray) and sets.dtype == bool:
-            if sets.shape != (n, c):
-                raise DataInvariantError(f"candidate mask shape {sets.shape} != ({n}, {c})")
-            mask, outside = sets.copy(), np.zeros(n, dtype=bool)
-        else:
-            sets = list(sets)
-            if len(sets) != n:
-                raise DataInvariantError(f"{len(sets)} candidate sets for {n} instances")
-            rows = np.repeat(np.arange(n), np.fromiter(map(len, sets), np.intp, n))
-            cols = np.array(list(chain.from_iterable(sets)))  # object dtype past int64
-            inside = (cols >= 0) & (cols < c)
-            outside = np.bincount(rows[~inside], minlength=n) > 0
-            try:
-                mask = np.zeros((n, c), dtype=bool)
-            except MemoryError:
-                raise DataInvariantError(
-                    f"cannot allocate the candidate mask of n={n} rows and c={c} classes"
-                ) from None
-            mask[rows[inside], cols[inside].astype(np.int64)] = True
-        rows, cols = np.nonzero(mask)
-        sizes = np.bincount(rows, minlength=n)
-        bad = (sizes == 0) | (sizes >= c) | outside
-        if bad.any():
+        if not isinstance(self.mask, np.ndarray) or self.mask.dtype != bool:
+            raise DataInvariantError("candidate mask must be a bool ndarray; see candidate_mask")
+        if self.mask.shape != (n, c):
+            raise DataInvariantError(f"candidate mask shape {self.mask.shape} != ({n}, {c})")
+        mask = self.mask.copy()
+        sizes = np.count_nonzero(mask, axis=1)
+        if (bad := (sizes == 0) | (sizes >= c)).any():
             i = int(bad.argmax())
-            # a set's size counts its out-of-range indices too
-            size = len(set(map(int, sets[i]))) if outside[i] else sizes[i]
-            if size == 0:
-                raise DataInvariantError(f"empty candidate set at instance {i}")
-            if size >= c:
-                raise DataInvariantError(f"full candidate set at instance {i}")
-            raise DataInvariantError(f"label index out of range [0, {c}) at instance {i}")
+            kind = "empty" if sizes[i] == 0 else "full"
+            raise DataInvariantError(f"{kind} candidate set at instance {i}")
         labels = self.true_labels
         if labels is not None:
             try:
@@ -139,9 +112,7 @@ class PLLDataset:
                     raise DataInvariantError(f"true label not in candidate set at instance {i}")
                 raise DataInvariantError(f"true label out of range at instance {i}")
         mask.flags.writeable = False
-        cols, ends = tuple(cols.tolist()), np.cumsum(sizes).tolist()
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "candidates", tuple(cols[a:b] for a, b in zip([0] + ends, ends)))
         object.__setattr__(self, "true_labels", labels)
         object.__setattr__(self, "mask", mask)
 
@@ -152,6 +123,11 @@ class PLLDataset:
     @property
     def q(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def candidates(self) -> tuple:
+        """Each instance's 0-indexed candidate set as a sorted tuple, built on first read."""
+        return tuple(_label_sets(self.mask))
 
     def occurrence_matrix(self) -> np.ndarray:
         """Stacked occurrence vectors, shape (n, c), float64 in {0, 1}; a fresh copy."""
@@ -164,14 +140,34 @@ class PLLDataset:
         return PLLDataset(self.features[idx], self.mask[idx], self.c, labels)
 
 
+def _label_sets(mask: np.ndarray):
+    """Yield each row's sorted label tuple, split from ``np.nonzero`` of 4096 rows at a time."""
+    for block in np.split(mask, range(4096, len(mask), 4096)):
+        rows, cols = np.nonzero(block)
+        cols, ends = tuple(cols.tolist()), np.bincount(rows, minlength=len(block)).cumsum().tolist()
+        yield from (cols[a:b] for a, b in zip([0] + ends, ends))
+
+
+def candidate_mask(sets: Sequence[Sequence[int]], c: int) -> np.ndarray:
+    """The bool ``(n, c)`` mask of ``n`` sets of 0-indexed labels (an index may
+    repeat); raises naming the first instance with an index outside ``[0, c)``."""
+    rows = np.repeat(np.arange(n := len(sets)), np.fromiter(map(len, sets), np.intp, n))
+    cols = np.array(list(chain.from_iterable(sets)))  # float or object past int64, never wrapped
+    if (outside := (cols < 0) | (cols >= c)).any():
+        i = rows[outside.argmax()]
+        raise DataInvariantError(f"label index out of range [0, {c}) at instance {i}")
+    try:
+        mask = np.zeros((n, max(c, 0)), dtype=bool)  # the constructor refuses c < 2
+    except MemoryError:
+        message = f"cannot allocate the candidate mask of n={n} rows and c={c} classes"
+        raise DataInvariantError(message) from None
+    mask[rows, cols.astype(np.int64)] = True
+    return mask
+
+
 def occurrence_vector(candidates: Sequence[int], c: int) -> np.ndarray:
     """0/1 vector marking candidate-set membership among ``c`` labels."""
-    o = np.zeros(c)
-    for j in candidates:
-        j = int(j)
-        if j < 0 or j >= c:
-            raise DataInvariantError(f"label index {j} out of range [0, {c})")
-        o[j] = 1.0
+    o = candidate_mask([candidates], c)[0].astype(np.float64)
     if not o.any():
         raise ValueError("empty candidate set")
     return o
@@ -193,14 +189,14 @@ def write_dataset(ds: PLLDataset, path) -> None:
         with path.open("wb") as fh:
             np.savez(fh, **arrays)
         return
-    sets = ds.candidates
     with path.open("w", encoding="utf-8") as fh:
         fh.write(f"{ds.n} {ds.q} {ds.c}\n")
-        for i, values in enumerate(ds.features):
+        # the label sets stream too; caching them on ds raised dataset_io's peak RSS to ~107 MB
+        for i, (values, members) in enumerate(zip(ds.features, _label_sets(ds.mask))):
             # repr() of a Python float is the shortest string that round-trips;
             # one row at a time, as a whole-matrix tolist() raises peak memory
             feats = " ".join(map(repr, values.tolist()))
-            cands = " ".join(str(j + 1) for j in sets[i])
+            cands = " ".join(str(j + 1) for j in members)
             label = "" if ds.true_labels is None else f" | {int(ds.true_labels[i]) + 1}"
             fh.write(f"{feats} | {cands}{label}\n")
 
@@ -332,7 +328,7 @@ def _parse_text(lines, path, size) -> PLLDataset:
             raise DataFormatError(f"{path}:{lineno}: row beyond the header's n={n}")
     if labels and len(labels) != n:
         raise DataFormatError(f"{path}: true label present on some rows but not all")
-    return PLLDataset(features, candidates, c, labels or None)
+    return PLLDataset(features, candidate_mask(candidates, c), c, labels or None)
 
 
 def _load_npz(fh, path, size) -> PLLDataset:

@@ -111,5 +111,5 @@ def read_report_csv(path):
                 raise DataFormatError(f"{where}: non-numeric accuracy") from None
             rows.append(row)
     except csv.Error as exc:
-        raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from exc
+        raise DataFormatError(f"{path}:{reader.reader.line_num}: {exc}") from exc
     return rows

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import PLLDataset
+from .data import PLLDataset, candidate_mask
 from .errors import DataInvariantError, NumericError
 from .network import DenseNet, SGDState, layer_sizes, sgd_step
 from .rng import substream
@@ -90,11 +90,11 @@ def candidate_set_density(candidates: Sequence[int], theta: np.ndarray,
     members = sorted(set(int(j) for j in candidates))
     if not members or members[0] < 0 or members[-1] >= c:
         raise ValueError("candidate set must be a nonempty subset of the label range")
-    in_set = np.zeros(c, dtype=bool)
-    in_set[members] = True
+    flips = 1.0 - z  # a label outside the set did not flip in
+    flips[members] = z[members]
     total = 0.0
     for j in members:
-        factors = np.where(in_set, z, 1.0 - z)
+        factors = flips.copy()
         factors[j] = 1.0 - z[j]  # j itself is never an incorrect candidate
         total += theta[j] * float(np.prod(factors))
     return total
@@ -114,7 +114,7 @@ def _require_clean(ds: PLLDataset) -> np.ndarray:
 def make_clean_dataset(features: np.ndarray, labels: np.ndarray, c: int) -> PLLDataset:
     """Wrap labelled data as a trivially-candidate partial-label dataset."""
     labels = np.asarray(labels, dtype=np.int64)
-    return PLLDataset(features, labels[:, None].tolist(), c, labels)
+    return PLLDataset(features, candidate_mask(labels[:, None].tolist(), c), c, labels)
 
 
 def _corrupt(ds: PLLDataset, flip_probs: np.ndarray, seed: int, mode: str,
@@ -132,8 +132,7 @@ def _corrupt(ds: PLLDataset, flip_probs: np.ndarray, seed: int, mode: str,
             wrong = wrong[wrong != labels[i]]
             members[wrong[gen.integers(wrong.size)]] = False
         mask[i] = members
-    corrupted = PLLDataset(features=ds.features.copy(), candidates=mask,
-                           c=c, true_labels=labels.copy())
+    corrupted = PLLDataset(features=ds.features.copy(), mask=mask, c=c, true_labels=labels.copy())
     occ = corrupted.occurrence_matrix()
     avg_set_size = float(occ.sum(axis=1).mean())
     occ[np.arange(n), labels] = 0.0  # count only incorrect-candidate appearances

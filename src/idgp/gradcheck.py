@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import distributions, generation, objective, trainer
-from .data import occurrence_vector
+from .data import candidate_mask, occurrence_vector
 from .network import DenseNet, TransformConfig, lambda_transform, lambda_transform_grad
 
 FD_STEP = 1e-5
@@ -112,8 +112,7 @@ def check_posterior_jacobians(rng) -> float:
     """The full Dirichlet Jacobian and the diagonal Beta Jacobians vs FD."""
     c = int(rng.integers(2, 8))
     lam = rng.uniform(0.3, 4.0, size=c)
-    o = np.zeros(c)
-    o[list(_random_candidates(rng, c))] = 1.0
+    o = occurrence_vector(_random_candidates(rng, c), c)
     jac = distributions.dirichlet_posterior_mean_jacobian(lam, o)
     err = rel_error(jac, central_difference(
         lambda l: distributions.dirichlet_posterior_mean(l, o), lam))
@@ -225,7 +224,7 @@ def check_map_end_to_end(rng, c: int | None = None, width: int | None = None,
     net_f, _ = _well_conditioned_net(rng, [q, width, c], x=x)
     net_g, _ = _well_conditioned_net(rng, [q, width, 2 * c], x=x)
     cands = [_random_candidates(rng, c) for _ in range(_MAP_ROWS)]
-    mask = np.array([occurrence_vector(s, c) for s in cands])
+    mask = candidate_mask(cands, c).astype(np.float64)
     prior = tuple(rng.uniform(0.5, 3.0, size=(_MAP_ROWS, c)) for _ in range(3))
 
     if ml_only:

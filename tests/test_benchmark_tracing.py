@@ -2,8 +2,10 @@
 
 ``perfbench/tracing.py`` wraps package functions by name, so deleting or
 renaming one of them breaks the traced benchmark and
-``python3 -m pytest perfbench``, which take minutes.  This test only
-imports ``perfbench/tracing.py`` and changes nothing there.
+``python3 -m pytest perfbench``, which take minutes.  These tests only
+import ``perfbench/tracing.py`` and change nothing there.  They also guard
+the attributes the benchmark reads: the prior cache's arrays, and the
+``candidates`` view that ``dataset_io``'s check compares.
 """
 
 from pathlib import Path
@@ -22,16 +24,23 @@ EPOCH_SPANS = {
 }
 
 
-def test_tracing_wraps_and_restores_the_trainer(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import tracing
+CONFIG = trainer.TrainConfig(epochs=1, batch_size=16, hidden=4, clamp=2.0, b=1.0, r=1, q=1)
 
+
+def corrupted():
+    """40 rows of three shifted blobs, corrupted uniformly."""
     rng = np.random.default_rng(0)
     y = rng.integers(0, 3, 40)
     ds, _ = corrupt_uniform(make_clean_dataset(rng.normal(size=(40, 2)) + y[:, None], y, 3),
                             0.3, 0)
-    state = trainer.init_state(trainer.TrainConfig(epochs=1, batch_size=16, hidden=4,
-                                                   clamp=2.0, b=1.0, r=1, q=1), ds)
+    return ds
+
+
+def test_tracing_wraps_and_restores_the_trainer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    state = trainer.init_state(CONFIG, corrupted())
     real = (trainer.clamp_z, trainer.sgd_step, trainer.substream)
     with tracing.instrument(tracing.Tracer()) as tracer:
         assert trainer.clamp_z is not real[0]
@@ -41,3 +50,13 @@ def test_tracing_wraps_and_restores_the_trainer(monkeypatch):
     recorded = {tracer.names[i] for i in set(tracer.arrays()[0].tolist())}
     assert recorded == EPOCH_SPANS
     assert (trainer.clamp_z, trainer.sgd_step, trainer.substream) == real
+
+
+def test_attributes_the_benchmark_reads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    ds = corrupted()
+    assert tracing.prior_cache_mb(trainer.init_state(CONFIG, ds).cache) > 0
+    assert "candidates" not in vars(ds)  # derived on first read
+    assert ds.candidates == tuple(tuple(np.flatnonzero(row).tolist()) for row in ds.mask)

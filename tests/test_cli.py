@@ -637,6 +637,25 @@ class TestReport:
                      "--data", str(corrupted_path), "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["history", "merge"])
+    @pytest.mark.parametrize("flag, value", [("--data", "nonexist.pll"),
+                                             ("--config", "nonexist.cfg"), ("--seed", "3")])
+    def test_sweep_flag_outside_a_sweep_is_usage_error(self, tmp_path, capsys, mode,
+                                                       flag, value):
+        from idgp.evaluation import write_report_csv
+        hist = tmp_path / "h.jsonl"
+        hist.write_text(json.dumps({"epoch": 1, "train_loss": 0.5}) + "\n")
+        metrics = tmp_path / "m.csv"
+        write_report_csv(metrics, [{"method": "idgp", "dataset": "toy", "seed_count": 1,
+                                    "mean_acc": acc, "std_acc": 0.0} for acc in (0.8, 0.9)])
+        inputs = {"history": ["--history", str(hist)], "merge": ["--merge", str(metrics)]}
+        out = tmp_path / "x.csv"
+        assert main(["report", *inputs[mode], "--out", str(out)]) == 0
+        out.unlink()
+        assert main(["report", *inputs[mode], flag, value, "--out", str(out)]) == EXIT_USAGE
+        assert f"{flag} applies only to a sensitivity sweep" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_action_is_usage_error(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "o.csv")]) == EXIT_USAGE
 

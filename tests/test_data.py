@@ -9,6 +9,7 @@ import pytest
 from idgp import data
 from idgp.data import (
     PLLDataset,
+    candidate_mask,
     load_dataset,
     occurrence_vector,
     read_sidecar,
@@ -31,7 +32,7 @@ def random_dataset(rng, n=None, q=None, c=None, with_labels=True):
         if len(extra) == c - 1:
             extra.pop(rng.integers(len(extra)))
         candidates.append(tuple(sorted([int(y)] + extra)))
-    return PLLDataset(features=features, candidates=tuple(candidates), c=c,
+    return PLLDataset(features=features, mask=candidate_mask(candidates, c), c=c,
                       true_labels=labels if with_labels else None)
 
 
@@ -54,24 +55,67 @@ class TestInvariants:
 
     def test_empty_candidate_set_rejected(self):
         with pytest.raises(DataInvariantError, match="empty candidate set"):
-            PLLDataset(features=np.zeros((1, 2)), candidates=((),), c=3)
+            PLLDataset(features=np.zeros((1, 2)), mask=candidate_mask([()], 3), c=3)
 
     def test_true_label_outside_set_rejected(self):
         with pytest.raises(DataInvariantError, match="not in candidate set"):
-            PLLDataset(features=np.zeros((1, 2)), candidates=((0, 1),), c=3,
+            PLLDataset(features=np.zeros((1, 2)), mask=candidate_mask([(0, 1)], 3), c=3,
                        true_labels=np.array([2]))
 
     def test_nonfinite_feature_rejected(self):
         with pytest.raises(DataInvariantError, match="non-finite"):
-            PLLDataset(features=np.array([[np.nan, 0.0]]), candidates=((0,),), c=2)
+            PLLDataset(features=np.array([[np.nan, 0.0]]), mask=candidate_mask([(0,)], 2), c=2)
 
     def test_label_out_of_range(self):
         with pytest.raises(DataInvariantError, match="out of range"):
-            PLLDataset(features=np.zeros((1, 2)), candidates=((5,),), c=3)
+            candidate_mask([(5,)], 3)
 
     def test_empty_features_rejected(self):
         with pytest.raises(DataInvariantError):
-            PLLDataset(features=np.zeros((1, 0)), candidates=((0,),), c=2)
+            PLLDataset(features=np.zeros((1, 0)), mask=candidate_mask([(0,)], 2), c=2)
+
+    def test_candidate_mask_names_the_first_instance_out_of_range(self):
+        with pytest.raises(DataInvariantError) as info:
+            candidate_mask([(0,), (1, 3), (-1,), (2, 4)], 3)
+        assert str(info.value) == "label index out of range [0, 3) at instance 1"
+
+    @pytest.mark.parametrize("index", [2 ** 64, 2 ** 64 + 1, -2 ** 64 + 1, 2 ** 63, -2 ** 63 - 1])
+    def test_candidate_mask_refuses_indices_beyond_int64(self, index):
+        # 2**64 + 1 and -2**64 + 1 would wrap to the valid index 1
+        with pytest.raises(DataInvariantError) as info:
+            candidate_mask([(0,), (1, index)], 3)
+        assert str(info.value) == "label index out of range [0, 3) at instance 1"
+
+    def test_candidate_mask_collapses_duplicates(self):
+        mask = candidate_mask([(1, 1, 0), (2, 2)], 3)
+        assert mask.dtype == bool and mask.tolist() == [[True, True, False], [False, False, True]]
+
+    @pytest.mark.parametrize("mask, message", [
+        pytest.param([(0,), (1,)], "candidate mask must be a bool ndarray; see candidate_mask",
+                     id="list-of-sets"),
+        pytest.param(np.array([[1, 0, 0], [0, 1, 0]]),
+                     "candidate mask must be a bool ndarray; see candidate_mask", id="int-mask"),
+        pytest.param(np.array([[True, False, False]]), "candidate mask shape (1, 3) != (2, 3)",
+                     id="one-row"),
+        pytest.param(np.array([[True, False], [False, True]]),
+                     "candidate mask shape (2, 2) != (2, 3)", id="two-columns"),
+    ])
+    def test_constructor_takes_only_a_bool_mask_of_shape_n_c(self, mask, message):
+        with pytest.raises(DataInvariantError) as info:
+            PLLDataset(features=np.zeros((2, 1)), mask=mask, c=3)
+        assert str(info.value) == message
+
+    def test_equality_is_identity(self):
+        a, b = (PLLDataset(np.zeros((2, 1)), candidate_mask([(0,), (1,)], 3), 3,
+                           np.array([0, 1])) for _ in range(2))
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
+    def test_candidates_are_derived_on_first_read(self):
+        ds = PLLDataset(np.zeros((3, 1)), candidate_mask([(2, 0), (1,), (0, 1)], 3), 3)
+        assert "candidates" not in vars(ds)
+        assert ds.candidates == ((0, 2), (1,), (0, 1))
+        assert ds.candidates is ds.candidates
 
     def test_loaded_set_sizes_in_range(self):
         rng = np.random.default_rng(4)
@@ -108,7 +152,7 @@ class TestRoundTrip:
         assert ds.candidates == back.candidates
 
     def test_singleton_dataset_roundtrips(self, tmp_path):
-        ds = PLLDataset(features=np.array([[0.25]]), candidates=((1,),), c=2)
+        ds = PLLDataset(features=np.array([[0.25]]), mask=candidate_mask([(1,)], 2), c=2)
         path = tmp_path / "one.pll"
         write_dataset(ds, path)
         back = load_dataset(path)
@@ -117,7 +161,7 @@ class TestRoundTrip:
     def test_extreme_float_values_bit_exact(self, tmp_path):
         vals = np.array([[1e-308, -1.7976931348623157e308, 0.1 + 0.2,
                           np.pi, 5e-324]])
-        ds = PLLDataset(features=vals, candidates=((0,),), c=2)
+        ds = PLLDataset(features=vals, mask=candidate_mask([(0,)], 2), c=2)
         for name in ("x.pll", "x.npz"):
             path = tmp_path / name
             write_dataset(ds, path)
@@ -125,7 +169,7 @@ class TestRoundTrip:
             assert np.array_equal(back.features, vals)
 
     def test_labels_one_indexed_in_file(self, tmp_path):
-        ds = PLLDataset(features=np.zeros((1, 1)), candidates=((0,),), c=2,
+        ds = PLLDataset(features=np.zeros((1, 1)), mask=candidate_mask([(0,)], 2), c=2,
                         true_labels=np.array([0]))
         path = tmp_path / "d.pll"
         write_dataset(ds, path)
@@ -164,7 +208,8 @@ class TestStreamedIO:
         """A 20000 x 64 dataset and its text file, written untraced."""
         rng = np.random.default_rng(3)
         ds = PLLDataset(features=rng.normal(size=(20000, 64)),
-                        candidates=[(int(y),) for y in rng.integers(0, 10, 20000)], c=10)
+                        mask=candidate_mask([(int(y),) for y in rng.integers(0, 10, 20000)], 10),
+                        c=10)
         path = tmp_path_factory.mktemp("big") / "big.pll"
         write_dataset(ds, path)
         return ds, path
@@ -496,6 +541,13 @@ class TestParseErrors:
         path = tmp_path / "d.data"
         path.write_text("1 1 3\n0.5 | " + "9" * 30 + "\n")
         with pytest.raises(DataInvariantError, match="label index out of range"):
+            load_dataset(path)
+
+    def test_negative_class_count_of_empty_sets_is_invariant_error(self, tmp_path):
+        # no index to be out of range, so the constructor's class check reports it
+        path = tmp_path / "d.data"
+        path.write_text("1 1 -1\n0.5 | \n")
+        with pytest.raises(DataInvariantError, match="need at least 2 classes, got c=-1"):
             load_dataset(path)
 
     def test_json_lines_is_not_a_format(self, tmp_path):

@@ -94,7 +94,7 @@ class TestAccuracy:
     def test_requires_labels(self):
         ds = toy_dataset()
         from idgp.data import PLLDataset
-        bare = PLLDataset(features=ds.features, candidates=ds.candidates, c=ds.c)
+        bare = PLLDataset(features=ds.features, mask=ds.mask, c=ds.c)
         net = self._constant_net(ds, np.zeros(ds.c))
         with pytest.raises(DataInvariantError):
             accuracy(net, bare, TransformConfig())
@@ -102,17 +102,17 @@ class TestAccuracy:
     def test_dimension_mismatch(self):
         ds = toy_dataset()
         net = self._constant_net(ds, np.zeros(ds.c))
-        from idgp.data import PLLDataset
-        bad = PLLDataset(features=np.zeros((5, 7)), candidates=((0,),) * 5,
+        from idgp.data import PLLDataset, candidate_mask
+        bad = PLLDataset(features=np.zeros((5, 7)), mask=candidate_mask([(0,)] * 5, 3),
                          c=3, true_labels=np.zeros(5, dtype=int))
         with pytest.raises(DataInvariantError, match="features"):
             accuracy(net, bad, TransformConfig())
 
     def test_class_count_mismatch(self):
         ds = toy_dataset()
-        from idgp.data import PLLDataset
-        wide = PLLDataset(features=ds.features, candidates=ds.candidates, c=ds.c + 1,
-                          true_labels=ds.true_labels)
+        from idgp.data import PLLDataset, candidate_mask
+        wide = PLLDataset(features=ds.features, mask=candidate_mask(ds.candidates, ds.c + 1),
+                          c=ds.c + 1, true_labels=ds.true_labels)
         net = self._constant_net(wide, np.zeros(ds.c + 1))
         with pytest.raises(DataInvariantError,
                            match=f"predicts {ds.c + 1} classes, dataset has {ds.c}"):
@@ -120,8 +120,9 @@ class TestAccuracy:
 
     def test_missing_labels_reported_before_class_mismatch(self):
         ds = toy_dataset()
-        from idgp.data import PLLDataset
-        bare = PLLDataset(features=ds.features, candidates=ds.candidates, c=ds.c + 1)
+        from idgp.data import PLLDataset, candidate_mask
+        bare = PLLDataset(features=ds.features, mask=candidate_mask(ds.candidates, ds.c + 1),
+                          c=ds.c + 1)
         net = self._constant_net(ds, np.zeros(ds.c))
         with pytest.raises(DataInvariantError, match="true labels"):
             accuracy(net, bare, TransformConfig())
@@ -164,3 +165,16 @@ def test_report_csv_non_utf8_names_line(tmp_path):
     with pytest.raises(DataFormatError) as info:
         read_report_csv(path)
     assert str(info.value) == f"{path}:3: not UTF-8 text"
+
+
+@pytest.mark.parametrize("lineno", [1, 4])
+def test_report_csv_field_over_the_limit_names_its_line(tmp_path, lineno):
+    import csv
+    lines = ["method,dataset,seed_count,mean_acc,std_acc"] + [
+        f"idgp,toy{i},1,0.9,0.0" for i in range(4)]
+    lines[lineno - 1] = "x" * (csv.field_size_limit() + 1) + ",toy,1,0.9,0.0"
+    path = tmp_path / "report.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError) as info:
+        read_report_csv(path)
+    assert str(info.value).startswith(f"{path}:{lineno}: field larger than field limit")

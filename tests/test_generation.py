@@ -128,7 +128,7 @@ class TestInstanceDependentCorruption:
     def test_requires_true_labels_and_clean_sets(self):
         ds = blobs(seed=6)
         scores = np.zeros((ds.n, ds.c))
-        unlabeled = PLLDataset(features=ds.features, candidates=ds.candidates,
+        unlabeled = PLLDataset(features=ds.features, mask=ds.mask,
                                c=ds.c, true_labels=None)
         with pytest.raises(DataInvariantError):
             corrupt_instance_dependent(unlabeled, scores, 0)

@@ -6,11 +6,12 @@ bit (a model whose transform overflows at a net's clamp is instead refused),
 and any bytes given to ``load_dataset`` or ``load_model`` may only raise a
 package error, never a bare Python exception.  The lines the block reader
 ``read_lines`` yields must be the file's bytes split at ``\\n`` and decoded,
-for any bytes, whatever its block size.  ``PLLDataset`` validation must
-agree with a per-row reference check.  The floored transform of clamped
-scores, which the trainer feeds to the posterior means without a check,
-must be finite and at least ``PARAM_FLOOR`` under every transform and clamp
-a ``TrainConfig`` accepts.  The runs are derandomized so tier-1 stays
+for any bytes, whatever its block size.  ``PLLDataset`` validation of
+label sets converted by ``candidate_mask`` must agree with a per-row
+reference check.  The floored transform of clamped scores, which the
+trainer feeds to the posterior means without a check, must be finite and
+at least ``PARAM_FLOOR`` under every transform and clamp a ``TrainConfig``
+accepts.  The runs are derandomized so tier-1 stays
 repeatable.
 """
 
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 from idgp.cli import MODEL_MAGIC, load_model, save_model
 from idgp import data
-from idgp.data import ZIP_MAGIC, PLLDataset, load_dataset, read_lines, write_dataset
+from idgp.data import ZIP_MAGIC, PLLDataset, candidate_mask, load_dataset, read_lines, write_dataset
 from idgp.distributions import PARAM_FLOOR, floor_params
 from idgp.errors import DataFormatError, DataInvariantError, IdgpError
 from idgp.network import DenseNet, TransformConfig, _transform_exp, lambda_transform, param_count
@@ -57,7 +58,7 @@ def datasets(draw):
     labels = None
     if draw(st.booleans()):
         labels = np.array([draw(st.sampled_from(sorted(s))) for s in candidates])
-    return PLLDataset(features=features, candidates=candidates, c=c,
+    return PLLDataset(features=features, mask=candidate_mask(candidates, c), c=c,
                       true_labels=labels)
 
 
@@ -264,18 +265,20 @@ def test_read_lines_at_every_block_cut(run):
 
 
 def _per_row_check(n, c, candidates, labels):
-    """Reference validation: the per-row candidate and true-label checks of a
-    tuple-of-tuples store.  Returns the sorted sets, or raises the first error."""
+    """Reference validation, row by row: the label indices of every row first
+    (``candidate_mask``), then the set count, each set's size and the true
+    labels (the constructor).  Returns the sorted sets, or raises the first error."""
+    for i, s in enumerate(candidates):
+        if any(j < 0 or j >= c for j in s):
+            raise DataInvariantError(f"label index out of range [0, {c}) at instance {i}")
     cands = tuple(tuple(sorted(set(int(j) for j in s))) for s in candidates)
     if len(cands) != n:
-        raise DataInvariantError(f"{len(cands)} candidate sets for {n} instances")
+        raise DataInvariantError(f"candidate mask shape ({len(cands)}, {c}) != ({n}, {c})")
     for i, s in enumerate(cands):
         if len(s) == 0:
             raise DataInvariantError(f"empty candidate set at instance {i}")
         if len(s) >= c:
             raise DataInvariantError(f"full candidate set at instance {i}")
-        if s[0] < 0 or s[-1] >= c:
-            raise DataInvariantError(f"label index out of range [0, {c}) at instance {i}")
     if labels is not None:
         try:
             labels = np.asarray(labels, dtype=np.int64)
@@ -327,7 +330,8 @@ def test_validation_matches_per_row_check(raw):
     features, sets, c, labels = raw
     n = len(sets)
     expected = _outcome(lambda: _per_row_check(n, c, sets, labels))
-    assert _outcome(lambda: PLLDataset(features, sets, c, labels).candidates) == expected
+    assert _outcome(lambda: PLLDataset(features, candidate_mask(sets, c), c,
+                                       labels).candidates) == expected
     if all(0 <= j < c for s in sets for j in s):
         mask = np.zeros((n, c), dtype=bool)
         for i, s in enumerate(sets):
@@ -337,7 +341,7 @@ def test_validation_matches_per_row_check(raw):
             ds = PLLDataset(features, mask, c, labels)
             assert np.array_equal(ds.mask, mask) and not np.shares_memory(ds.mask, mask)
             assert not ds.mask.flags.writeable and mask.flags.writeable
-            assert np.array_equal(ds.mask, PLLDataset(features, sets, c, labels).mask)
+            assert np.array_equal(ds.mask, candidate_mask(sets, c))
 
 
 def _admitted(a, b, gamma, clamp) -> bool:

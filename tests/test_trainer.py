@@ -531,7 +531,7 @@ class TestTrainingLoop:
 
     def test_val_acc_none_without_labels(self):
         ds = toy_dataset()
-        unlabeled = PLLDataset(features=ds.features, candidates=ds.candidates,
+        unlabeled = PLLDataset(features=ds.features, mask=ds.mask,
                                c=ds.c, true_labels=None)
         _, _, history = fit(small_config(epochs=1, r=1, q=1, val_fraction=0.2),
                             unlabeled)
