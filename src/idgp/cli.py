@@ -1,4 +1,5 @@
-"""Command-line surface: corrupt, train, eval, gradcheck, report.
+"""Command-line surface: corrupt, train, eval, gradcheck, report.  The dataset
+and model files these commands read and write are :mod:`idgp.data`'s.
 
 Exit codes: 0 success, 1 I/O or unreadable input, 2 usage, 3 data
 invariant violation or a failed allocation, 4 numeric failure, 5
@@ -19,7 +20,6 @@ import hashlib
 import json
 import os
 import platform
-import struct
 import sys
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
@@ -28,16 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evaluation, gradcheck, generation, trainer
-from .data import (READ_BLOCK, load_dataset, read_lines, sidecar_path, write_dataset,
-                   write_sidecar)
+from .data import (READ_BLOCK, load_dataset, load_model, read_lines, save_model, sidecar_path,
+                   write_dataset, write_sidecar)
 from .errors import DataFormatError, DataInvariantError, NumericError
-from .network import DenseNet, TransformConfig, param_count, validate_transform_clamp
 from .trainer import TrainConfig
-
-MODEL_MAGIC = b"IDGPMDL1"
-MODEL_VERSION = 1
-_ACTIVATION_CODES = {"relu": 0, "identity": 1}
-_ACTIVATION_NAMES = {v: k for k, v in _ACTIVATION_CODES.items()}
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -49,62 +43,6 @@ EXIT_GRADCHECK = 5
 
 class UsageError(Exception):
     pass
-
-
-# -- model file -------------------------------------------------------------
-
-def _pack_net(net: DenseNet) -> bytes:
-    sizes = net.layer_sizes
-    header = struct.pack(f"<II{len(sizes)}Id", _ACTIVATION_CODES[net.activation],
-                         len(sizes), *sizes, net.clamp)
-    return header + net.get_flat().astype("<f8").tobytes()
-
-
-def _unpack_net(buf: bytes, pos: int):
-    act_code, n_sizes = struct.unpack_from("<II", buf, pos)
-    *sizes, clamp = struct.unpack_from(f"<{n_sizes}Id", buf, pos + 8)
-    pos += 16 + 4 * n_sizes
-    count = param_count(sizes)
-    if 8 * count > len(buf) - pos:
-        raise ValueError(f"{count} parameters need more than the {len(buf) - pos} bytes left")
-    flat = np.frombuffer(buf, dtype="<f8", count=count, offset=pos).astype(np.float64)
-    net = DenseNet.from_flat(sizes, _ACTIVATION_NAMES.get(act_code), clamp, flat)
-    return net, pos + 8 * count
-
-
-def save_model(path, net_f: DenseNet, net_g: DenseNet, tc: TransformConfig) -> None:
-    """Versioned little-endian binary holding both nets and the transform.
-
-    Raises ``ValueError``, before any byte is written, for a net whose clamp
-    overflows the transform: :func:`load_model` would refuse that file.
-    """
-    for net in (net_f, net_g):
-        validate_transform_clamp(tc, net.clamp)
-    blob = [MODEL_MAGIC, struct.pack("<I", MODEL_VERSION),
-            struct.pack("<ddd", tc.a, tc.b, tc.gamma),
-            _pack_net(net_f), _pack_net(net_g)]
-    Path(path).write_bytes(b"".join(blob))
-
-
-def load_model(path):
-    buf = Path(path).read_bytes()
-    if buf[:8] != MODEL_MAGIC:
-        raise DataFormatError(f"{path}: not a model file (bad magic)")
-    try:
-        (version,) = struct.unpack_from("<I", buf, 8)
-        if version != MODEL_VERSION:
-            raise DataFormatError(f"{path}: unsupported model version {version}")
-        a, b, gamma = struct.unpack_from("<ddd", buf, 12)
-        tc = TransformConfig(a=a, b=b, gamma=gamma)
-        net_f, pos = _unpack_net(buf, 36)
-        net_g, pos = _unpack_net(buf, pos)
-        if pos != len(buf):
-            raise ValueError(f"{len(buf) - pos} bytes follow the second net")
-        for net in (net_f, net_g):
-            validate_transform_clamp(tc, net.clamp)
-    except (struct.error, ValueError) as exc:
-        raise DataFormatError(f"{path}: truncated or corrupt model file ({exc})") from exc
-    return net_f, net_g, tc
 
 
 # -- config file ------------------------------------------------------------

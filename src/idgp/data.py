@@ -1,4 +1,4 @@
-"""Partial-label dataset container and bit-exact file I/O.
+"""Partial-label dataset container, and bit-exact file I/O of datasets and models.
 
 A partial-label dataset pairs an ``n x q`` feature matrix with one
 candidate-label set per instance, a nonempty strict subset of the ``c``
@@ -15,9 +15,10 @@ form that round-trips a 64-bit float, so ``write_dataset`` followed by
 ``load_dataset`` is the identity.  A text line ends at ``\\n``.  Text is
 streamed: ``write_dataset`` holds one formatted row at a time, and
 ``load_dataset`` parses each line as it is read, holding its arrays plus the
-lines of one block of ``READ_BLOCK`` bytes.  An npz file holds the arrays of
-:data:`NPZ_DTYPES`, each member's header checked against ``dims`` and the
-file size before its data is read.
+lines of one block of ``READ_BLOCK`` bytes.  An npz dataset holds the arrays
+of :data:`NPZ_KEYS`, and the model file of :func:`save_model` is the npz of
+:data:`MODEL_KEYS`.  Both loaders check each member's .npy header (dtype,
+shape, and bytes against the file size) before its data is read.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ import math
 import tokenize
 import zipfile
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
@@ -37,12 +39,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DataFormatError, DataInvariantError
+from .network import (ACTIVATIONS, DenseNet, TransformConfig, param_count,
+                      validate_transform_clamp)
 
 # the first bytes of a zip archive, so of every npz file
 ZIP_MAGIC = b"PK\x03\x04"
-# npz member -> dtype: "dims" holds n q c, "features" is (n, q), "mask" (n, c)
-# and "labels" (n,), 0-indexed and present only when the true labels are known
-NPZ_DTYPES = {"dims": np.int64, "features": np.float64, "mask": np.bool_, "labels": np.int64}
+# dataset npz members: int64 "dims" n q c, float64 "features" (n, q), bool "mask"
+# (n, c) and int64 "labels" (n,), 0-indexed and present only when known
+NPZ_KEYS = ("dims", "features", "mask", "labels")
+# model npz members, as :func:`save_model` writes them
+MODEL_KEYS = ("transform", "clamps", "activations", "f_sizes", "f_params", "g_sizes", "g_params")
 # what a damaged zip archive or .npy member can raise while it is read
 _NPZ_ERRORS = (OSError, EOFError, ValueError, TypeError, KeyError, RuntimeError,
                SyntaxError, tokenize.TokenError, zipfile.BadZipFile, zlib.error, lzma.LZMAError)
@@ -205,16 +211,16 @@ def load_dataset(path) -> PLLDataset:
     """Parse a dataset file, npz when it starts with :data:`ZIP_MAGIC` and
     text otherwise; raises naming the text line or the npz key at fault."""
     path = Path(path)
-    try:
-        with path.open("rb") as fh:
-            magic = fh.read(len(ZIP_MAGIC))
-            size = fh.seek(0, 2)
-            fh.seek(0)
-            if magic == ZIP_MAGIC:
-                return _load_npz(fh, path, size)
+    with _opened(path) as (fh, magic, size):
+        if not magic.startswith(ZIP_MAGIC):
             return _parse_text(_lines(fh, path), path, size)
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+        with _open_npz(fh, path, NPZ_KEYS[:3], NPZ_KEYS) as npz:
+            read = partial(_member, npz, path, size)
+            dims = read("dims", np.int64, (3,)).tolist()
+            n, q, c = _header_dims(dims, f"{path}: dims", size // 8)  # a feature takes 8 bytes
+            features, mask = read("features", np.float64, (n, q)), read("mask", np.bool_, (n, c))
+            labels = read("labels", np.int64, (n,)) if "labels" in npz.files else None
+    return PLLDataset(features, mask, c, labels)
 
 
 def read_lines(path):
@@ -223,6 +229,19 @@ def read_lines(path):
     try:
         with Path(path).open("rb") as fh:
             yield from _lines(fh, path)
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+
+
+@contextmanager
+def _opened(path: Path):
+    """``path`` open for binary reads at its start, with its first 8 bytes and
+    its size; an ``OSError`` becomes a :class:`DataFormatError`."""
+    try:
+        with path.open("rb") as fh:
+            magic, size = fh.read(8), fh.seek(0, 2)
+            fh.seek(0)
+            yield fh, magic, size
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
 
@@ -331,42 +350,84 @@ def _parse_text(lines, path, size) -> PLLDataset:
     return PLLDataset(features, candidate_mask(candidates, c), c, labels or None)
 
 
-def _load_npz(fh, path, size) -> PLLDataset:
-    """The npz dataset in the open file ``fh`` of ``size`` bytes.  Each
-    member's .npy header must declare its :data:`NPZ_DTYPES` dtype, the shape
-    ``dims`` implies and at most ``size`` bytes before its data is read."""
-    arrays, key = {}, "zip"
+@contextmanager
+def _open_npz(fh, path, required, allowed):
+    """The npz archive in the open file ``fh``, open while its members are
+    every ``required`` key and perhaps others of ``allowed``, each once."""
     try:
-        with np.load(fh, allow_pickle=False) as npz:
-            keys = [name.removesuffix(".npy") for name in npz.zip.namelist()]
-            for key in ("dims", "features", "mask"):
-                if key not in keys:
-                    raise DataFormatError(f"{path}: missing key {key!r}")
-            if extra := sorted(set(keys).difference(NPZ_DTYPES)):
-                raise DataFormatError(f"{path}: unexpected key {extra[0]!r}")
-            if len(set(keys)) < len(keys):
-                raise DataFormatError(f"{path}: a key appears twice")
-            shapes = {"dims": (3,)}
-            for key in (k for k in NPZ_DTYPES if k in keys):  # dims first
-                with npz.zip.open(f"{key}.npy") as member:
-                    version = np.lib.format.read_magic(member)
-                    read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
-                                   else np.lib.format.read_array_header_2_0)
-                    shape, _, dtype = read_header(member)
-                if dtype != NPZ_DTYPES[key]:
-                    raise DataFormatError(f"{path}: {key}: dtype {dtype}, expected "
-                                          f"{np.dtype(NPZ_DTYPES[key])}")
-                if shape != shapes[key]:
-                    raise DataFormatError(f"{path}: {key}: shape {shape}, expected {shapes[key]}")
-                if dtype.itemsize * math.prod(shape) > size:
-                    raise DataFormatError(f"{path}: {key}: more bytes than the file's {size}")
-                arrays[key] = npz[key]
-                if key == "dims":  # each stored feature takes 8 bytes
-                    n, q, c = _header_dims(arrays["dims"].tolist(), f"{path}: dims", size // 8)
-                    shapes.update(features=(n, q), mask=(n, c), labels=(n,))
+        npz = np.load(fh, allow_pickle=False)
+    except _NPZ_ERRORS as exc:
+        raise DataFormatError(f"{path}: zip: unreadable ({exc})") from exc
+    with npz:
+        keys = [name.removesuffix(".npy") for name in npz.zip.namelist()]
+        if missing := [key for key in required if key not in keys]:
+            raise DataFormatError(f"{path}: missing key {missing[0]!r}")
+        if extra := sorted(set(keys).difference(allowed)):
+            raise DataFormatError(f"{path}: unexpected key {extra[0]!r}")
+        if len(set(keys)) < len(keys):
+            raise DataFormatError(f"{path}: a key appears twice")
+        yield npz
+
+
+def _member(npz, path, size, key, dtype, shape) -> np.ndarray:
+    """Member ``key`` of ``npz``, read once its .npy header declares ``dtype``, ``shape``
+    (where ``None`` matches any length) and at most the file's ``size`` bytes."""
+    try:
+        with npz.zip.open(f"{key}.npy") as member:
+            version = np.lib.format.read_magic(member)
+            read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                           else np.lib.format.read_array_header_2_0)
+            found, _, found_dtype = read_header(member)
+        if found_dtype != dtype:
+            raise DataFormatError(f"{path}: {key}: dtype {found_dtype}, expected {np.dtype(dtype)}")
+        if len(found) != len(shape) or any(w not in (None, f) for w, f in zip(shape, found)):
+            raise DataFormatError(f"{path}: {key}: shape {found}, expected {shape}")
+        if found_dtype.itemsize * math.prod(found) > size:
+            raise DataFormatError(f"{path}: {key}: more bytes than the file's {size}")
+        return npz[key]
     except _NPZ_ERRORS as exc:
         raise DataFormatError(f"{path}: {key}: unreadable ({exc})") from exc
-    return PLLDataset(arrays["features"], arrays["mask"], c, arrays.get("labels"))
+
+
+def save_model(path, net_f: DenseNet, net_g: DenseNet, tc: TransformConfig) -> None:
+    """Write the nets f and g and their transform as the npz of :data:`MODEL_KEYS`;
+    raises ``ValueError``, before any byte is written, for a net whose clamp
+    overflows the transform: :func:`load_model` would refuse that file."""
+    nets = (net_f, net_g)
+    for net in nets:
+        validate_transform_clamp(tc, net.clamp)
+    with Path(path).open("wb") as fh:
+        np.savez(fh, transform=np.array([tc.a, tc.b, tc.gamma], np.float64),
+                 clamps=np.array([net.clamp for net in nets], np.float64),
+                 activations=np.array([ACTIVATIONS.index(n.activation) for n in nets], np.int64),
+                 f_sizes=np.array(net_f.layer_sizes, np.int64), f_params=net_f.flat,
+                 g_sizes=np.array(net_g.layer_sizes, np.int64), g_params=net_g.flat)
+
+
+def load_model(path):
+    """``(net_f, net_g, tc)`` from a :func:`save_model` file; raises naming the
+    path, and the npz key when a member is at fault."""
+    path = Path(path)
+    with _opened(path) as (fh, magic, size):
+        if not magic.startswith(ZIP_MAGIC):
+            old = " (old IDGPMDL1 format: train the model again)" if magic == b"IDGPMDL1" else ""
+            raise DataFormatError(f"{path}: not an npz model file{old}")
+        with _open_npz(fh, path, MODEL_KEYS, MODEL_KEYS) as npz:
+            read = partial(_member, npz, path, size)
+            transform = read("transform", np.float64, (3,)).tolist()
+            clamps = read("clamps", np.float64, (2,)).tolist()
+            codes = read("activations", np.int64, (2,)).tolist()
+            sizes = {k: read(f"{k}_sizes", np.int64, (None,)).tolist() for k in "fg"}
+            params = [read(f"{k}_params", np.float64, (param_count(s),)) for k, s in sizes.items()]
+    try:
+        tc = TransformConfig(*transform)
+        nets = [DenseNet.from_flat(*spec) for spec in zip(
+            sizes.values(), map(dict(enumerate(ACTIVATIONS)).get, codes), clamps, params)]
+        for net in nets:
+            validate_transform_clamp(tc, net.clamp)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: corrupt model file ({exc})") from exc
+    return (*nets, tc)
 
 
 def sidecar_path(path) -> Path:

@@ -28,8 +28,8 @@ class SplitSpec:
 
     def __post_init__(self):
         fracs = (self.train, self.val, self.test)
-        if any(f < 0.0 for f in fracs):
-            raise ValueError("split fractions must be nonnegative")
+        if not all(0.0 <= f < np.inf for f in fracs):
+            raise ValueError("split fractions must be finite and nonnegative")
         if abs(sum(fracs) - 1.0) > 1e-12:
             raise ValueError(f"split fractions sum to {sum(fracs)!r}, not 1")
 

@@ -4,7 +4,6 @@ import csv
 import json
 import os
 import platform
-import struct
 
 import numpy as np
 import pytest
@@ -19,15 +18,14 @@ from idgp.cli import (
     EXIT_IO,
     EXIT_INVARIANT,
     EXIT_USAGE,
-    load_model,
     main,
     parse_config_file,
-    save_model,
 )
-from idgp.data import load_dataset, read_sidecar, write_dataset
+from idgp.data import load_dataset, load_model, read_sidecar, save_model, write_dataset
 from idgp.evaluation import read_report_csv
 from idgp.generation import make_clean_dataset
 from idgp.network import DenseNet, TransformConfig
+from test_data import write_npz
 
 
 @pytest.fixture()
@@ -443,45 +441,72 @@ class TestModelFile:
         assert main(["eval", "--model", str(path), "--data", str(path),
                      "--out", str(tmp_path / "x.csv")]) == 1
 
-    @pytest.mark.parametrize("damage", ["cut_10", "cut_40", "cut_8_short",
-                                        "activation_7", "transform_a_0",
-                                        "transform_gamma_inf", "clamp_neg",
-                                        "clamp_0", "clamp_nan", "clamp_overflows",
-                                        "weight_nan",
-                                        "sizes_huge", "size_zero", "trailing_bytes"])
-    def test_corrupt_model_exits_1(self, tmp_path, clean_path, capsys, damage):
+    def test_old_binary_format_exits_1_naming_it(self, tmp_path, clean_path, capsys):
         path = tmp_path / "model.bin"
-        save_model(path, DenseNet([2, 4, 3], rng=np.random.default_rng(0)),
-                   DenseNet([2, 4, 6], rng=np.random.default_rng(1)), TransformConfig())
-        buf = bytearray(path.read_bytes())
-        if damage == "activation_7":
-            buf[36:40] = struct.pack("<I", 7)  # f's activation code follows the header
-        elif damage == "transform_a_0":
-            buf[12:20] = struct.pack("<d", 0.0)  # a, b, gamma follow the version
-        elif damage == "transform_gamma_inf":
-            buf[28:36] = struct.pack("<d", float("inf"))
-        elif damage.startswith("clamp_"):
-            # f's activation code, size count and 3 sizes come before its clamp
-            # exp(1000) overflows the a=1, gamma=1 transform
-            value = {"clamp_neg": -3.0, "clamp_0": 0.0, "clamp_nan": float("nan"),
-                     "clamp_overflows": 1000.0}[damage]
-            buf[56:64] = struct.pack("<d", value)
-        elif damage == "weight_nan":
-            buf[64:72] = struct.pack("<d", float("nan"))  # f's first weight
-        elif damage == "sizes_huge":
-            buf[44:52] = struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)  # f's first two sizes
-        elif damage == "size_zero":
-            # a well-formed f of sizes [2, 0, 3], which holds only its 3 last biases;
-            # f's 27 parameters span bytes 64-280
-            buf = buf[:48] + struct.pack("<I", 0) + buf[52:64] + buf[256:]
-        elif damage == "trailing_bytes":
-            buf += b"junk"
-        else:
-            buf = buf[:{"cut_10": 10, "cut_40": 40, "cut_8_short": len(buf) - 8}[damage]]
-        path.write_bytes(bytes(buf))
+        path.write_bytes(b"IDGPMDL1" + bytes(300))
         assert main(["eval", "--model", str(path), "--data", str(clean_path),
                      "--out", str(tmp_path / "x.csv")]) == 1
-        assert f"{path}: truncated or corrupt model file" in capsys.readouterr().err
+        assert (f"{path}: not an npz model file (old IDGPMDL1 format: train the model again)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x.csv").exists()
+
+    # f is [2, 4, 3] (27 parameters) and g [2, 4, 6]; a dict replaces members,
+    # and an int cuts the file to that many bytes (a negative one from its end)
+    @pytest.mark.parametrize("change, message", [
+        pytest.param(10, "zip: unreadable", id="cut_10"),
+        pytest.param(40, "zip: unreadable", id="cut_40"),
+        pytest.param(-8, "zip: unreadable", id="cut_8_short"),
+        pytest.param({"activations": np.array([7, 0])},
+                     "corrupt model file (activation must be one of", id="activation_7"),
+        pytest.param({"transform": np.array([0.0, 0.0, 1.0])},
+                     "corrupt model file (a must be finite", id="transform_a_0"),
+        pytest.param({"transform": np.array([1.0, 0.0, np.inf])},
+                     "corrupt model file (gamma must be finite", id="transform_gamma_inf"),
+        pytest.param({"clamps": np.array([-3.0, 20.0])},
+                     "corrupt model file (clamp bound must be strictly positive", id="clamp_neg"),
+        pytest.param({"clamps": np.array([0.0, 20.0])},
+                     "corrupt model file (clamp bound must be strictly positive", id="clamp_0"),
+        pytest.param({"clamps": np.array([np.nan, 20.0])},
+                     "corrupt model file (clamp bound must be strictly positive", id="clamp_nan"),
+        # exp(1000) overflows the a=1, gamma=1 transform
+        pytest.param({"clamps": np.array([1000.0, 20.0])},
+                     "corrupt model file (a*exp(A/gamma)+b overflows", id="clamp_overflows"),
+        pytest.param({"f_params": np.r_[np.nan, np.zeros(26)]},
+                     "corrupt model file (weights and biases must be finite", id="weight_nan"),
+        pytest.param({"f_sizes": np.array([2 ** 32 - 1, 2 ** 32 - 1, 3])},
+                     "f_params: shape (27,), expected (18446744082299486208,)", id="sizes_huge"),
+        # a well-formed f of sizes [2, 0, 3], which holds only its 3 last biases
+        pytest.param({"f_sizes": np.array([2, 0, 3]), "f_params": np.zeros(3)},
+                     "corrupt model file (layer sizes must be at least 1", id="size_zero"),
+        pytest.param(b"junk", None, id="trailing_bytes"),
+    ])
+    def test_corrupt_model_exits_1(self, tmp_path, clean_path, capsys, change, message):
+        path, out = tmp_path / "model.bin", tmp_path / "x.csv"
+        nets = (DenseNet([2, 4, 3], rng=np.random.default_rng(0)),
+                DenseNet([2, 4, 6], rng=np.random.default_rng(1)))
+        save_model(path, *nets, TransformConfig())
+        if isinstance(change, bytes):
+            # bytes after the zip archive are skipped, by the model and the
+            # npz dataset reader alike, as every member is still checked
+            data = tmp_path / "clean.npz"
+            write_dataset(load_dataset(clean_path), data)
+            for file in (path, data):
+                file.write_bytes(file.read_bytes() + change)
+            assert main(["eval", "--model", str(path), "--data", str(data),
+                         "--out", str(out)]) == 0
+            for net, back in zip(nets, load_model(path)):
+                assert np.array_equal(back.flat, net.flat)
+            return
+        if isinstance(change, int):
+            path.write_bytes(path.read_bytes()[:change])
+        else:
+            with np.load(path, allow_pickle=False) as npz:
+                members = {**npz, **change}
+            write_npz(path, **members)
+        assert main(["eval", "--model", str(path), "--data", str(clean_path),
+                     "--out", str(out)]) == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGradcheckCommand:

@@ -11,12 +11,15 @@ from idgp.data import (
     PLLDataset,
     candidate_mask,
     load_dataset,
+    load_model,
     occurrence_vector,
     read_sidecar,
+    save_model,
     write_dataset,
     write_sidecar,
 )
 from idgp.errors import DataFormatError, DataInvariantError
+from idgp.network import DenseNet, TransformConfig
 
 
 def random_dataset(rng, n=None, q=None, c=None, with_labels=True):
@@ -435,18 +438,24 @@ class TestNpz:
         with pytest.raises(DataFormatError, match="dims: unreadable"):
             load_dataset(path)
 
+    # the dataset in each compression, and the model file of the smallest nets
     @pytest.mark.parametrize("compression", [zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED,
-                                             zipfile.ZIP_BZIP2, zipfile.ZIP_LZMA],
-                             ids=["stored", "deflated", "bzip2", "lzma"])
+                                             zipfile.ZIP_BZIP2, zipfile.ZIP_LZMA, None],
+                             ids=["stored", "deflated", "bzip2", "lzma", "model"])
     def test_every_damaged_byte_raises_only_package_errors(self, tmp_path, compression):
-        path = tmp_path / "d.npz"
-        write_npz(path, compression, **self.GOOD)
+        path, load = tmp_path / "d.npz", load_dataset
+        if compression is None:
+            save_model(path, DenseNet([1, 2], rng=np.random.default_rng(0)),
+                       DenseNet([1, 4], rng=np.random.default_rng(1)), TransformConfig())
+            load = load_model
+        else:
+            write_npz(path, compression, **self.GOOD)
         valid = path.read_bytes()
         for at in range(len(valid)):
             for damage in (0x00, valid[at] ^ 0xFF):
                 path.write_bytes(valid[:at] + bytes([damage]) + valid[at + 1:])
                 try:
-                    load_dataset(path)
+                    load(path)
                 except (DataFormatError, DataInvariantError):
                     pass
 

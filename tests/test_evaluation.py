@@ -61,6 +61,10 @@ class TestSplit:
             SplitSpec(0.5, 0.5, 0.5)
         with pytest.raises(ValueError):
             SplitSpec(1.2, -0.1, -0.1)
+        nan, inf = float("nan"), float("inf")
+        for fracs in ((nan, 0.5, 0.5), (0.5, nan, 0.5), (1.0, 0.0, nan), (inf, -inf, 1.0)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                SplitSpec(*fracs)
 
 
 class TestAccuracy:

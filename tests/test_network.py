@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from idgp.cli import load_model, save_model
+from idgp.data import load_model, save_model
 from idgp.errors import NumericError
 from idgp.network import (
     DenseNet,
