@@ -51,10 +51,10 @@ _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False}
 
 
 def parse_config_file(path) -> TrainConfig:
-    """Flat key=value file; every key must be a TrainConfig field."""
+    """Flat key=value file; every key must be a TrainConfig field, given once."""
     known = {f.name: f.type for f in TrainConfig.__dataclass_fields__.values()}
     defaults = TrainConfig()
-    values = {}
+    values, seen = {}, {}
     for lineno, line in enumerate(read_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -65,6 +65,9 @@ def parse_config_file(path) -> TrainConfig:
         key, raw = key.strip(), raw.strip()
         if key not in known:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise UsageError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         current = getattr(defaults, key)
         try:
             if isinstance(current, bool):
@@ -228,14 +231,13 @@ def cmd_report(args) -> int:
         raise UsageError(f"--{stray[0]} applies only to a sensitivity sweep")
     if args.history:
         rows = []
-        for hist_path in args.history:
-            series = Path(hist_path).stem
+        for hist_path in args.history:  # by path: every train run writes history.jsonl
             for lineno, line in enumerate(read_lines(hist_path), 1):
                 if not line.strip():
                     continue
                 try:
                     rec = json.loads(line)
-                    rows.append((rec["epoch"], rec["train_loss"], series))
+                    rows.append((rec["epoch"], rec["train_loss"], hist_path))
                 except (ValueError, RecursionError, TypeError, KeyError):
                     raise DataFormatError(f"{hist_path}:{lineno}: expected a JSON record "
                                           "with 'epoch' and 'train_loss'") from None

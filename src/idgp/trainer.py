@@ -52,7 +52,7 @@ from .distributions import (
     floor_params,
 )
 from .errors import NumericError
-from .evaluation import accuracy
+from .evaluation import SplitSpec, accuracy, split
 from .network import (
     ACTIVATIONS,
     DenseNet,
@@ -443,20 +443,16 @@ def fit(config: TrainConfig, dataset: PLLDataset,
         batch_hook: Optional[Callable[[dict], None]] = None):
     """Run the full training schedule; returns (f, g, history).
 
-    When ``val_dataset`` is omitted and ``val_fraction`` is positive, that
-    fraction of instances is held out (seed-deterministically) before
-    training and only ever used to compute the reported validation
-    accuracy.  Accuracy entries are None when true labels are unavailable.
+    When ``val_dataset`` is omitted and ``val_fraction`` v is positive, the
+    hold-out is :func:`evaluation.split` with fractions (1 - v, v, 0) and
+    ``config.seed``: f and g train on its first part only, and its second
+    part only ever gives the reported validation accuracy (a part that
+    rounds to no rows raises ``split``'s DataInvariantError).  Accuracy
+    entries are None when true labels are unavailable.
     """
-    train_ds = dataset
-    if val_dataset is None and config.val_fraction > 0.0 and dataset.n >= 2:
-        perm = substream(config.seed, "split").permutation(dataset.n)
-        n_val = max(1, int(round(dataset.n * config.val_fraction)))
-        if n_val >= dataset.n:
-            n_val = dataset.n - 1
-        val_dataset = dataset.subset(perm[:n_val])
-        train_ds = dataset.subset(perm[n_val:])
-    state = init_state(config, train_ds)
+    if val_dataset is None and (v := config.val_fraction) > 0.0:
+        dataset, val_dataset, _ = split(dataset, SplitSpec(1.0 - v, v, 0.0, config.seed))
+    state = init_state(config, dataset)
     history = []
     for t in range(1, config.epochs + 1):
         record = train_epoch(state, t, batch_hook)

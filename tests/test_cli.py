@@ -4,6 +4,8 @@ import csv
 import json
 import os
 import platform
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +138,30 @@ class TestCorrupt:
                      "--out", str(tmp_path / "x.pll"), "--mode", "uniform",
                      "--p", "0.2"])
         assert code == 1
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX named pipes")
+    def test_named_pipe_input_exits_1(self, tmp_path, clean_path, capsys):
+        # a load seeks to find the size that bounds its allocations, and a
+        # pipe cannot seek: inputs must be regular files
+        fifo = tmp_path / "in.pll"
+        os.mkfifo(fifo)
+        payload = clean_path.read_bytes()[:4096]  # within the pipe's buffer: no write blocks
+
+        def send():
+            try:
+                with open(fifo, "wb", buffering=0) as fh:
+                    fh.write(payload)
+            except BrokenPipeError:  # the reader gave up first
+                pass
+
+        writer = threading.Thread(target=send, daemon=True)
+        writer.start()
+        code = main(["corrupt", "--data", str(fifo), "--out", str(tmp_path / "out.pll"),
+                     "--mode", "uniform", "--p", "0.3"])
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert code == EXIT_IO
+        assert f"error: cannot read {fifo}" in capsys.readouterr().err
 
     def test_out_that_is_its_own_sidecar_exits_2(self, tmp_path, clean_path, capsys):
         out = tmp_path / "out.meta"
@@ -322,11 +348,12 @@ class TestTrainEval:
 
     def test_unallocatable_output_layer_exits_3(self, tmp_path, capsys):
         # the data loads, but a hidden=2**40 output layer over c=2**21 classes
-        # cannot be allocated; the spec check refuses it before numpy allocates
+        # cannot be allocated; the spec check refuses it before numpy allocates.
+        # No hold-out, since a 2-row split would stop at its empty val part first.
         data = tmp_path / "wide.pll"
         data.write_text(f"2 1 {2 ** 21}\n0.5 | 1\n-0.5 | 2\n")
         cfg = tmp_path / "huge.cfg"
-        cfg.write_text(f"hidden={2 ** 40}\n")
+        cfg.write_text(f"hidden={2 ** 40}\nval_fraction=0\n")
         assert main(["train", "--data", str(data), "--config", str(cfg),
                      "--out-dir", str(tmp_path / "run")]) == EXIT_INVARIANT
         err = capsys.readouterr().err
@@ -385,6 +412,15 @@ class TestConfigFile:
         with pytest.raises(cli.UsageError) as info:
             parse_config_file(cfg)
         assert str(info.value) == f"{cfg}:1: bad value '2\\x85hidden=4' for key 'epochs'"
+
+    def test_repeated_key_exits_2_naming_both_lines(self, tmp_path, corrupted_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("epochs=3\n# a later line must not override an earlier one\nepochs=5\n")
+        out_dir = tmp_path / "x"
+        assert main(["train", "--data", str(corrupted_path), "--config", str(cfg),
+                     "--out-dir", str(out_dir)]) == EXIT_USAGE
+        assert f"error: {cfg}:3: key 'epochs' repeats line 1" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_negative_seed_is_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -583,7 +619,7 @@ class TestReport:
         lines = out.read_text().splitlines()
         assert lines[0] == "x,y,series"
         assert len(lines) == 4
-        assert lines[1].startswith("1,0.5,history")
+        assert lines[1] == f"1,0.5,{hist}"
 
     def test_history_name_with_comma_is_one_field(self, tmp_path):
         hist = tmp_path / "run,a.jsonl"
@@ -593,7 +629,20 @@ class TestReport:
         with out.open(newline="") as fh:
             header, row = csv.reader(fh)
         assert header == ["x", "y", "series"]
-        assert row == ["1", "0.5", "run,a"]
+        assert row == ["1", "0.5", str(hist)]
+
+    def test_two_runs_histories_are_two_series(self, tmp_path, monkeypatch):
+        # train names every history history.jsonl, so a full and an ML-only
+        # run differ only in their directories; the series keep them apart
+        monkeypatch.chdir(tmp_path)
+        for run, loss in (("run", 0.5), ("run_ml", 0.25)):
+            Path(run).mkdir()
+            Path(run, "history.jsonl").write_text(
+                json.dumps({"epoch": 1, "train_loss": loss}) + "\n")
+        assert main(["report", "--history", "run/history.jsonl", "run_ml/history.jsonl",
+                     "--out", "curve.csv"]) == 0
+        assert Path("curve.csv").read_text().splitlines() == [
+            "x,y,series", "1,0.5,run/history.jsonl", "1,0.25,run_ml/history.jsonl"]
 
     def test_sweep_grid_has_cartesian_rows(self, tmp_path, corrupted_path):
         cfg = tiny_config(tmp_path, epochs=1, val_fraction=0.2)

@@ -4,14 +4,16 @@ Dataset files of both formats (the path's suffix picks text or npz on
 write, and the first bytes on load) and model files must round-trip bit for
 bit (a model whose transform overflows at a net's clamp is instead refused),
 and any bytes given to ``load_dataset`` or ``load_model`` may only raise a
-package error, never a bare Python exception.  The lines the block reader
-``read_lines`` yields must be the file's bytes split at ``\\n`` and decoded,
-for any bytes, whatever its block size.  ``PLLDataset`` validation of
-label sets converted by ``candidate_mask`` must agree with a per-row
-reference check.  The floored transform of clamped scores, which the
-trainer feeds to the posterior means without a check, must be finite and
-at least ``PARAM_FLOOR`` under every transform and clamp a ``TrainConfig``
-accepts.  The runs are derandomized so tier-1 stays
+package error, never a bare Python exception; so may a model file one of
+whose members is rewritten with out-of-range values, which a valid zip
+delivers to the member checks that random byte damage seldom reaches.  The
+lines the block reader ``read_lines`` yields must be the file's bytes split
+at ``\\n`` and decoded, for any bytes, whatever its block size.
+``PLLDataset`` validation of label sets converted by ``candidate_mask`` must
+agree with a per-row reference check.  The floored transform of clamped
+scores, which the trainer feeds to the posterior means without a check,
+must be finite and at least ``PARAM_FLOOR`` under every transform and clamp
+a ``TrainConfig`` accepts.  The runs are derandomized so tier-1 stays
 repeatable.
 """
 
@@ -123,6 +125,40 @@ def damaged_models(draw):
         return _damaged(path.read_bytes(), draw)
 
 
+# values at and past the bounds of each model member check: layer sizes of
+# zero and near 2**31, 2**32 and 2**63, activation codes outside ACTIVATIONS,
+# clamps and transform constants that are <= 0, NaN, infinite or overflowing
+EDGE_INTS = st.sampled_from([0, 1, 2, -1, 2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32,
+                             2 ** 32 + 1, 2 ** 62, 2 ** 63 - 1, -2 ** 63])
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, -1.0, 1.0, np.nan, np.inf, -np.inf, 5e-324,
+                               710.0, 1e308])
+
+
+@st.composite
+def rewritten_models(draw):
+    """A valid model file with one member rewritten by ``np.savez`` with drawn values."""
+    f, g, tc = draw(models().filter(lambda model: not _overflows(model)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        save_model(path, f, g, tc)
+        with np.load(path, allow_pickle=False) as npz:
+            members = {key: npz[key] for key in npz.files}
+        key = draw(st.sampled_from(sorted(members)))
+        values = members[key].copy()
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, values.size - 1))
+            values[at] = draw(EDGE_INTS if values.dtype == np.int64 else EDGE_FLOATS)
+        if key.endswith("_sizes"):
+            values = values[:draw(st.integers(0, values.size))]
+            count = param_count(values.tolist())
+            if 0 <= count <= 256 and draw(st.booleans()):  # so the sizes reach the net checks
+                members[f"{key[0]}_params"] = np.zeros(count)
+        members[key] = values
+        with path.open("wb") as fh:  # a file name would gain the suffix .npz
+            np.savez(fh, **members)
+        return path.read_bytes()
+
+
 def _load_bytes(loader, data: bytes, *args):
     """``loader`` on a file holding ``data``; only package errors may escape."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -192,6 +228,12 @@ def test_damaged_dataset_files_raise_only_package_errors(data, name):
                  st.binary(max_size=200).map(lambda b: ZIP_MAGIC + b),
                  damaged_models()))
 def test_arbitrary_bytes_load_model_raise_only_package_errors(data):
+    _load_bytes(load_model, data)
+
+
+@PROPERTY
+@given(rewritten_models())
+def test_rewritten_model_members_raise_only_package_errors(data):
     _load_bytes(load_model, data)
 
 

@@ -17,8 +17,8 @@ from idgp.distributions import (
     dirichlet_posterior_mean,
     floor_params,
 )
-from idgp.errors import NumericError
-from idgp.evaluation import accuracy, predict_batch
+from idgp.errors import DataInvariantError, NumericError
+from idgp.evaluation import SplitSpec, accuracy, predict_batch, split
 from idgp.generation import corrupt_uniform, make_clean_dataset
 from idgp.network import (
     DenseNet,
@@ -543,6 +543,28 @@ class TestTrainingLoop:
         train, val = ds.subset(np.arange(60)), ds.subset(np.arange(60, ds.n))
         f, _, history = fit(cfg, train, val_dataset=val)
         assert history[-1]["val_acc"] == accuracy(f, val, cfg.transform_config)
+
+    def test_val_fraction_holds_out_the_split_val_part(self):
+        # fit's hold-out is evaluation.split's: train rows first, val rows next
+        ds = toy_dataset()
+        cfg = small_config(epochs=3, seed=4, val_fraction=0.2)
+        train, val, _ = split(ds, SplitSpec(0.8, 0.2, 0.0, cfg.seed))
+        runs = []
+        for args in ((ds,), (train, val)):
+            records = []
+            f, g, history = fit(cfg, *args, batch_hook=records.append)
+            runs.append((f.get_flat(), g.get_flat(), history, records))
+        (f1, g1, h1, r1), (f2, g2, h2, r2) = runs
+        assert np.array_equal(_bits(f1), _bits(f2)) and np.array_equal(_bits(g1), _bits(g2))
+        assert h1 == h2 and h1[-1]["val_acc"] is not None
+        # the hook's indices index the training part
+        assert all(np.array_equal(a["indices"], b["indices"]) for a, b in zip(r1, r2))
+        assert len(r1) == len(r2) == cfg.epochs * -(-train.n // cfg.batch_size)
+
+    def test_empty_hold_out_raises_naming_the_split(self):
+        ds = toy_dataset().subset(np.arange(4))
+        with pytest.raises(DataInvariantError, match=r"^val split is empty for n=4, fraction=0\.1$"):
+            fit(small_config(epochs=1, r=1, q=1, val_fraction=0.1), ds)
 
     @pytest.mark.parametrize("hidden", [0, 5])
     def test_init_state_net_shapes(self, hidden):
