@@ -165,9 +165,9 @@ def cmd_train(args) -> int:
     if args.ml_only:
         config = replace(config, ml_only=True)
     ds = load_dataset(args.data)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     net_f, net_g, history = trainer.fit(config, ds)
+    out_dir = Path(args.out_dir)  # made only now, so a failed fit leaves no directory
+    out_dir.mkdir(parents=True, exist_ok=True)
     model_path = out_dir / "model.bin"
     history_path = out_dir / "history.jsonl"
     save_model(model_path, net_f, net_g, config.transform_config)

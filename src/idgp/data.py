@@ -195,6 +195,7 @@ def write_dataset(ds: PLLDataset, path) -> None:
         with path.open("wb") as fh:
             np.savez(fh, **arrays)
         return
+    names = [str(j + 1) for j in range(ds.c)]
     with path.open("w", encoding="utf-8") as fh:
         fh.write(f"{ds.n} {ds.q} {ds.c}\n")
         # the label sets stream too; caching them on ds raised dataset_io's peak RSS to ~107 MB
@@ -202,7 +203,7 @@ def write_dataset(ds: PLLDataset, path) -> None:
             # repr() of a Python float is the shortest string that round-trips;
             # one row at a time, as a whole-matrix tolist() raises peak memory
             feats = " ".join(map(repr, values.tolist()))
-            cands = " ".join(str(j + 1) for j in members)
+            cands = " ".join(map(names.__getitem__, members))
             label = "" if ds.true_labels is None else f" | {int(ds.true_labels[i]) + 1}"
             fh.write(f"{feats} | {cands}{label}\n")
 
@@ -316,7 +317,7 @@ def _parse_text(lines, path, size) -> PLLDataset:
     labels = []
     for i, text in zip(range(n), lines):
         lineno = i + 2
-        parts = [p.strip() for p in text.split("|")]
+        parts = text.split("|")  # split() drops the whitespace around a field
         if len(parts) not in (2, 3):
             raise DataFormatError(
                 f"{path}:{lineno}: expected 'features | candidates [| label]'"
@@ -327,7 +328,7 @@ def _parse_text(lines, path, size) -> PLLDataset:
                 f"{path}:{lineno}: expected {q} features, got {len(feat_tok)}"
             )
         try:
-            features[i] = [float(t) for t in feat_tok]
+            features[i] = list(map(float, feat_tok))
         except ValueError:
             raise DataFormatError(f"{path}:{lineno}: malformed feature value") from None
         try:
@@ -337,7 +338,8 @@ def _parse_text(lines, path, size) -> PLLDataset:
         candidates.append(cand)
         if len(parts) == 3:
             try:
-                labels.append(int(parts[2]) - 1)
+                # int() refuses the \x1c-\x1f around a field that strip() removes
+                labels.append(int(parts[2].strip()) - 1)
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: malformed true label") from None
     if len(candidates) < n:

@@ -30,7 +30,7 @@ import numpy as np
 from .data import PLLDataset, candidate_mask
 from .errors import DataInvariantError, NumericError
 from .network import DenseNet, SGDState, layer_sizes, sgd_step
-from .rng import substream
+from .rng import substream, uniform_rows
 
 MODE_INSTANCE = "instance_dependent"
 MODE_UNIFORM = "uniform"
@@ -117,21 +117,18 @@ def make_clean_dataset(features: np.ndarray, labels: np.ndarray, c: int) -> PLLD
     return PLLDataset(features, candidate_mask(labels[:, None].tolist(), c), c, labels)
 
 
-def _corrupt(ds: PLLDataset, flip_probs: np.ndarray, seed: int, mode: str,
+def _corrupt(ds: PLLDataset, flip_probs: np.ndarray | float, seed: int, mode: str,
              params: dict):
     labels = _require_clean(ds)
     n, c = ds.n, ds.c
-    mask = np.zeros((n, c), dtype=bool)
-    for i in range(n):
+    # row i's flips are the first c uniforms of substream(seed, "corrupt", i)
+    mask = uniform_rows(seed, "corrupt", n, c) < flip_probs
+    mask[np.arange(n), labels] = True
+    for i in np.flatnonzero(mask.all(axis=1)).tolist():
         gen = substream(seed, "corrupt", i)
-        u = gen.random(c)
-        members = u < flip_probs[i]
-        members[labels[i]] = True
-        if members.all():
-            wrong = np.flatnonzero(members)
-            wrong = wrong[wrong != labels[i]]
-            members[wrong[gen.integers(wrong.size)]] = False
-        mask[i] = members
+        gen.random(c)  # the row's flips, drawn above
+        wrong = np.flatnonzero(np.arange(c) != labels[i])
+        mask[i, wrong[gen.integers(wrong.size)]] = False
     corrupted = PLLDataset(features=ds.features.copy(), mask=mask, c=c, true_labels=labels.copy())
     occ = corrupted.occurrence_matrix()
     avg_set_size = float(occ.sum(axis=1).mean())
@@ -164,8 +161,7 @@ def corrupt_uniform(ds: PLLDataset, p: float, seed: int):
     """Corrupt with one constant flip probability p in (0, 1)."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"flip probability p must lie in (0, 1), got {p}")
-    flip_probs = np.full((ds.n, ds.c), float(p))
-    return _corrupt(ds, flip_probs, seed, MODE_UNIFORM, {"p": float(p)})
+    return _corrupt(ds, float(p), seed, MODE_UNIFORM, {"p": float(p)})
 
 
 def train_clean_scorer(ds: PLLDataset, config: CleanScorerConfig | None = None):

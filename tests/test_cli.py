@@ -339,6 +339,15 @@ class TestTrainEval:
                      "--out-dir", str(tmp_path / "run")]) == EXIT_INVARIANT
         assert "error: Unable to allocate 8.0 EiB" in capsys.readouterr().err
 
+    def test_failed_fit_leaves_no_out_dir(self, tmp_path, capsys):
+        # the default hold-out of 4 rows is empty, so the fit fails before it writes
+        data = tmp_path / "tiny.pll"
+        data.write_text("4 1 2\n0.5 | 1\n-0.5 | 2\n0.25 | 1\n-0.25 | 2\n")
+        out_dir = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out-dir", str(out_dir)]) == EXIT_INVARIANT
+        assert "error: val split is empty for n=4" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_unaddressable_header_c_exits_1(self, tmp_path, capsys):
         data = tmp_path / "huge.pll"
         data.write_text(f"2 1 {2 ** 62}\n0.5 | 1\n-0.5 | 2\n")

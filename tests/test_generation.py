@@ -68,21 +68,34 @@ class TestDensity:
 
 class TestInstanceDependentCorruption:
     def test_seeded_trace_matches_hand_rule(self):
+        # row i flips label k when the k-th uniform of substream(seed, "corrupt", i)
+        # falls below its probability; a full set then loses the wrong label at
+        # index integers(c - 1) of that substream, drawn after its c uniforms
+        def hand_rule(ds, probs, seed):
+            mask = np.zeros((ds.n, ds.c), dtype=bool)
+            for i, label in enumerate(ds.true_labels.tolist()):
+                gen = substream(seed, "corrupt", i)
+                members = gen.random(ds.c) < probs[i]
+                members[label] = True
+                if members.all():
+                    wrong = sorted(set(range(ds.c)) - {label})
+                    members[wrong[gen.integers(len(wrong))]] = False
+                mask[i] = members
+            return mask
+
         ds = blobs(seed=2, n_per=5)
-        rng = np.random.default_rng(3)
-        scores = rng.normal(size=(ds.n, ds.c)) * 2.0
-        seed = 11
-        out, _ = corrupt_instance_dependent(ds, scores, seed)
-        probs = expit(scores)
-        for i in range(ds.n):
-            gen = substream(seed, "corrupt", i)
-            u = gen.random(ds.c)
-            members = set(np.flatnonzero(u < probs[i]).tolist())
-            members.add(int(ds.true_labels[i]))
-            if len(members) == ds.c:
-                wrong = sorted(members - {int(ds.true_labels[i])})
-                members.discard(wrong[gen.integers(len(wrong))])
-            assert out.candidates[i] == tuple(sorted(members))
+        scores = np.random.default_rng(3).normal(size=(ds.n, ds.c)) * 2.0
+        out, _ = corrupt_instance_dependent(ds, scores, 11)
+        assert np.array_equal(out.mask, hand_rule(ds, expit(scores), 11))
+        out, _ = corrupt_uniform(ds, 0.4, 2 ** 40 + 9)
+        assert np.array_equal(out.mask, hand_rule(ds, np.full((ds.n, ds.c), 0.4), 2 ** 40 + 9))
+        # at c=3 and p=0.95 most sets come out full, so most rows drop a label
+        ds = blobs(seed=4, n_per=100, c=3)
+        out, _ = corrupt_uniform(ds, 0.95, 6)
+        full = [np.delete(substream(6, "corrupt", i).random(3) < 0.95, label).all()
+                for i, label in enumerate(ds.true_labels.tolist())]
+        assert np.mean(full) > 0.8
+        assert np.array_equal(out.mask, hand_rule(ds, np.full((ds.n, ds.c), 0.95), 6))
 
     def test_flip_probabilities_are_sigmoid(self):
         # score 2 -> p=0.881, score -1 -> 0.269, score 0 -> 0.5
