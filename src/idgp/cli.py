@@ -137,12 +137,12 @@ def cmd_corrupt(args) -> int:
             scorer_cfg = generation.CleanScorerConfig(**scorer, seed=args.seed)
         except ValueError as exc:  # each message opens with the field, e.g. "lr must ..."
             raise UsageError(f"--scorer-{exc}") from None
+    elif args.p is None:
+        raise UsageError("--p is required for --mode uniform")
+    elif not (0.0 < args.p < 1.0):
+        raise UsageError(f"--p must lie strictly inside (0, 1), got {args.p}")
     ds = load_dataset(args.data)
     if args.mode == "uniform":
-        if args.p is None:
-            raise UsageError("--p is required for --mode uniform")
-        if not (0.0 < args.p < 1.0):
-            raise UsageError(f"--p must lie strictly inside (0, 1), got {args.p}")
         corrupted, report = generation.corrupt_uniform(ds, args.p, args.seed)
     else:
         scores, _ = generation.train_clean_scorer(ds, scorer_cfg)
@@ -164,13 +164,15 @@ def cmd_train(args) -> int:
     config = _train_config(args)
     if args.ml_only:
         config = replace(config, ml_only=True)
+    out_dir = Path(args.out_dir)  # made only after the fit, so a failed fit leaves no directory
+    if any(path.exists() and not path.is_dir() for path in (out_dir, *out_dir.parents)):
+        raise UsageError(f"--out-dir {out_dir}: a file stands where a directory must be")
     ds = load_dataset(args.data)
-    net_f, net_g, history = trainer.fit(config, ds)
-    out_dir = Path(args.out_dir)  # made only now, so a failed fit leaves no directory
+    net_f, _, history = trainer.fit(config, ds)  # g only shapes the fit: eval reads f
     out_dir.mkdir(parents=True, exist_ok=True)
     model_path = out_dir / "model.bin"
     history_path = out_dir / "history.jsonl"
-    save_model(model_path, net_f, net_g, config.transform_config)
+    save_model(model_path, net_f, config.transform_config)
     with history_path.open("w") as fh:
         for record in history:
             fh.write(json.dumps(record) + "\n")
@@ -185,9 +187,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    net_f, _, tc = load_model(args.model)
+    net, tc = load_model(args.model)
     ds = load_dataset(args.data)
-    acc = evaluation.accuracy(net_f, ds, tc)
+    acc = evaluation.accuracy(net, ds, tc)
     row = {"method": args.method, "dataset": Path(args.data).stem,
            "seed_count": 1, "mean_acc": acc, "std_acc": 0.0}
     out = Path(args.out)

@@ -47,8 +47,8 @@ ZIP_MAGIC = b"PK\x03\x04"
 # dataset npz members: int64 "dims" n q c, float64 "features" (n, q), bool "mask"
 # (n, c) and int64 "labels" (n,), 0-indexed and present only when known
 NPZ_KEYS = ("dims", "features", "mask", "labels")
-# model npz members, as :func:`save_model` writes them
-MODEL_KEYS = ("transform", "clamps", "activations", "f_sizes", "f_params", "g_sizes", "g_params")
+# model npz members, as :func:`save_model` writes them for the net f
+MODEL_KEYS = ("transform", "clamp", "activation", "sizes", "params")
 # what a damaged zip archive or .npy member can raise while it is read
 _NPZ_ERRORS = (OSError, EOFError, ValueError, TypeError, KeyError, RuntimeError,
                SyntaxError, tokenize.TokenError, zipfile.BadZipFile, zlib.error, lzma.LZMAError)
@@ -391,24 +391,21 @@ def _member(npz, path, size, key, dtype, shape) -> np.ndarray:
         raise DataFormatError(f"{path}: {key}: unreadable ({exc})") from exc
 
 
-def save_model(path, net_f: DenseNet, net_g: DenseNet, tc: TransformConfig) -> None:
-    """Write the nets f and g and their transform as the npz of :data:`MODEL_KEYS`;
-    raises ``ValueError``, before any byte is written, for a net whose clamp
-    overflows the transform: :func:`load_model` would refuse that file."""
-    nets = (net_f, net_g)
-    for net in nets:
-        validate_transform_clamp(tc, net.clamp)
+def save_model(path, net: DenseNet, tc: TransformConfig) -> None:
+    """Write the net and its transform as the npz of :data:`MODEL_KEYS`; raises
+    ``ValueError``, before any byte is written, when the net's clamp overflows
+    the transform: :func:`load_model` would refuse that file."""
+    validate_transform_clamp(tc, net.clamp)
     with Path(path).open("wb") as fh:
         np.savez(fh, transform=np.array([tc.a, tc.b, tc.gamma], np.float64),
-                 clamps=np.array([net.clamp for net in nets], np.float64),
-                 activations=np.array([ACTIVATIONS.index(n.activation) for n in nets], np.int64),
-                 f_sizes=np.array(net_f.layer_sizes, np.int64), f_params=net_f.flat,
-                 g_sizes=np.array(net_g.layer_sizes, np.int64), g_params=net_g.flat)
+                 clamp=np.float64(net.clamp),
+                 activation=np.int64(ACTIVATIONS.index(net.activation)),
+                 sizes=np.array(net.layer_sizes, np.int64), params=net.flat)
 
 
 def load_model(path):
-    """``(net_f, net_g, tc)`` from a :func:`save_model` file; raises naming the
-    path, and the npz key when a member is at fault."""
+    """``(net, tc)`` from a :func:`save_model` file; raises naming the path,
+    and the npz key when a member is at fault."""
     path = Path(path)
     with _opened(path) as (fh, magic, size):
         if not magic.startswith(ZIP_MAGIC):
@@ -417,19 +414,17 @@ def load_model(path):
         with _open_npz(fh, path, MODEL_KEYS, MODEL_KEYS) as npz:
             read = partial(_member, npz, path, size)
             transform = read("transform", np.float64, (3,)).tolist()
-            clamps = read("clamps", np.float64, (2,)).tolist()
-            codes = read("activations", np.int64, (2,)).tolist()
-            sizes = {k: read(f"{k}_sizes", np.int64, (None,)).tolist() for k in "fg"}
-            params = [read(f"{k}_params", np.float64, (param_count(s),)) for k, s in sizes.items()]
+            clamp = read("clamp", np.float64, ()).item()
+            code = read("activation", np.int64, ()).item()
+            sizes = read("sizes", np.int64, (None,)).tolist()
+            params = read("params", np.float64, (param_count(sizes),))
     try:
         tc = TransformConfig(*transform)
-        nets = [DenseNet.from_flat(*spec) for spec in zip(
-            sizes.values(), map(dict(enumerate(ACTIVATIONS)).get, codes), clamps, params)]
-        for net in nets:
-            validate_transform_clamp(tc, net.clamp)
+        net = DenseNet.from_flat(sizes, dict(enumerate(ACTIVATIONS)).get(code), clamp, params)
+        validate_transform_clamp(tc, net.clamp)
     except ValueError as exc:
         raise DataFormatError(f"{path}: corrupt model file ({exc})") from exc
-    return (*nets, tc)
+    return net, tc
 
 
 def sidecar_path(path) -> Path:

@@ -23,7 +23,7 @@ from idgp.cli import (
     main,
     parse_config_file,
 )
-from idgp.data import load_dataset, load_model, read_sidecar, save_model, write_dataset
+from idgp.data import MODEL_KEYS, load_dataset, load_model, read_sidecar, save_model, write_dataset
 from idgp.evaluation import read_report_csv
 from idgp.generation import make_clean_dataset
 from idgp.network import DenseNet, TransformConfig
@@ -132,6 +132,17 @@ class TestCorrupt:
                      "--mode", "instance", "--seed", "3", "--scorer-epochs", "2"]) == 0
         assert read_sidecar(out)["params"]["scorer"] == {
             "hidden": 64, "clamp": 20.0, "epochs": 2, "lr": 0.1, "seed": 3}
+
+    # the uniform-mode flags are checked before the data is read
+    @pytest.mark.parametrize("p_flag", [[], ["--p", "1.5"], ["--p", "0"]],
+                             ids=["p_missing", "p_1.5", "p_0"])
+    def test_bad_p_exits_2_before_reading_data(self, tmp_path, capsys, p_flag):
+        out = tmp_path / "x.pll"
+        assert main(["corrupt", "--data", str(tmp_path / "missing.pll"), "--out", str(out),
+                     "--mode", "uniform", *p_flag]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--p" in err and "cannot read" not in err
+        assert not out.exists()
 
     def test_missing_input_exits_1(self, tmp_path):
         code = main(["corrupt", "--data", str(tmp_path / "nope.pll"),
@@ -302,17 +313,14 @@ class TestTrainEval:
 
     def test_eval_dimension_mismatch_exits_3(self, tmp_path, corrupted_path):
         model = tmp_path / "m.bin"
-        f = DenseNet([2, 4, 5], rng=np.random.default_rng(0))
-        g = DenseNet([2, 4, 10], rng=np.random.default_rng(1))
-        save_model(model, f, g, TransformConfig())
+        save_model(model, DenseNet([2, 4, 5], rng=np.random.default_rng(0)), TransformConfig())
         code = main(["eval", "--model", str(model), "--data",
                      str(corrupted_path), "--out", str(tmp_path / "m.csv")])
         assert code == EXIT_INVARIANT
 
     def test_eval_class_count_mismatch_names_both_counts(self, tmp_path, clean_path, capsys):
         model = tmp_path / "m.bin"
-        save_model(model, DenseNet([2, 4, 5], rng=np.random.default_rng(0)),
-                   DenseNet([2, 4, 10], rng=np.random.default_rng(1)), TransformConfig())
+        save_model(model, DenseNet([2, 4, 5], rng=np.random.default_rng(0)), TransformConfig())
         assert main(["eval", "--model", str(model), "--data", str(clean_path),
                      "--out", str(tmp_path / "m.csv")]) == EXIT_INVARIANT
         assert "model predicts 5 classes, dataset has 3" in capsys.readouterr().err
@@ -320,8 +328,7 @@ class TestTrainEval:
 
     def test_eval_into_malformed_csv_exits_1_unchanged(self, tmp_path, clean_path, capsys):
         model = tmp_path / "m.bin"
-        save_model(model, DenseNet([2, 4, 3], rng=np.random.default_rng(0)),
-                   DenseNet([2, 4, 6], rng=np.random.default_rng(1)), TransformConfig())
+        save_model(model, DenseNet([2, 4, 3], rng=np.random.default_rng(0)), TransformConfig())
         metrics = tmp_path / "m.csv"
         metrics.write_text("method,dataset\nidgp,toy\n")
         assert main(["eval", "--model", str(model), "--data", str(clean_path),
@@ -347,6 +354,23 @@ class TestTrainEval:
         assert main(["train", "--data", str(data), "--out-dir", str(out_dir)]) == EXIT_INVARIANT
         assert "error: val split is empty for n=4" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    # a file where the output directory or one of its parents must be is
+    # refused before the data is read and the fit runs, and is left as it was
+    @pytest.mark.parametrize("below", ["", "run"], ids=["out_dir", "parent"])
+    def test_out_dir_through_a_file_exits_2_before_the_fit(self, tmp_path, corrupted_path,
+                                                           capsys, monkeypatch, below):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(idgp.trainer, "fit", no_fit)
+        file = tmp_path / "taken"
+        file.write_bytes(b"not a directory\n")
+        out_dir = file / below
+        assert main(["train", "--data", str(corrupted_path),
+                     "--out-dir", str(out_dir)]) == EXIT_USAGE
+        assert f"--out-dir {out_dir}: a file stands where" in capsys.readouterr().err
+        assert file.read_bytes() == b"not a directory\n"
 
     def test_unaddressable_header_c_exits_1(self, tmp_path, capsys):
         data = tmp_path / "huge.pll"
@@ -467,17 +491,18 @@ class TestConfigFile:
 
 class TestModelFile:
     def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        f = DenseNet([3, 8, 4], clamp=5.0, rng=rng)
-        g = DenseNet([3, 8, 8], activation="identity", clamp=7.0, rng=rng)
+        net = DenseNet([3, 8, 4], activation="identity", clamp=5.0,
+                       rng=np.random.default_rng(4))
         tc = TransformConfig(a=2.0, b=0.5, gamma=1.5)
         path = tmp_path / "model.bin"
-        save_model(path, f, g, tc)
-        f2, g2, tc2 = load_model(path)
+        save_model(path, net, tc)
+        with np.load(path, allow_pickle=False) as npz:
+            assert npz.files == list(MODEL_KEYS)
+        back, tc2 = load_model(path)
         assert tc2 == tc
-        assert f2.layer_sizes == f.layer_sizes and f2.clamp == 5.0
-        assert g2.activation == "identity"
-        for a, b in zip(f.weights + f.biases, f2.weights + f2.biases):
+        assert back.layer_sizes == net.layer_sizes and back.clamp == 5.0
+        assert back.activation == "identity"
+        for a, b in zip(net.weights + net.biases, back.weights + back.biases):
             assert np.array_equal(a, b)
 
     def test_magic_check(self, tmp_path):
@@ -495,41 +520,54 @@ class TestModelFile:
                 in capsys.readouterr().err)
         assert not (tmp_path / "x.csv").exists()
 
-    # f is [2, 4, 3] (27 parameters) and g [2, 4, 6]; a dict replaces members,
-    # and an int cuts the file to that many bytes (a negative one from its end)
+    def test_two_net_npz_layout_exits_1_naming_key(self, tmp_path, clean_path, capsys):
+        # the earlier npz model file held f and g in seven members
+        path, out = tmp_path / "model.bin", tmp_path / "x.csv"
+        f = DenseNet([2, 4, 3], rng=np.random.default_rng(0))
+        g = DenseNet([2, 4, 6], rng=np.random.default_rng(1))
+        with path.open("wb") as fh:
+            np.savez(fh, transform=np.array([1.0, 0.0, 1.0]), clamps=np.array([20.0, 20.0]),
+                     activations=np.array([0, 0]), f_sizes=np.array(f.layer_sizes),
+                     f_params=f.flat, g_sizes=np.array(g.layer_sizes), g_params=g.flat)
+        assert main(["eval", "--model", str(path), "--data", str(clean_path),
+                     "--out", str(out)]) == 1
+        assert f"{path}: missing key 'clamp'" in capsys.readouterr().err
+        assert not out.exists()
+
+    # the net is [2, 4, 3] (27 parameters); a dict replaces members, and an
+    # int cuts the file to that many bytes (a negative one from its end)
     @pytest.mark.parametrize("change, message", [
         pytest.param(10, "zip: unreadable", id="cut_10"),
         pytest.param(40, "zip: unreadable", id="cut_40"),
         pytest.param(-8, "zip: unreadable", id="cut_8_short"),
-        pytest.param({"activations": np.array([7, 0])},
+        pytest.param({"activation": np.int64(7)},
                      "corrupt model file (activation must be one of", id="activation_7"),
         pytest.param({"transform": np.array([0.0, 0.0, 1.0])},
                      "corrupt model file (a must be finite", id="transform_a_0"),
         pytest.param({"transform": np.array([1.0, 0.0, np.inf])},
                      "corrupt model file (gamma must be finite", id="transform_gamma_inf"),
-        pytest.param({"clamps": np.array([-3.0, 20.0])},
+        pytest.param({"clamp": np.float64(-3.0)},
                      "corrupt model file (clamp bound must be strictly positive", id="clamp_neg"),
-        pytest.param({"clamps": np.array([0.0, 20.0])},
+        pytest.param({"clamp": np.float64(0.0)},
                      "corrupt model file (clamp bound must be strictly positive", id="clamp_0"),
-        pytest.param({"clamps": np.array([np.nan, 20.0])},
+        pytest.param({"clamp": np.float64(np.nan)},
                      "corrupt model file (clamp bound must be strictly positive", id="clamp_nan"),
         # exp(1000) overflows the a=1, gamma=1 transform
-        pytest.param({"clamps": np.array([1000.0, 20.0])},
+        pytest.param({"clamp": np.float64(1000.0)},
                      "corrupt model file (a*exp(A/gamma)+b overflows", id="clamp_overflows"),
-        pytest.param({"f_params": np.r_[np.nan, np.zeros(26)]},
+        pytest.param({"params": np.r_[np.nan, np.zeros(26)]},
                      "corrupt model file (weights and biases must be finite", id="weight_nan"),
-        pytest.param({"f_sizes": np.array([2 ** 32 - 1, 2 ** 32 - 1, 3])},
-                     "f_params: shape (27,), expected (18446744082299486208,)", id="sizes_huge"),
-        # a well-formed f of sizes [2, 0, 3], which holds only its 3 last biases
-        pytest.param({"f_sizes": np.array([2, 0, 3]), "f_params": np.zeros(3)},
+        pytest.param({"sizes": np.array([2 ** 32 - 1, 2 ** 32 - 1, 3])},
+                     "params: shape (27,), expected (18446744082299486208,)", id="sizes_huge"),
+        # a well-formed net of sizes [2, 0, 3], which holds only its 3 last biases
+        pytest.param({"sizes": np.array([2, 0, 3]), "params": np.zeros(3)},
                      "corrupt model file (layer sizes must be at least 1", id="size_zero"),
         pytest.param(b"junk", None, id="trailing_bytes"),
     ])
     def test_corrupt_model_exits_1(self, tmp_path, clean_path, capsys, change, message):
         path, out = tmp_path / "model.bin", tmp_path / "x.csv"
-        nets = (DenseNet([2, 4, 3], rng=np.random.default_rng(0)),
-                DenseNet([2, 4, 6], rng=np.random.default_rng(1)))
-        save_model(path, *nets, TransformConfig())
+        net = DenseNet([2, 4, 3], rng=np.random.default_rng(0))
+        save_model(path, net, TransformConfig())
         if isinstance(change, bytes):
             # bytes after the zip archive are skipped, by the model and the
             # npz dataset reader alike, as every member is still checked
@@ -539,8 +577,7 @@ class TestModelFile:
                 file.write_bytes(file.read_bytes() + change)
             assert main(["eval", "--model", str(path), "--data", str(data),
                          "--out", str(out)]) == 0
-            for net, back in zip(nets, load_model(path)):
-                assert np.array_equal(back.flat, net.flat)
+            assert np.array_equal(load_model(path)[0].flat, net.flat)
             return
         if isinstance(change, int):
             path.write_bytes(path.read_bytes()[:change])

@@ -62,28 +62,23 @@ def datasets(draw):
 
 @st.composite
 def models(draw):
-    q = draw(st.integers(1, 4))
-    c = draw(st.integers(2, 4))
-    hidden = draw(st.lists(st.integers(1, 5), max_size=2))
-    nets = []
-    for out in (c, 2 * c):
-        sizes = [q, *hidden, out]
-        activation = draw(st.sampled_from(["relu", "identity"]))
-        clamp = draw(st.floats(1e-3, 1e3))
-        size = param_count(sizes)
-        flat = draw(st.lists(finite, min_size=size, max_size=size))
-        nets.append(DenseNet.from_flat(sizes, activation, clamp, flat))
+    """A net and its transform, as :func:`save_model` takes them."""
+    sizes = [draw(st.integers(1, 4)), *draw(st.lists(st.integers(1, 5), max_size=2)),
+             draw(st.integers(2, 4))]
+    activation = draw(st.sampled_from(["relu", "identity"]))
+    clamp = draw(st.floats(1e-3, 1e3))
+    size = param_count(sizes)
+    flat = draw(st.lists(finite, min_size=size, max_size=size))
     tc = TransformConfig(a=draw(st.floats(1e-3, 1e3)), b=draw(st.floats(0.0, 1e3)),
                          gamma=draw(st.floats(1e-3, 1e3)))
-    return (*nets, tc)
+    return DenseNet.from_flat(sizes, activation, clamp, flat), tc
 
 
 def _overflows(model) -> bool:
-    """Whether the transform overflows at a net's clamp; ``save_model`` refuses such a model."""
-    tc = model[2]
+    """Whether the transform overflows at the net's clamp; ``save_model`` refuses such a model."""
+    net, tc = model
     with np.errstate(over="ignore"):
-        return any(not np.isfinite(tc.a * np.exp(net.clamp / tc.gamma) + tc.b)
-                   for net in model[:2])
+        return not np.isfinite(tc.a * np.exp(net.clamp / tc.gamma) + tc.b)
 
 
 def _bits(a):
@@ -118,10 +113,10 @@ def damaged_datasets(draw, name):
 
 @st.composite
 def damaged_models(draw):
-    f, g, tc = draw(models().filter(lambda model: not _overflows(model)))
+    model = draw(models().filter(lambda model: not _overflows(model)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.bin"
-        save_model(path, f, g, tc)
+        save_model(path, *model)
         return _damaged(path.read_bytes(), draw)
 
 
@@ -137,22 +132,23 @@ EDGE_FLOATS = st.sampled_from([0.0, -0.0, -1.0, 1.0, np.nan, np.inf, -np.inf, 5e
 @st.composite
 def rewritten_models(draw):
     """A valid model file with one member rewritten by ``np.savez`` with drawn values."""
-    f, g, tc = draw(models().filter(lambda model: not _overflows(model)))
+    model = draw(models().filter(lambda model: not _overflows(model)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.bin"
-        save_model(path, f, g, tc)
+        save_model(path, *model)
         with np.load(path, allow_pickle=False) as npz:
             members = {key: npz[key] for key in npz.files}
         key = draw(st.sampled_from(sorted(members)))
         values = members[key].copy()
         for _ in range(draw(st.integers(1, 3))):
             at = draw(st.integers(0, values.size - 1))
-            values[at] = draw(EDGE_INTS if values.dtype == np.int64 else EDGE_FLOATS)
-        if key.endswith("_sizes"):
+            # .flat reaches the one entry of the 0-d clamp and activation too
+            values.flat[at] = draw(EDGE_INTS if values.dtype == np.int64 else EDGE_FLOATS)
+        if key == "sizes":
             values = values[:draw(st.integers(0, values.size))]
             count = param_count(values.tolist())
             if 0 <= count <= 256 and draw(st.booleans()):  # so the sizes reach the net checks
-                members[f"{key[0]}_params"] = np.zeros(count)
+                members["params"] = np.zeros(count)
         members[key] = values
         with path.open("wb") as fh:  # a file name would gain the suffix .npz
             np.savez(fh, **members)
@@ -201,12 +197,12 @@ def test_model_roundtrip_is_bitwise(model):
         back = load_model(path)
         save_model(again, *back)
         assert again.read_bytes() == path.read_bytes()
-    assert back[2] == model[2]
-    for net, net_back in zip(model[:2], back[:2]):
-        assert net_back.layer_sizes == net.layer_sizes
-        assert net_back.activation == net.activation and net_back.clamp == net.clamp
-        for a, b in zip(net.weights + net.biases, net_back.weights + net_back.biases):
-            assert np.array_equal(_bits(a), _bits(b))
+    (net, tc), (net_back, tc_back) = model, back
+    assert tc_back == tc
+    assert net_back.layer_sizes == net.layer_sizes
+    assert net_back.activation == net.activation and net_back.clamp == net.clamp
+    for a, b in zip(net.weights + net.biases, net_back.weights + net_back.biases):
+        assert np.array_equal(_bits(a), _bits(b))
 
 
 @PROPERTY
