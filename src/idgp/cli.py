@@ -121,7 +121,17 @@ def write_manifest(path, command: str, config: dict, seed: int, inputs, outputs)
 
 # -- subcommands ------------------------------------------------------------
 
+def _check_out(out) -> None:
+    """Refuse an ``--out`` that is a directory or whose parent directory does not exist."""
+    out = Path(out)
+    if out.is_dir():
+        raise UsageError(f"--out {out} is a directory")
+    if not out.parent.is_dir():
+        raise UsageError(f"--out {out}: no directory {out.parent}")
+
+
 def cmd_corrupt(args) -> int:
+    _check_out(args.out)
     sidecar = sidecar_path(args.out).resolve()
     for flag, value in (("--out", args.out), ("--data", args.data)):
         if Path(value).resolve() == sidecar:  # the sidecar is written last, over it
@@ -187,6 +197,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_out(args.out)
     net, tc = load_model(args.model)
     ds = load_dataset(args.data)
     acc = evaluation.accuracy(net, ds, tc)
@@ -231,6 +242,7 @@ def cmd_report(args) -> int:
     stray = [flag for flag in ("data", "config", "seed") if getattr(args, flag) is not None]
     if stray and not (args.sweep_a or args.sweep_gamma):
         raise UsageError(f"--{stray[0]} applies only to a sensitivity sweep")
+    _check_out(args.out)
     if args.history:
         rows = []
         for hist_path in args.history:  # by path: every train run writes history.jsonl

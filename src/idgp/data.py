@@ -39,8 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DataFormatError, DataInvariantError
-from .network import (ACTIVATIONS, DenseNet, TransformConfig, param_count,
-                      validate_transform_clamp)
+from .network import DenseNet, TransformConfig, param_count, validate_transform_clamp
 
 # the first bytes of a zip archive, so of every npz file
 ZIP_MAGIC = b"PK\x03\x04"
@@ -48,7 +47,7 @@ ZIP_MAGIC = b"PK\x03\x04"
 # (n, c) and int64 "labels" (n,), 0-indexed and present only when known
 NPZ_KEYS = ("dims", "features", "mask", "labels")
 # model npz members, as :func:`save_model` writes them for the net f
-MODEL_KEYS = ("transform", "clamp", "activation", "sizes", "params")
+MODEL_KEYS = ("transform", "clamp", "sizes", "params")
 # what a damaged zip archive or .npy member can raise while it is read
 _NPZ_ERRORS = (OSError, EOFError, ValueError, TypeError, KeyError, RuntimeError,
                SyntaxError, tokenize.TokenError, zipfile.BadZipFile, zlib.error, lzma.LZMAError)
@@ -398,9 +397,8 @@ def save_model(path, net: DenseNet, tc: TransformConfig) -> None:
     validate_transform_clamp(tc, net.clamp)
     with Path(path).open("wb") as fh:
         np.savez(fh, transform=np.array([tc.a, tc.b, tc.gamma], np.float64),
-                 clamp=np.float64(net.clamp),
-                 activation=np.int64(ACTIVATIONS.index(net.activation)),
-                 sizes=np.array(net.layer_sizes, np.int64), params=net.flat)
+                 clamp=np.float64(net.clamp), sizes=np.array(net.layer_sizes, np.int64),
+                 params=net.flat)
 
 
 def load_model(path):
@@ -415,12 +413,11 @@ def load_model(path):
             read = partial(_member, npz, path, size)
             transform = read("transform", np.float64, (3,)).tolist()
             clamp = read("clamp", np.float64, ()).item()
-            code = read("activation", np.int64, ()).item()
             sizes = read("sizes", np.int64, (None,)).tolist()
             params = read("params", np.float64, (param_count(sizes),))
     try:
         tc = TransformConfig(*transform)
-        net = DenseNet.from_flat(sizes, dict(enumerate(ACTIVATIONS)).get(code), clamp, params)
+        net = DenseNet.from_flat(sizes, clamp, params)
         validate_transform_clamp(tc, net.clamp)
     except ValueError as exc:
         raise DataFormatError(f"{path}: corrupt model file ({exc})") from exc

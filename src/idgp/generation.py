@@ -35,7 +35,6 @@ from .rng import substream, uniform_rows
 MODE_INSTANCE = "instance_dependent"
 MODE_UNIFORM = "uniform"
 
-SCORER_ACTIVATION = "relu"
 SCORER_BATCH_SIZE = 64
 SCORER_MOMENTUM = 0.9
 
@@ -173,8 +172,8 @@ def train_clean_scorer(ds: PLLDataset, config: CleanScorerConfig | None = None):
     """
     config = config or CleanScorerConfig()
     labels = _require_clean(ds)
-    net = DenseNet(layer_sizes(ds.q, config.hidden, ds.c), activation=SCORER_ACTIVATION,
-                   clamp=config.clamp, rng=substream(config.seed, "init", 0))
+    net = DenseNet(layer_sizes(ds.q, config.hidden, ds.c), config.clamp,
+                   rng=substream(config.seed, "init", 0))
     state = SGDState(lr=config.lr, momentum=SCORER_MOMENTUM)
     onehot = np.zeros((ds.n, ds.c))
     onehot[np.arange(ds.n), labels] = 1.0

@@ -176,8 +176,7 @@ def _well_conditioned_net(rng, sizes, x=None):
     A given input ``x`` is kept and only the net is redrawn.
     """
     for _ in range(_MAX_TRIES):
-        net = DenseNet(sizes, activation="relu", clamp=_HARNESS_CLAMP,
-                       rng=np.random.default_rng(rng.integers(2 ** 63)))
+        net = DenseNet(sizes, _HARNESS_CLAMP, rng=np.random.default_rng(rng.integers(2 ** 63)))
         x_try = rng.normal(size=sizes[0]) if x is None else x
         if _margins_ok(net, x_try):
             return net, x_try

@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import NumericError
 
-ACTIVATIONS = ("relu", "identity")
-
 
 @dataclass(frozen=True)
 class TransformConfig:
@@ -97,7 +95,7 @@ def layer_sizes(q: int, hidden: int, out: int) -> list:
     return [q, out] if hidden == 0 else [q, hidden, out]
 
 
-def _check_net_spec(layer_sizes, activation: str, clamp: float) -> tuple:
+def _check_net_spec(layer_sizes, clamp: float) -> tuple:
     """The layer sizes as a tuple of ints, once the net spec is known valid."""
     sizes = tuple(int(s) for s in layer_sizes)
     if len(sizes) < 2:
@@ -108,8 +106,6 @@ def _check_net_spec(layer_sizes, activation: str, clamp: float) -> tuple:
         # numpy reports a byte count past the address space as a ValueError
         if fan_in * fan_out > np.iinfo(np.intp).max // 8:
             raise MemoryError(f"a {fan_in} x {fan_out} weight matrix cannot be allocated")
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"activation must be one of {ACTIVATIONS}")
     if not (clamp > 0.0):
         raise ValueError("clamp bound must be strictly positive")
     return sizes
@@ -135,32 +131,30 @@ def _unflatten(layer_sizes, flat: np.ndarray):
 
 
 class DenseNet:
-    """Fully connected scorer; hidden activations relu or identity.
+    """Fully connected scorer with relu hidden layers; two layer sizes give a linear net.
 
     Parameters are 64-bit; the final linear output is hard-clamped to
     [-clamp, clamp] and gradients do not flow through clamped coordinates.
     Weights and biases start uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)].
     """
 
-    def __init__(self, layer_sizes, activation: str = "relu", clamp: float = 20.0,
-                 rng: np.random.Generator | None = None):
-        sizes = _check_net_spec(layer_sizes, activation, clamp)
-        rng = rng if rng is not None else np.random.default_rng()
+    def __init__(self, layer_sizes, clamp: float = 20.0, *, rng: np.random.Generator):
+        sizes = _check_net_spec(layer_sizes, clamp)
         # one draw per layer: its weights in row-major order, then its biases
-        self._bind(sizes, activation, clamp, np.concatenate([
+        self._bind(sizes, clamp, np.concatenate([
             rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in),
                         size=fan_in * fan_out + fan_out)
             for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]))
 
     @classmethod
-    def from_flat(cls, layer_sizes, activation: str, clamp: float, flat) -> "DenseNet":
+    def from_flat(cls, layer_sizes, clamp: float, flat) -> "DenseNet":
         """The net whose :meth:`get_flat` vector is ``flat``, under the checks of ``__init__``.
 
         A (K, P) stack of such vectors gives K nets that :meth:`forward` runs
         at once: layer i then holds weights (K, in, out) and biases (K, 1, out).
         Every entry must be finite.  The layers are views of ``flat``.
         """
-        sizes = _check_net_spec(layer_sizes, activation, clamp)
+        sizes = _check_net_spec(layer_sizes, clamp)
         flat = np.asarray(flat, dtype=np.float64)
         expected = param_count(sizes)
         if flat.shape[-1] != expected:
@@ -168,13 +162,12 @@ class DenseNet:
         if not np.isfinite(flat).all():
             raise ValueError("weights and biases must be finite")
         net = cls.__new__(cls)
-        net._bind(sizes, activation, clamp, flat)
+        net._bind(sizes, clamp, flat)
         return net
 
-    def _bind(self, sizes, activation: str, clamp: float, flat: np.ndarray) -> None:
+    def _bind(self, sizes, clamp: float, flat: np.ndarray) -> None:
         # ``flat`` is the one parameter store; the layers are views of it
         self.layer_sizes = sizes
-        self.activation = activation
         self.clamp = float(clamp)
         self.flat = flat
         self.weights, self.biases = _unflatten(sizes, flat)
@@ -211,8 +204,7 @@ class DenseNet:
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
             h = h @ W
             h += b
-            if self.activation == "relu":
-                np.maximum(h, 0.0, out=h)
+            np.maximum(h, 0.0, out=h)
             inputs.append(h)
         scores = h @ self.weights[-1]
         scores += self.biases[-1]
@@ -235,8 +227,7 @@ class DenseNet:
             parts[:0] = [(cache["inputs"][i].T @ g).ravel(), g.sum(axis=0)]
             if i > 0:
                 g = g @ self.weights[i].T
-                if self.activation == "relu":
-                    g *= cache["inputs"][i] > 0.0
+                g *= cache["inputs"][i] > 0.0
         # joined at the end: a (P,) buffer held through the loop made wide nets slower
         return np.concatenate(parts)
 
@@ -249,7 +240,7 @@ class DenseNet:
 
     def stacked(self, rows: np.ndarray) -> "DenseNet":
         """K nets of this spec, one per row of a (K, P) stack of :meth:`get_flat` vectors."""
-        return DenseNet.from_flat(self.layer_sizes, self.activation, self.clamp, rows)
+        return DenseNet.from_flat(self.layer_sizes, self.clamp, rows)
 
 
 @dataclass

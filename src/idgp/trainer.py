@@ -54,7 +54,6 @@ from .distributions import (
 from .errors import NumericError
 from .evaluation import SplitSpec, accuracy, split
 from .network import (
-    ACTIVATIONS,
     DenseNet,
     SGDState,
     TransformConfig,
@@ -99,7 +98,6 @@ class TrainConfig:
     epsilon: float = 1e-3
     rho: float = 10.0
     hidden: int = 64
-    activation: str = "relu"
     seed: int = 0
     ml_only: bool = False
     val_fraction: float = 0.1
@@ -127,8 +125,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must not exceed epochs")
         if self.hidden < 0:
             raise ValueError("hidden width must be nonnegative (0 means linear)")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if not (0.0 <= self.val_fraction < 1.0):
             raise ValueError("val_fraction must lie in [0, 1)")
         if self.seed < 0:
@@ -217,8 +213,8 @@ class TrainerState:
 
 
 def init_state(config: TrainConfig, dataset: PLLDataset) -> TrainerState:
-    f, g = (DenseNet(layer_sizes(dataset.q, config.hidden, out), activation=config.activation,
-                     clamp=config.clamp, rng=substream(config.seed, "init", k))
+    f, g = (DenseNet(layer_sizes(dataset.q, config.hidden, out), config.clamp,
+                     rng=substream(config.seed, "init", k))
             for k, out in enumerate((dataset.c, 2 * dataset.c)))
     return TrainerState(
         config=config,

@@ -12,6 +12,7 @@ import pytest
 
 import idgp
 import idgp.distributions
+import idgp.generation
 import idgp.objective
 import idgp.trainer
 from idgp import cli
@@ -143,6 +144,33 @@ class TestCorrupt:
         err = capsys.readouterr().err
         assert "--p" in err and "cannot read" not in err
         assert not out.exists()
+
+    # corrupt, eval and report each write one file into an existing directory
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["corrupt", "--mode", "instance"], id="corrupt_instance"),
+        pytest.param(["corrupt", "--mode", "uniform", "--p", "0.3"], id="corrupt_uniform"),
+        pytest.param(["eval", "--model", "missing.bin"], id="eval"),
+        pytest.param(["report", "--sweep-a", "1", "--sweep-gamma", "1"], id="report_sweep"),
+    ])
+    @pytest.mark.parametrize("out", ["nodir/x.pll", "."], ids=["no_parent", "directory"])
+    def test_bad_out_exits_2_before_reading_data(self, tmp_path, monkeypatch, capsys,
+                                                 argv, out):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--data", "missing.pll", "--out", out]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"--out {out}" in err and "cannot read" not in err
+        assert not Path("nodir").exists()
+
+    def test_bad_out_exits_2_before_the_scorer_trains(self, tmp_path, clean_path,
+                                                      monkeypatch):
+        def train_clean_scorer(*args, **kwargs):
+            raise AssertionError("the clean scorer trained")
+
+        monkeypatch.setattr(idgp.generation, "train_clean_scorer", train_clean_scorer)
+        out = tmp_path / "nodir" / "x.pll"
+        assert main(["corrupt", "--data", str(clean_path), "--out", str(out),
+                     "--mode", "instance"]) == EXIT_USAGE
+        assert not out.parent.exists()
 
     def test_missing_input_exits_1(self, tmp_path):
         code = main(["corrupt", "--data", str(tmp_path / "nope.pll"),
@@ -426,6 +454,15 @@ class TestConfigFile:
         assert code == EXIT_USAGE
         assert "lerning_rate" in capsys.readouterr().err
 
+    def test_activation_key_is_unknown(self, tmp_path, corrupted_path, capsys):
+        # every hidden layer is relu: a config may not name even that one value
+        cfg = tiny_config(tmp_path, activation="relu")
+        out_dir = tmp_path / "x"
+        assert main(["train", "--data", str(corrupted_path), "--config", str(cfg),
+                     "--out-dir", str(out_dir)]) == EXIT_USAGE
+        assert "unknown config key 'activation'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_types_and_comments(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("# comment\nepochs=7\nml_only=true\na=0.5\nr=2\nq=2\n")
@@ -471,8 +508,8 @@ class TestConfigFile:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("key, value", [
-        ("activation", "tanh"), ("weight_decay", "nan"), ("lr_f", "inf"), ("lr_g", "inf"),
-        ("epsilon", "inf"), ("rho", "inf"), ("a", "inf"), ("b", "inf"), ("gamma", "inf")])
+        ("weight_decay", "nan"), ("lr_f", "inf"), ("lr_g", "inf"), ("epsilon", "inf"),
+        ("rho", "inf"), ("a", "inf"), ("b", "inf"), ("gamma", "inf")])
     def test_out_of_domain_value_exits_2(self, tmp_path, corrupted_path, capsys,
                                          key, value):
         cfg = tiny_config(tmp_path, **{key: value})
@@ -491,8 +528,7 @@ class TestConfigFile:
 
 class TestModelFile:
     def test_roundtrip(self, tmp_path):
-        net = DenseNet([3, 8, 4], activation="identity", clamp=5.0,
-                       rng=np.random.default_rng(4))
+        net = DenseNet([3, 8, 4], clamp=5.0, rng=np.random.default_rng(4))
         tc = TransformConfig(a=2.0, b=0.5, gamma=1.5)
         path = tmp_path / "model.bin"
         save_model(path, net, tc)
@@ -501,7 +537,6 @@ class TestModelFile:
         back, tc2 = load_model(path)
         assert tc2 == tc
         assert back.layer_sizes == net.layer_sizes and back.clamp == 5.0
-        assert back.activation == "identity"
         for a, b in zip(net.weights + net.biases, back.weights + back.biases):
             assert np.array_equal(a, b)
 
@@ -534,14 +569,25 @@ class TestModelFile:
         assert f"{path}: missing key 'clamp'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_activation_member_exits_1_naming_key(self, tmp_path, clean_path, capsys):
+        # the earlier model file also held the hidden activation's code
+        path, out = tmp_path / "model.bin", tmp_path / "x.csv"
+        save_model(path, DenseNet([2, 4, 3], rng=np.random.default_rng(0)), TransformConfig())
+        with np.load(path, allow_pickle=False) as npz:
+            members = dict(npz)
+        write_npz(path, transform=members["transform"], clamp=members["clamp"],
+                  activation=np.int64(0), sizes=members["sizes"], params=members["params"])
+        assert main(["eval", "--model", str(path), "--data", str(clean_path),
+                     "--out", str(out)]) == 1
+        assert f"{path}: unexpected key 'activation'" in capsys.readouterr().err
+        assert not out.exists()
+
     # the net is [2, 4, 3] (27 parameters); a dict replaces members, and an
     # int cuts the file to that many bytes (a negative one from its end)
     @pytest.mark.parametrize("change, message", [
         pytest.param(10, "zip: unreadable", id="cut_10"),
         pytest.param(40, "zip: unreadable", id="cut_40"),
         pytest.param(-8, "zip: unreadable", id="cut_8_short"),
-        pytest.param({"activation": np.int64(7)},
-                     "corrupt model file (activation must be one of", id="activation_7"),
         pytest.param({"transform": np.array([0.0, 0.0, 1.0])},
                      "corrupt model file (a must be finite", id="transform_a_0"),
         pytest.param({"transform": np.array([1.0, 0.0, np.inf])},

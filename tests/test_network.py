@@ -37,15 +37,13 @@ class TestForward:
         assert np.array_equal(scores, np.zeros(2))
 
     def test_single_linear_layer_is_affine(self):
-        net = DenseNet([2, 3], activation="identity", clamp=100.0,
-                       rng=np.random.default_rng(1))
+        net = DenseNet([2, 3], clamp=100.0, rng=np.random.default_rng(1))
         x = np.array([0.5, -1.5])
         scores, _ = net.forward(x)
         assert np.allclose(scores, x @ net.weights[0] + net.biases[0], rtol=1e-15)
 
     def test_clamp_is_exact(self):
-        net = DenseNet([1, 1], activation="identity", clamp=4.0,
-                       rng=np.random.default_rng(2))
+        net = DenseNet([1, 1], clamp=4.0, rng=np.random.default_rng(2))
         net.weights[0][:] = 8.0
         net.biases[0][:] = 0.0
         scores, _ = net.forward(np.array([1.0]))  # pre-clamp 8 = 2A
@@ -81,13 +79,13 @@ class TestForward:
     def test_unallocatable_layer_is_memory_error(self):
         # refused by the spec check, before any weight is drawn
         with pytest.raises(MemoryError, match="weight matrix cannot be allocated"):
-            DenseNet([2 ** 31, 2 ** 31])
+            DenseNet([2 ** 31, 2 ** 31], rng=np.random.default_rng(0))
 
     def test_zero_layer_size_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
-            DenseNet([2, 0, 3])
+            DenseNet([2, 0, 3], rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="at least 1"):
-            DenseNet.from_flat([2, 0, 3], "relu", 1.0, np.zeros(3))
+            DenseNet.from_flat([2, 0, 3], 1.0, np.zeros(3))
 
     def test_nonfinite_input_rejected(self):
         net = DenseNet([2, 2], rng=np.random.default_rng(4))
@@ -95,9 +93,8 @@ class TestForward:
             net.forward(np.array([np.inf, 0.0]))
 
     def test_from_flat_rebuilds_net_bitwise(self):
-        net = DenseNet([3, 5, 2], activation="identity", clamp=4.0,
-                       rng=np.random.default_rng(9))
-        again = DenseNet.from_flat(net.layer_sizes, "identity", 4.0, net.get_flat())
+        net = DenseNet([3, 5, 2], clamp=4.0, rng=np.random.default_rng(9))
+        again = DenseNet.from_flat(net.layer_sizes, 4.0, net.get_flat())
         assert again.layer_sizes == net.layer_sizes and again.clamp == 4.0
         for a, b in zip(net.weights + net.biases, again.weights + again.biases):
             assert a.shape == b.shape and np.array_equal(a, b)
@@ -176,8 +173,7 @@ class TestTransform:
 
 class TestBackward:
     def test_linear_gradient_is_outer_product(self):
-        net = DenseNet([3, 2], activation="identity", clamp=50.0,
-                       rng=np.random.default_rng(7))
+        net = DenseNet([3, 2], clamp=50.0, rng=np.random.default_rng(7))
         x = np.array([1.0, 2.0, -1.0])
         g = np.array([0.5, -0.25])
         _, cache = net.forward(x)
@@ -186,8 +182,7 @@ class TestBackward:
         assert np.allclose(grad_b[0], g, rtol=1e-15)
 
     def test_clamped_coordinate_gets_zero_gradient(self):
-        net = DenseNet([1, 2], activation="identity", clamp=1.0,
-                       rng=np.random.default_rng(8))
+        net = DenseNet([1, 2], clamp=1.0, rng=np.random.default_rng(8))
         net.weights[0][:] = np.array([[5.0, 0.1]])
         net.biases[0][:] = 0.0
         _, cache = net.forward(np.array([1.0]))
@@ -240,7 +235,7 @@ def _textbook_forward(net, x):
         inputs.append(h)
         pre = h @ W + b
         preacts.append(pre)
-        h = np.maximum(pre, 0.0) if net.activation == "relu" else pre
+        h = np.maximum(pre, 0.0)
     inputs.append(h)
     pre_out = h @ net.weights[-1] + net.biases[-1]
     scores = np.clip(pre_out, -net.clamp, net.clamp)
@@ -248,7 +243,7 @@ def _textbook_forward(net, x):
 
 
 def _textbook_backward(net, x, grad_scores):
-    """Reverse mode written with explicit clamp and activation-derivative masks."""
+    """Reverse mode written with explicit clamp and relu-derivative masks."""
     _, inputs, preacts, pre_out = _textbook_forward(net, x)
     g = np.atleast_2d(np.asarray(grad_scores, dtype=np.float64)).copy()
     g *= np.abs(pre_out) < net.clamp
@@ -257,24 +252,21 @@ def _textbook_backward(net, x, grad_scores):
         parts[:0] = [(inputs[i].T @ g).ravel(), g.sum(axis=0)]
         if i > 0:
             pre = preacts[i - 1]
-            act_grad = ((pre > 0.0).astype(np.float64) if net.activation == "relu"
-                        else np.ones_like(pre))
-            g = (g @ net.weights[i].T) * act_grad
+            g = (g @ net.weights[i].T) * (pre > 0.0).astype(np.float64)
     return np.concatenate(parts)
 
 
-PARITY_NETS = [((5, 7, 3), "relu"), ((5, 7, 3), "identity"), ((5, 3), "relu"),
-               ((5, 6, 4, 3), "relu")]
+PARITY_SIZES = [(5, 7, 3), (5, 3), (5, 6, 4, 3)]
 
 
 class TestTextbookParity:
     """The in-place forward, backward and transform are bitwise the formulas they implement."""
 
-    @pytest.mark.parametrize("sizes, activation", PARITY_NETS)
+    @pytest.mark.parametrize("sizes", PARITY_SIZES)
     @pytest.mark.parametrize("shape", [(5,), (6, 5)])
-    def test_forward_and_backward(self, sizes, activation, shape):
+    def test_forward_and_backward(self, sizes, shape):
         rng = np.random.default_rng(21)
-        net = DenseNet(sizes, activation=activation, clamp=0.6, rng=rng)
+        net = DenseNet(sizes, clamp=0.6, rng=rng)
         x = rng.normal(size=shape) * 2.0
         x_before = x.copy()
         scores, cache = net.forward(x)
@@ -291,10 +283,10 @@ class TestTextbookParity:
                               _bits(_textbook_backward(net, x, grad)))
         assert np.array_equal(_bits(x), _bits(x_before))
 
-    @pytest.mark.parametrize("sizes, activation", PARITY_NETS)
-    def test_stacked_forward(self, sizes, activation):
+    @pytest.mark.parametrize("sizes", PARITY_SIZES)
+    def test_stacked_forward(self, sizes):
         rng = np.random.default_rng(22)
-        net = DenseNet(sizes, activation=activation, clamp=0.6, rng=rng)
+        net = DenseNet(sizes, clamp=0.6, rng=rng)
         stack = net.stacked(net.get_flat() + rng.normal(scale=0.3, size=(4, net.flat.size)))
         X = rng.normal(size=(6, sizes[0])) * 2.0
         scores, cache = stack.forward(X)
@@ -305,8 +297,7 @@ class TestTextbookParity:
             assert np.array_equal(_bits(got), _bits(want))
 
     def test_score_exactly_at_clamp_gets_zero_gradient(self):
-        net = DenseNet([1, 3], activation="identity", clamp=2.0,
-                       rng=np.random.default_rng(23))
+        net = DenseNet([1, 3], clamp=2.0, rng=np.random.default_rng(23))
         net.weights[0][:] = [[1.0, -1.0, 0.5]]
         net.biases[0][:] = 0.0
         x = np.array([2.0])
@@ -317,8 +308,7 @@ class TestTextbookParity:
         assert np.array_equal(_bits(grad), _bits(_textbook_backward(net, x, np.ones(3))))
 
     def test_relu_kink_gets_zero_gradient(self):
-        net = DenseNet([1, 2, 1], activation="relu", clamp=50.0,
-                       rng=np.random.default_rng(24))
+        net = DenseNet([1, 2, 1], clamp=50.0, rng=np.random.default_rng(24))
         net.weights[0][:] = [[1.0, 1.0]]
         net.biases[0][:] = [-1.0, 0.0]  # first hidden unit exactly at its kink
         x = np.array([1.0])
@@ -414,8 +404,7 @@ class TestSGD:
         return np.array([w, b])  # the flat layout of a [1, 1] net: W[0, 0], then b[0]
 
     def _net(self):
-        net = DenseNet([1, 1], activation="identity", clamp=10.0,
-                       rng=np.random.default_rng(10))
+        net = DenseNet([1, 1], clamp=10.0, rng=np.random.default_rng(10))
         net.weights[0][:] = 1.0
         net.biases[0][:] = 0.0
         return net

@@ -65,13 +65,12 @@ def models(draw):
     """A net and its transform, as :func:`save_model` takes them."""
     sizes = [draw(st.integers(1, 4)), *draw(st.lists(st.integers(1, 5), max_size=2)),
              draw(st.integers(2, 4))]
-    activation = draw(st.sampled_from(["relu", "identity"]))
     clamp = draw(st.floats(1e-3, 1e3))
     size = param_count(sizes)
     flat = draw(st.lists(finite, min_size=size, max_size=size))
     tc = TransformConfig(a=draw(st.floats(1e-3, 1e3)), b=draw(st.floats(0.0, 1e3)),
                          gamma=draw(st.floats(1e-3, 1e3)))
-    return DenseNet.from_flat(sizes, activation, clamp, flat), tc
+    return DenseNet.from_flat(sizes, clamp, flat), tc
 
 
 def _overflows(model) -> bool:
@@ -121,8 +120,8 @@ def damaged_models(draw):
 
 
 # values at and past the bounds of each model member check: layer sizes of
-# zero and near 2**31, 2**32 and 2**63, activation codes outside ACTIVATIONS,
-# clamps and transform constants that are <= 0, NaN, infinite or overflowing
+# zero and near 2**31, 2**32 and 2**63, and clamps and transform constants
+# that are <= 0, NaN, infinite or overflowing
 EDGE_INTS = st.sampled_from([0, 1, 2, -1, 2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32,
                              2 ** 32 + 1, 2 ** 62, 2 ** 63 - 1, -2 ** 63])
 EDGE_FLOATS = st.sampled_from([0.0, -0.0, -1.0, 1.0, np.nan, np.inf, -np.inf, 5e-324,
@@ -142,7 +141,7 @@ def rewritten_models(draw):
         values = members[key].copy()
         for _ in range(draw(st.integers(1, 3))):
             at = draw(st.integers(0, values.size - 1))
-            # .flat reaches the one entry of the 0-d clamp and activation too
+            # .flat reaches the one entry of the 0-d clamp too
             values.flat[at] = draw(EDGE_INTS if values.dtype == np.int64 else EDGE_FLOATS)
         if key == "sizes":
             values = values[:draw(st.integers(0, values.size))]
@@ -200,7 +199,7 @@ def test_model_roundtrip_is_bitwise(model):
     (net, tc), (net_back, tc_back) = model, back
     assert tc_back == tc
     assert net_back.layer_sizes == net.layer_sizes
-    assert net_back.activation == net.activation and net_back.clamp == net.clamp
+    assert net_back.clamp == net.clamp
     for a, b in zip(net.weights + net.biases, net_back.weights + net_back.biases):
         assert np.array_equal(_bits(a), _bits(b))
 
