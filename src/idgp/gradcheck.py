@@ -7,10 +7,11 @@ i.e. relative for large gradients and absolute near zero, and instances
 are resampled until they sit away from the clamp and relu kinks that make
 finite differences meaningless.  One routine, :func:`central_difference`,
 gives every numeric derivative: the gradient of a scalar function or the
-Jacobian of a vector one.  It passes the 2n points x +- h e_i of an
-n-coordinate x to the function as stacks of up to 64, so each coordinate
-keeps its own difference but a check makes a few calls, not 2n; the network
-checks run each stack as one :meth:`DenseNet.stacked` net.
+Jacobian of a vector one.  It passes all 2n points x +- h e_i of an
+n-coordinate x to the function in one call, so each coordinate keeps its own
+difference but a check makes one call, not 2n; given flat ``coords`` it moves
+only those.  Each network check runs all its perturbed copies of a net as one
+:meth:`DenseNet.stacked` net.
 
 The checks deliberately call through the module objects (``objective.``,
 ``distributions.``, ``trainer.``) rather than binding functions at import
@@ -39,28 +40,28 @@ _KINK_MARGIN = 1e-3  # least |preactivation| a drawn net may have
 _SCORE_BOUND = 4.0  # far below the clamp: the FD step stays off every clamp and floor
 _FORWARD_WIDTH = 16  # hidden width of the bare-network check
 _MAP_ROWS = 3  # batch rows of the MAP check: more than one exercises the 1/B mean
-_FD_CHUNK = 64  # most points handed to one call of the differenced function
 
 
-def central_difference(fun, x: np.ndarray) -> np.ndarray:
+def central_difference(fun, x: np.ndarray, coords=None) -> np.ndarray:
     """Central differences of ``fun`` at ``x``, shaped ``fun(x).shape + x.shape``.
 
     The gradient of a scalar function, the Jacobian of a vector one.  ``fun``
     takes a stack of m points, shaped ``(m,) + x.shape``, and returns one
-    value per point, shaped ``(m,) + fun(x).shape``.  The 2 ``x.size`` points
-    x + h e_i and x - h e_i, h = ``FD_STEP``, go to it in chunks of at most 64.
+    value per point, shaped ``(m,) + fun(x).shape``.  All 2n points
+    x + h e_i and x - h e_i, h = ``FD_STEP``, go to it in one call.  Given
+    ``coords``, only those n flat coordinates of ``x`` move, and the result
+    is shaped ``fun(x).shape + (n,)``; else every coordinate moves.
     """
     x = np.asarray(x, dtype=np.float64)
-    n = x.size
-    values = []
-    for start in range(0, 2 * n, _FD_CHUNK):
-        k = np.arange(start, min(start + _FD_CHUNK, 2 * n))  # point k moves x_{k mod n}
-        points = np.tile(x.ravel(), (k.size, 1))
-        points[np.arange(k.size), k % n] += np.where(k < n, FD_STEP, -FD_STEP)
-        values.append(np.asarray(fun(points.reshape((-1,) + x.shape))))
-    values = np.concatenate(values)
-    diff = (values[:n] - values[n:]) / (2.0 * FD_STEP)
-    return np.moveaxis(diff, 0, -1).reshape(diff.shape[1:] + x.shape)
+    full = coords is None
+    coords = np.arange(x.size) if full else np.asarray(coords)
+    n = coords.size
+    points = np.repeat(x.reshape(1, -1), 2 * n, axis=0)  # point k moves coords[k mod n]
+    points[np.arange(n), coords] += FD_STEP
+    points[np.arange(n, 2 * n), coords] -= FD_STEP
+    values = np.asarray(fun(points.reshape((2 * n,) + x.shape)))
+    diff = np.moveaxis((values[:n] - values[n:]) / (2.0 * FD_STEP), 0, -1)
+    return diff.reshape(diff.shape[:-1] + x.shape) if full else diff
 
 
 def rel_error(a, b) -> float:
@@ -158,16 +159,10 @@ def _net_error(net, analytic, coords, loss) -> float:
     """``analytic`` vs FD over the flat parameters ``coords`` of ``net``.
 
     ``loss(nets)`` takes K stacked copies of ``net`` with perturbed
-    parameters and returns their K loss values.
+    parameters and returns their K loss values; one stack holds every copy.
     """
-    flat0 = net.get_flat()
-
-    def perturbed(sub):
-        rows = np.tile(flat0, (len(sub), 1))
-        rows[:, coords] = sub
-        return loss(net.stacked(rows))
-
-    return rel_error(analytic[coords], central_difference(perturbed, flat0[coords]))
+    numeric = central_difference(lambda rows: loss(net.stacked(rows)), net.get_flat(), coords)
+    return rel_error(analytic[coords], numeric)
 
 
 def _well_conditioned_net(rng, sizes, x=None):

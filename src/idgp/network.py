@@ -138,7 +138,7 @@ class DenseNet:
     Weights and biases start uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)].
     """
 
-    def __init__(self, layer_sizes, clamp: float = 20.0, *, rng: np.random.Generator):
+    def __init__(self, layer_sizes, clamp: float, *, rng: np.random.Generator):
         sizes = _check_net_spec(layer_sizes, clamp)
         # one draw per layer: its weights in row-major order, then its biases
         self._bind(sizes, clamp, np.concatenate([

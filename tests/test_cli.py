@@ -341,14 +341,14 @@ class TestTrainEval:
 
     def test_eval_dimension_mismatch_exits_3(self, tmp_path, corrupted_path):
         model = tmp_path / "m.bin"
-        save_model(model, DenseNet([2, 4, 5], rng=np.random.default_rng(0)), TransformConfig())
+        save_model(model, DenseNet([2, 4, 5], clamp=20.0, rng=np.random.default_rng(0)), TransformConfig())
         code = main(["eval", "--model", str(model), "--data",
                      str(corrupted_path), "--out", str(tmp_path / "m.csv")])
         assert code == EXIT_INVARIANT
 
     def test_eval_class_count_mismatch_names_both_counts(self, tmp_path, clean_path, capsys):
         model = tmp_path / "m.bin"
-        save_model(model, DenseNet([2, 4, 5], rng=np.random.default_rng(0)), TransformConfig())
+        save_model(model, DenseNet([2, 4, 5], clamp=20.0, rng=np.random.default_rng(0)), TransformConfig())
         assert main(["eval", "--model", str(model), "--data", str(clean_path),
                      "--out", str(tmp_path / "m.csv")]) == EXIT_INVARIANT
         assert "model predicts 5 classes, dataset has 3" in capsys.readouterr().err
@@ -356,7 +356,7 @@ class TestTrainEval:
 
     def test_eval_into_malformed_csv_exits_1_unchanged(self, tmp_path, clean_path, capsys):
         model = tmp_path / "m.bin"
-        save_model(model, DenseNet([2, 4, 3], rng=np.random.default_rng(0)), TransformConfig())
+        save_model(model, DenseNet([2, 4, 3], clamp=20.0, rng=np.random.default_rng(0)), TransformConfig())
         metrics = tmp_path / "m.csv"
         metrics.write_text("method,dataset\nidgp,toy\n")
         assert main(["eval", "--model", str(model), "--data", str(clean_path),
@@ -558,8 +558,8 @@ class TestModelFile:
     def test_two_net_npz_layout_exits_1_naming_key(self, tmp_path, clean_path, capsys):
         # the earlier npz model file held f and g in seven members
         path, out = tmp_path / "model.bin", tmp_path / "x.csv"
-        f = DenseNet([2, 4, 3], rng=np.random.default_rng(0))
-        g = DenseNet([2, 4, 6], rng=np.random.default_rng(1))
+        f = DenseNet([2, 4, 3], clamp=20.0, rng=np.random.default_rng(0))
+        g = DenseNet([2, 4, 6], clamp=20.0, rng=np.random.default_rng(1))
         with path.open("wb") as fh:
             np.savez(fh, transform=np.array([1.0, 0.0, 1.0]), clamps=np.array([20.0, 20.0]),
                      activations=np.array([0, 0]), f_sizes=np.array(f.layer_sizes),
@@ -572,7 +572,7 @@ class TestModelFile:
     def test_activation_member_exits_1_naming_key(self, tmp_path, clean_path, capsys):
         # the earlier model file also held the hidden activation's code
         path, out = tmp_path / "model.bin", tmp_path / "x.csv"
-        save_model(path, DenseNet([2, 4, 3], rng=np.random.default_rng(0)), TransformConfig())
+        save_model(path, DenseNet([2, 4, 3], clamp=20.0, rng=np.random.default_rng(0)), TransformConfig())
         with np.load(path, allow_pickle=False) as npz:
             members = dict(npz)
         write_npz(path, transform=members["transform"], clamp=members["clamp"],
@@ -612,7 +612,7 @@ class TestModelFile:
     ])
     def test_corrupt_model_exits_1(self, tmp_path, clean_path, capsys, change, message):
         path, out = tmp_path / "model.bin", tmp_path / "x.csv"
-        net = DenseNet([2, 4, 3], rng=np.random.default_rng(0))
+        net = DenseNet([2, 4, 3], clamp=20.0, rng=np.random.default_rng(0))
         save_model(path, net, TransformConfig())
         if isinstance(change, bytes):
             # bytes after the zip archive are skipped, by the model and the

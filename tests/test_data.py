@@ -445,7 +445,7 @@ class TestNpz:
     def test_every_damaged_byte_raises_only_package_errors(self, tmp_path, compression):
         path, load = tmp_path / "d.npz", load_dataset
         if compression is None:
-            save_model(path, DenseNet([1, 2], rng=np.random.default_rng(0)), TransformConfig())
+            save_model(path, DenseNet([1, 2], clamp=20.0, rng=np.random.default_rng(0)), TransformConfig())
             load = load_model
         else:
             write_npz(path, compression, **self.GOOD)

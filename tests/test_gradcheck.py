@@ -23,7 +23,7 @@ from idgp.trainer import TrainConfig, aux_gradient, forward_f, forward_g, map_st
 
 def test_central_difference_matches_closed_form_jacobian():
     rng = np.random.default_rng(0)
-    x = rng.uniform(-1.0, 1.0, size=(5, 8))  # 80 points: more than one chunk
+    x = rng.uniform(-1.0, 1.0, size=(5, 8))
     seen = []
 
     def fun(points):  # sin(x) * x[0, 0], one (5, 8) value per point
@@ -37,8 +37,7 @@ def test_central_difference_matches_closed_form_jacobian():
         analytic[j, k, 0, 0] += np.sin(x[j, k])
     assert numeric.shape == x.shape + x.shape
     assert np.max(np.abs(numeric - analytic)) < 1e-9
-    assert sum(m for m, *_ in seen) == 2 * x.size
-    assert all(m <= 64 and rest == list(x.shape) for m, *rest in seen)
+    assert seen == [(2 * x.size,) + x.shape]  # every point in one call
 
 
 def test_central_difference_of_scalar_function_is_gradient():
@@ -46,6 +45,35 @@ def test_central_difference_of_scalar_function_is_gradient():
     numeric = central_difference(lambda p: (p ** 3).sum(axis=-1) / 3.0, x)
     assert numeric.shape == x.shape
     assert np.max(np.abs(numeric - x ** 2)) < 1e-9
+
+
+def test_central_difference_on_coords_equals_full_difference_there():
+    rng = np.random.default_rng(3)
+    net = DenseNet([3, 6, 4], clamp=20.0, rng=rng)
+    x, v = rng.normal(size=(2, 3)), rng.normal(size=4)
+
+    def loss(rows):
+        return (net.stacked(rows).forward(x)[0] @ v).sum(axis=-1)
+
+    coords = rng.choice(net.flat.size, size=17, replace=False)
+    full = central_difference(loss, net.get_flat())
+    assert np.array_equal(central_difference(loss, net.get_flat(), coords), full[coords])
+
+
+@pytest.mark.parametrize("check, stacks", [
+    (check_forward, 1),
+    (lambda rng: check_map_end_to_end(rng, c=5, width=16), 2),  # f and g: 133+ coordinates
+], ids=["forward", "map_loss"])
+def test_each_checked_net_is_differenced_in_one_stacked_net(monkeypatch, check, stacks):
+    real, built = DenseNet.stacked, []
+
+    def spy(self, rows):
+        built.append(len(rows))
+        return real(self, rows)
+
+    monkeypatch.setattr(DenseNet, "stacked", spy)
+    assert check(np.random.default_rng(5)) <= TOLERANCE
+    assert len(built) == stacks
 
 
 def test_offset_in_backward_fails_check_forward(monkeypatch):

@@ -28,7 +28,7 @@ from idgp.network import (
 
 class TestForward:
     def test_zero_weights_give_zero_scores(self):
-        net = DenseNet([3, 8, 2], rng=np.random.default_rng(0))
+        net = DenseNet([3, 8, 2], clamp=20.0, rng=np.random.default_rng(0))
         for W in net.weights:
             W[:] = 0.0
         for b in net.biases:
@@ -51,7 +51,7 @@ class TestForward:
 
     def test_batch_matches_per_example(self):
         rng = np.random.default_rng(3)
-        net = DenseNet([4, 6, 3], rng=rng)
+        net = DenseNet([4, 6, 3], clamp=20.0, rng=rng)
         X = rng.normal(size=(5, 4))
         batch, _ = net.forward(X)
         singles = np.stack([net.forward(x)[0] for x in X])
@@ -60,7 +60,7 @@ class TestForward:
 
     def test_stacked_forward_matches_each_member_bitwise(self):
         rng = np.random.default_rng(7)
-        nets = [DenseNet([4, 6, 3], rng=rng) for _ in range(5)]
+        nets = [DenseNet([4, 6, 3], clamp=20.0, rng=rng) for _ in range(5)]
         stack = nets[0].stacked(np.stack([net.get_flat() for net in nets]))
         X = rng.normal(size=(7, 4))
         scores, _ = stack.forward(X)
@@ -69,7 +69,7 @@ class TestForward:
             assert np.array_equal(scores[k], net.forward(X)[0])
 
     def test_stacked_inverts_get_flat(self):
-        net = DenseNet([3, 5, 2], rng=np.random.default_rng(8))
+        net = DenseNet([3, 5, 2], clamp=20.0, rng=np.random.default_rng(8))
         one = net.stacked(net.get_flat()[None])
         for W, b, W1, b1 in zip(net.weights, net.biases, one.weights, one.biases):
             assert np.array_equal(W1[0], W) and np.array_equal(b1[0, 0], b)
@@ -79,16 +79,16 @@ class TestForward:
     def test_unallocatable_layer_is_memory_error(self):
         # refused by the spec check, before any weight is drawn
         with pytest.raises(MemoryError, match="weight matrix cannot be allocated"):
-            DenseNet([2 ** 31, 2 ** 31], rng=np.random.default_rng(0))
+            DenseNet([2 ** 31, 2 ** 31], clamp=20.0, rng=np.random.default_rng(0))
 
     def test_zero_layer_size_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
-            DenseNet([2, 0, 3], rng=np.random.default_rng(0))
+            DenseNet([2, 0, 3], clamp=20.0, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="at least 1"):
             DenseNet.from_flat([2, 0, 3], 1.0, np.zeros(3))
 
     def test_nonfinite_input_rejected(self):
-        net = DenseNet([2, 2], rng=np.random.default_rng(4))
+        net = DenseNet([2, 2], clamp=20.0, rng=np.random.default_rng(4))
         with pytest.raises(NumericError):
             net.forward(np.array([np.inf, 0.0]))
 
@@ -101,14 +101,14 @@ class TestForward:
 
     def test_loaded_net_weights_are_writable(self, tmp_path):
         path = tmp_path / "model.bin"
-        save_model(path, DenseNet([2, 4, 3], rng=np.random.default_rng(0)), TransformConfig())
+        save_model(path, DenseNet([2, 4, 3], clamp=20.0, rng=np.random.default_rng(0)), TransformConfig())
         net, _ = load_model(path)
         for p in net.weights + net.biases:
             p += 1.0  # an SGD step updates the loaded arrays in place
 
     def test_init_draws_weights_then_biases_per_layer(self):
         sizes = [3, 5, 2]
-        net = DenseNet(sizes, rng=np.random.default_rng(11))
+        net = DenseNet(sizes, clamp=20.0, rng=np.random.default_rng(11))
         rng = np.random.default_rng(11)
         for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
             bound = 1.0 / np.sqrt(fan_in)
@@ -117,13 +117,13 @@ class TestForward:
             assert np.array_equal(net.weights[i], W) and np.array_equal(net.biases[i], b)
 
     def test_init_deterministic_given_seed(self):
-        a = DenseNet([3, 5, 2], rng=np.random.default_rng(42))
-        b = DenseNet([3, 5, 2], rng=np.random.default_rng(42))
+        a = DenseNet([3, 5, 2], clamp=20.0, rng=np.random.default_rng(42))
+        b = DenseNet([3, 5, 2], clamp=20.0, rng=np.random.default_rng(42))
         for Wa, Wb in zip(a.weights, b.weights):
             assert np.array_equal(Wa, Wb)
 
     def test_init_within_fan_in_bound(self):
-        net = DenseNet([16, 8, 4], rng=np.random.default_rng(5))
+        net = DenseNet([16, 8, 4], clamp=20.0, rng=np.random.default_rng(5))
         assert np.max(np.abs(net.weights[0])) <= 1.0 / 4.0
         assert np.max(np.abs(net.weights[1])) <= 1.0 / np.sqrt(8.0)
 
@@ -192,7 +192,7 @@ class TestBackward:
 
     def test_batch_gradient_is_sum_of_per_example(self):
         rng = np.random.default_rng(9)
-        net = DenseNet([4, 5, 3], rng=rng)
+        net = DenseNet([4, 5, 3], clamp=20.0, rng=rng)
         X = rng.normal(size=(6, 4))
         G = rng.normal(size=(6, 3))
         _, cache = net.forward(X)
@@ -337,7 +337,7 @@ class TestTextbookParity:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_input_and_scores_rejected(self, bad):
-        net = DenseNet([3, 4, 2], rng=np.random.default_rng(26))
+        net = DenseNet([3, 4, 2], clamp=20.0, rng=np.random.default_rng(26))
         for shape in [(3,), (2, 3)]:
             x = np.zeros(shape)
             x.flat[-1] = bad
@@ -382,7 +382,7 @@ class TestAllocationBudget:
 
     def test_forward_keeps_one_array_per_layer(self):
         rng = np.random.default_rng(28)
-        net = DenseNet([128, 256, 100], rng=rng)
+        net = DenseNet([128, 256, 100], clamp=20.0, rng=rng)
         X = rng.normal(size=(4000, 128))
         live, peak = self._traced(lambda: net.forward(X))
         budget = 1.05 * 8 * (4000 * 256 + 4000 * 100)
@@ -443,7 +443,7 @@ class TestSGD:
 
     def test_step_updates_layers_through_flat(self):
         rng = np.random.default_rng(13)
-        net = DenseNet([3, 4, 2], rng=rng)
+        net = DenseNet([3, 4, 2], clamp=20.0, rng=rng)
         before = net.get_flat()
         grad = rng.normal(size=before.size)
         sgd_step(SGDState(lr=0.1, momentum=0.9), net, grad)
