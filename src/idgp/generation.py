@@ -18,6 +18,12 @@ sigmoid(g_j(x)) from a separately trained clean scorer; the uniform mode
 uses one constant flip probability.  Either way the correct label always
 stays in the set, and a set that would cover all labels loses one
 uniformly chosen incorrect member so it remains a strict subset.
+
+Both modes draw from one stream, ``substream(seed, "corrupt")``, in rows of
+c + 1 uniforms: row i's first c are its flips, and its last, u, drops the
+wrong label at index floor(u (c - 1)) among the c - 1 in label order when
+the set came out full.  So corrupting the first k rows of a dataset gives
+the first k rows of its whole corruption.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 from .data import PLLDataset, candidate_mask
 from .errors import DataInvariantError, NumericError
 from .network import DenseNet, SGDState, layer_sizes, sgd_step
-from .rng import substream, uniform_rows
+from .rng import substream
 
 MODE_INSTANCE = "instance_dependent"
 MODE_UNIFORM = "uniform"
@@ -120,14 +126,13 @@ def _corrupt(ds: PLLDataset, flip_probs: np.ndarray | float, seed: int, mode: st
              params: dict):
     labels = _require_clean(ds)
     n, c = ds.n, ds.c
-    # row i's flips are the first c uniforms of substream(seed, "corrupt", i)
-    mask = uniform_rows(seed, "corrupt", n, c) < flip_probs
+    # row i reads c + 1 uniforms: its c flips, then the pick of a full set's dropped label
+    u = substream(seed, "corrupt").random((n, c + 1))
+    mask = u[:, :c] < flip_probs
     mask[np.arange(n), labels] = True
-    for i in np.flatnonzero(mask.all(axis=1)).tolist():
-        gen = substream(seed, "corrupt", i)
-        gen.random(c)  # the row's flips, drawn above
-        wrong = np.flatnonzero(np.arange(c) != labels[i])
-        mask[i, wrong[gen.integers(wrong.size)]] = False
+    full = np.flatnonzero(mask.all(axis=1))
+    k = (u[full, c] * (c - 1)).astype(np.int64)  # floor: the k-th wrong label, in label order
+    mask[full, k + (k >= labels[full])] = False
     corrupted = PLLDataset(features=ds.features.copy(), mask=mask, c=c, true_labels=labels.copy())
     occ = corrupted.occurrence_matrix()
     avg_set_size = float(occ.sum(axis=1).mean())

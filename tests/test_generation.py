@@ -68,18 +68,18 @@ class TestDensity:
 
 class TestInstanceDependentCorruption:
     def test_seeded_trace_matches_hand_rule(self):
-        # row i flips label k when the k-th uniform of substream(seed, "corrupt", i)
-        # falls below its probability; a full set then loses the wrong label at
-        # index integers(c - 1) of that substream, drawn after its c uniforms
+        # row i reads c + 1 uniforms of the one stream substream(seed, "corrupt"):
+        # label k joins when the k-th falls below its probability, and a full set
+        # then loses the wrong label at index floor(u * (c - 1)) of the last, u
         def hand_rule(ds, probs, seed):
+            u = substream(seed, "corrupt").random((ds.n, ds.c + 1))
             mask = np.zeros((ds.n, ds.c), dtype=bool)
             for i, label in enumerate(ds.true_labels.tolist()):
-                gen = substream(seed, "corrupt", i)
-                members = gen.random(ds.c) < probs[i]
+                members = u[i, :ds.c] < probs[i]
                 members[label] = True
                 if members.all():
                     wrong = sorted(set(range(ds.c)) - {label})
-                    members[wrong[gen.integers(len(wrong))]] = False
+                    members[wrong[int(u[i, ds.c] * (ds.c - 1))]] = False
                 mask[i] = members
             return mask
 
@@ -92,7 +92,8 @@ class TestInstanceDependentCorruption:
         # at c=3 and p=0.95 most sets come out full, so most rows drop a label
         ds = blobs(seed=4, n_per=100, c=3)
         out, _ = corrupt_uniform(ds, 0.95, 6)
-        full = [np.delete(substream(6, "corrupt", i).random(3) < 0.95, label).all()
+        u = substream(6, "corrupt").random((ds.n, 4))
+        full = [np.delete(u[i, :3] < 0.95, label).all()
                 for i, label in enumerate(ds.true_labels.tolist())]
         assert np.mean(full) > 0.8
         assert np.array_equal(out.mask, hand_rule(ds, np.full((ds.n, ds.c), 0.95), 6))
@@ -127,6 +128,17 @@ class TestInstanceDependentCorruption:
                 assert len(s) == size
                 assert int(ds.true_labels[i]) in s
             assert report.avg_set_size == pytest.approx(size)
+        # with every set full, each true label's c - 1 wrong labels are dropped
+        # equally often: 1/4 at c=5, where 0.03 is over 4 standard deviations
+        n, c = 20000, 5
+        labels = np.arange(n) % c
+        ds = make_clean_dataset(np.zeros((n, 1)), labels, c)
+        out, _ = corrupt_instance_dependent(ds, np.full((n, c), 50.0), 6)
+        assert np.count_nonzero(out.mask, axis=1).tolist() == [c - 1] * n
+        for label in range(c):
+            dropped = 1.0 - out.mask[labels == label].mean(axis=0)
+            assert dropped[label] == 0.0
+            assert np.abs(np.delete(dropped, label) - 1 / (c - 1)).max() <= 0.03
 
     def test_reproducible_given_seed(self):
         ds = blobs(seed=4)
@@ -191,6 +203,23 @@ class TestUniformCorruption:
             for i, s in enumerate(out.candidates):
                 assert int(ds.true_labels[i]) in s
                 assert 1 <= len(s) <= ds.c - 1
+
+    @pytest.mark.parametrize("mode", ("uniform", "instance"))
+    def test_prefix_corrupts_as_the_whole(self, mode):
+        # row i reads only its own c + 1 uniforms of the stream, so the first k
+        # rows corrupt the same alone as within the whole dataset; at c=4 about
+        # a fifth of the sets come out full and drop a label
+        ds = blobs(seed=16)
+        scores = np.random.default_rng(17).normal(size=(ds.n, ds.c)) * 2.0
+
+        def corrupt(rows):
+            if mode == "uniform":
+                return corrupt_uniform(ds.subset(rows), 0.6, 5)[0].mask
+            return corrupt_instance_dependent(ds.subset(rows), scores[rows], 5)[0].mask
+
+        whole = corrupt(np.arange(ds.n))
+        for k in (1, ds.n - 1):
+            assert np.array_equal(corrupt(np.arange(k)), whole[:k])
 
     def test_p_out_of_range(self):
         ds = blobs(seed=10)

@@ -514,7 +514,9 @@ class TestTrainingLoop:
         cfg = small_config(epochs=200, batch_size=64, r=5, q=5, lr_f=2e-2,
                            lr_g=2e-2)
         _, _, history = fit(cfg, ds)
-        assert history[-1]["train_loss"] < history[0]["train_loss"]
+        # train_loss holds a prior that moves with the fit and can rise while
+        # it improves; the ML term alone is the progress signal
+        assert history[-1]["ml_loss"] < history[0]["ml_loss"]
 
     def test_history_record_shape(self):
         ds = toy_dataset()
