@@ -7,6 +7,8 @@ then updates the auxiliary network g with the main network f fixed
 (sub-step 2, :func:`map_step_batch`).  f does not change before the
 batch's last update, so its one batch-start forward serves the refresh and
 both sub-steps; g runs again after its update: three forwards per batch.
+The concavity upper bound on the loss trains nothing and only feeds the
+epoch record's ``bound_gap``, so it runs on each epoch's first batch alone.
 
 A forward (:func:`forward_f`, :func:`forward_g`) computes once each array
 its sub-step reads, and a sub-step evaluates only what it applies.  Both
@@ -348,16 +350,18 @@ def map_step_batch(fwd_f: ForwardF, fwd_g: ForwardG, tc: TransformConfig,
     return MapStep(values, ml_v, reg_v, grads_f)
 
 
-def _train_batch(state: TrainerState, t: int, idx: np.ndarray):
+def _train_batch(state: TrainerState, t: int, idx: np.ndarray, bound: bool):
     """Both alternating sub-steps on the rows ``idx`` of epoch ``t``, in three forwards.
 
     f is fixed until the batch's last update, so its batch-start forward
     (with log theta and the candidate mask) serves the prior refresh, both
     sub-steps, the bound and f's backward.  g's batch-start forward serves
     the refresh and g's update; g then runs once more for the main sub-step
-    and the bound.  Returns the MAP loss values of the rows after the
+    and the bound.  The bound trains nothing and is evaluated only when
+    ``bound`` is true.  Returns the MAP loss values of the rows after the
     auxiliary update, their likelihood and prior parts, their upper-bound
-    values and the batch's live and frozen prior parameters.
+    values (None when ``bound`` is false) and the batch's live and frozen
+    prior parameters.
     """
     cfg = state.config
     tc = cfg.transform_config
@@ -377,15 +381,13 @@ def _train_batch(state: TrainerState, t: int, idx: np.ndarray):
     del fwd_g
 
     # Sub-step 2: auxiliary branch (just updated) fixed, main branch updated;
-    # of g's second forward the bound reads only z's logs, alpha and beta.
+    # g's second forward is freed before f's backward.
     fwd_g = forward_g(state.g, X, tc, O)
     step = map_step_batch(fwd_f, fwd_g, tc, O, prior)
-    zl, alpha, beta = fwd_g.zl, fwd_g.alpha, fwd_g.beta
+    bounds = _upper_bound(fwd_f.log_theta, fwd_g.zl, fwd_f.lam, fwd_g.alpha, fwd_g.beta,
+                          O, fwd_f.cand, cfg.rho).value if bound else None
     del fwd_g
     sgd_step(state.opt_f, state.f, step.grads_f(), cfg.weight_decay)
-
-    bounds = _upper_bound(fwd_f.log_theta, zl, fwd_f.lam, alpha, beta,
-                          O, fwd_f.cand, cfg.rho).value
     return step.values, step.ml_values, step.reg_values, bounds, priors
 
 
@@ -393,18 +395,21 @@ def train_epoch(state: TrainerState, t: int,
                batch_hook: Optional[Callable[[dict], None]] = None) -> dict:
     """One pass over the shuffled dataset; returns the epoch metrics record.
 
-    A numeric failure in a batch names its epoch and batch, and a non-finite
-    loss also the dataset index of its row.
+    The losses are means over the epoch's batches.  ``bound_gap`` is the
+    first batch's alone (bound minus loss, per row), so it describes the
+    nets as the epoch starts, and the bound, a diagnostic that trains
+    nothing, runs once per epoch.  A numeric failure in a batch names its
+    epoch and batch, and a non-finite loss also the dataset index of its row.
     """
     cfg = state.config
     tc = cfg.transform_config
     ds = state.dataset
     order = substream(cfg.seed, "shuffle", t).permutation(ds.n)
-    losses, ml_losses, reg_losses, gaps = [], [], [], []
+    losses, ml_losses, reg_losses = [], [], []
     for k, start in enumerate(range(0, ds.n, cfg.batch_size)):
         idx = order[start:start + cfg.batch_size]
         try:
-            values, ml_v, reg_v, bounds, priors = _train_batch(state, t, idx)
+            values, ml_v, reg_v, bounds, priors = _train_batch(state, t, idx, bound=k == 0)
         except NumericError as exc:
             raise NumericError(f"epoch {t}, batch {k}: {exc}") from exc
         if not np.isfinite(values).all():
@@ -412,7 +417,8 @@ def train_epoch(state: TrainerState, t: int,
             raise NumericError(f"non-finite loss at epoch {t}, batch {k}, instance {bad}")
         rows = len(idx)
         batch_loss = float(values.sum()) / rows
-        gaps.append(float(bounds.sum()) / rows - batch_loss)
+        if bounds is not None:
+            gap = float(bounds.sum()) / rows - batch_loss
         losses.append(batch_loss)
         ml_losses.append(float(ml_v.sum()) / rows)
         reg_losses.append(float(reg_v.sum()) / rows)
@@ -430,7 +436,7 @@ def train_epoch(state: TrainerState, t: int,
         "train_loss": float(np.mean(losses)),
         "ml_loss": float(np.mean(ml_losses)),
         "reg_loss": float(np.mean(reg_losses)),
-        "bound_gap": float(np.mean(gaps)),
+        "bound_gap": gap,
     }
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import idgp.generation as generation_mod
 from idgp.data import PLLDataset
 from idgp.errors import DataInvariantError, NumericError
 from idgp.generation import (
@@ -64,6 +65,27 @@ class TestDensity:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             candidate_set_density((), np.array([0.5, 0.5]), np.array([0.3, 0.3]))
+
+
+class TestCorruptionSubstreams:
+    """A corruption builds exactly one substream, whatever its rows draw."""
+
+    @pytest.mark.parametrize("mode", ["uniform", "instance"])
+    def test_one_corrupt_substream_per_corruption(self, monkeypatch, mode):
+        built = []
+
+        def spy(seed, name, *extra):
+            built.append((name, extra))
+            return substream(seed, name, *extra)
+
+        monkeypatch.setattr(generation_mod, "substream", spy)
+        # at c=3 and flip probability 0.95 most sets come out full and drop a label
+        ds = blobs(seed=4, n_per=100, c=3)
+        if mode == "uniform":
+            corrupt_uniform(ds, 0.95, 6)
+        else:
+            corrupt_instance_dependent(ds, np.full((ds.n, ds.c), 3.0), 6)  # expit(3) = 0.953
+        assert built == [("corrupt", ())]
 
 
 class TestInstanceDependentCorruption:

@@ -362,7 +362,7 @@ class TestThreeForwards:
         order = substream(cfg.seed, "shuffle", t).permutation(ds.n)
         for start in range(0, ds.n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            *got, got_priors = trainer_mod._train_batch(state, t, idx)
+            *got, got_priors = trainer_mod._train_batch(state, t, idx, bound=True)
             *want, want_priors = _six_forward_batch(ref, t, idx)
             for a, b in zip(got, want):  # values, ml and reg parts, bounds
                 assert np.array_equal(_bits(a), _bits(b))
@@ -391,20 +391,89 @@ class TestThreeForwards:
             assert forwards == {"forward": 3 * batches * t + snapshots}
             # theta once per batch, z and its logs once per forward of g, the
             # likelihood weights once per sub-step, d/dz in sub-step 1 only,
-            # the values in sub-step 2 only, and one bound
+            # the values in sub-step 2 only, and one bound per epoch, on its
+            # first batch
             assert calls == {"_dirichlet_mean": batches * t,
                              "_beta_mean": 2 * batches * t,
                              "_z_logs": 2 * batches * t, "_ml_softmax": 2 * batches * t,
                              "_map_d_z": batches * t, "_map_values": batches * t,
-                             "_upper_bound": batches * t}
-            # log theta, log z twice, log of the row total, log |S|; log(1 - z)
-            # twice; exp(s / gamma) once per forward (its derivative reuses
-            # it) and the likelihood's softmax once per sub-step
-            assert logs == {"log": 5 * batches * t, "log1p": 2 * batches * t,
+                             "_upper_bound": t}
+            # per batch log theta, log z twice and log of the row total, and
+            # the bound's log |S| once per epoch; log(1 - z) twice per batch;
+            # exp(s / gamma) once per forward (its derivative reuses it) and
+            # the likelihood's softmax once per sub-step
+            assert logs == {"log": 4 * batches * t + t, "log1p": 2 * batches * t,
                             "exp": 5 * batches * t + snapshots}
             # lam, alpha and beta are floored transforms of clamped finite
             # scores, so no batch re-checks them
             assert checks == {"_require_positive": 0}
+
+
+def _epoch_batches(cfg, n, t):
+    order = substream(cfg.seed, "shuffle", t).permutation(n)
+    return [order[start:start + cfg.batch_size] for start in range(0, n, cfg.batch_size)]
+
+
+def _state_before(cfg, ds, t):
+    """A fresh state trained through epoch t - 1, bit for bit the state of a fit then."""
+    state = init_state(cfg, ds)
+    for s in range(1, t):
+        train_epoch(state, s)
+    return state
+
+
+def _gap(values, bounds):
+    """A batch's gap as ``train_epoch`` reads it: mean bound minus mean loss."""
+    return float(bounds.sum()) / len(values) - float(values.sum()) / len(values)
+
+
+class TestBoundGap:
+    """``bound_gap`` is the gap of each epoch's first batch, and the bound trains nothing."""
+
+    @pytest.mark.parametrize("ml_only", [False, True])
+    def test_gap_is_the_first_batch_gap(self, ml_only):
+        ds = toy_dataset(n_per=20)
+        cfg = small_config(epochs=4, r=2, q=3, ml_only=ml_only)
+        assert len(_epoch_batches(cfg, ds.n, 1)) == 4
+        state = init_state(cfg, ds)
+        for t in range(1, cfg.epochs + 1):
+            # the epoch's first batch, rebuilt by the six-forward reference on a twin
+            twin = _state_before(cfg, ds, t)
+            values, _, _, bounds, _ = _six_forward_batch(twin, t, _epoch_batches(cfg, ds.n, t)[0])
+            assert train_epoch(state, t)["bound_gap"].hex() == _gap(values, bounds).hex()
+
+    def test_one_batch_epoch_gap_is_the_all_batch_mean(self):
+        ds = toy_dataset(n_per=20)
+        cfg = small_config(epochs=4, r=2, q=3, batch_size=ds.n)
+        state = init_state(cfg, ds)
+        for t in range(1, cfg.epochs + 1):
+            # the gap as a mean over every batch of the epoch, replayed on a twin
+            twin = _state_before(cfg, ds, t)
+            gaps = [_gap(values, bounds) for values, _, _, bounds, _ in
+                    (trainer_mod._train_batch(twin, t, idx, bound=True)
+                     for idx in _epoch_batches(cfg, ds.n, t))]
+            assert len(gaps) == 1
+            assert train_epoch(state, t)["bound_gap"].hex() == float(np.mean(gaps)).hex()
+
+    @pytest.mark.parametrize("ml_only", [False, True])
+    def test_bound_trains_nothing(self, monkeypatch, ml_only):
+        ds = toy_dataset(n_per=20)
+        cfg = small_config(epochs=4, r=2, q=3, ml_only=ml_only, val_fraction=0.2)
+        f1, g1, h1 = fit(cfg, ds)
+        real = trainer_mod._upper_bound
+
+        def nan_bound(*args):
+            bound = real(*args)
+            return replace(bound, value=np.full_like(bound.value, np.nan))
+
+        monkeypatch.setattr(trainer_mod, "_upper_bound", nan_bound)
+        f2, g2, h2 = fit(cfg, ds)
+        assert np.array_equal(_bits(f1.get_flat()), _bits(f2.get_flat()))
+        assert np.array_equal(_bits(g1.get_flat()), _bits(g2.get_flat()))
+        assert len(h1) == len(h2) == cfg.epochs
+        for a, b in zip(h1, h2):
+            assert np.isnan(b.pop("bound_gap")) and np.isfinite(a.pop("bound_gap"))
+            assert a == b and a["val_acc"] is not None
 
 
 class TestTrainingLoop:
