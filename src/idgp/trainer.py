@@ -26,13 +26,14 @@ The prior cache implements the epoch-indexed mixing rules: per instance,
 
 and analogously alpha_hat/beta_hat mix epoch-q snapshots with weight d
 (identity before q, all labels).  Snapshots are taken from a full forward
-pass at the end of epochs r and q and never change afterwards.  Within
+pass at the end of epochs r and q and are read-only afterwards.  Within
 epoch r itself the snapshot does not exist yet; mixing current values with
 themselves would be the identity, which is exactly what the fallback does.
 
 Each forward's cache lives until its net's update.  A fit's memory peak
 is the epoch-r/q snapshot: one ``(n, hidden)`` activation plus one
-``(n, 2c)`` score array above a steady epoch.
+``(n, 2c)`` score array above a steady epoch.  The snapshots are the only
+``(n, c)`` float state: the hats live per batch, the mask is the dataset's.
 """
 
 from __future__ import annotations
@@ -140,12 +141,13 @@ class TrainConfig:
 
 @dataclass
 class PriorCache:
-    """Per-instance prior constants plus the epoch-r/q snapshots."""
+    """The epoch-r/q snapshots, from which :meth:`refresh` computes a batch's prior constants."""
 
-    lambda_hat: np.ndarray
-    alpha_hat: np.ndarray
-    beta_hat: np.ndarray
-    mask: np.ndarray
+    # Always None; only perfbench/tracing.prior_cache_mb reads them, and
+    # ROADMAP item 1b deletes them.
+    lambda_hat = alpha_hat = beta_hat = None
+
+    mask: np.ndarray  # the dataset's read-only bool mask itself, not a copy
     config: TrainConfig  # epsilon, m, d, r and q of the mixing rules
     lambda_snapshot: Optional[np.ndarray] = None
     alpha_snapshot: Optional[np.ndarray] = None
@@ -153,14 +155,7 @@ class PriorCache:
 
     @classmethod
     def initialize(cls, dataset: PLLDataset, config: TrainConfig) -> "PriorCache":
-        n, c = dataset.n, dataset.c
-        return cls(
-            lambda_hat=np.full((n, c), 1.0 + config.epsilon),
-            alpha_hat=np.ones((n, c)),
-            beta_hat=np.ones((n, c)),
-            mask=dataset.occurrence_matrix(),
-            config=config,
-        )
+        return cls(mask=dataset.mask, config=config)
 
     def lambda_hat_values(self, idx: np.ndarray, live_lam: np.ndarray, t: int) -> np.ndarray:
         """Frozen lambda constants for the given rows at epoch t."""
@@ -169,7 +164,7 @@ class PriorCache:
             mixed = cfg.m * self.lambda_snapshot[idx] + (1.0 - cfg.m) * live_lam
         else:
             mixed = live_lam
-        return np.where(self.mask[idx] > 0.0, mixed, 1.0 + cfg.epsilon)
+        return np.where(self.mask[idx], mixed, 1.0 + cfg.epsilon)
 
     def alpha_beta_hat_values(self, idx, live_alpha, live_beta, t: int):
         """Frozen alpha and beta constants for the rows idx at epoch t; before q, the live ones."""
@@ -181,24 +176,23 @@ class PriorCache:
         return live_alpha, live_beta
 
     def refresh(self, idx, live_lam, live_alpha, live_beta, t: int):
-        """Compute, store and return the prior constants for a batch."""
-        lam_hat = self.lambda_hat_values(idx, live_lam, t)
-        a_hat, b_hat = self.alpha_beta_hat_values(idx, live_alpha, live_beta, t)
-        self.lambda_hat[idx] = lam_hat
-        self.alpha_hat[idx] = a_hat
-        self.beta_hat[idx] = b_hat
-        return lam_hat, a_hat, b_hat
+        """Compute and return the prior constants (lambda_hat, alpha_hat, beta_hat) for a batch."""
+        return (self.lambda_hat_values(idx, live_lam, t),
+                *self.alpha_beta_hat_values(idx, live_alpha, live_beta, t))
 
     def take_lambda_snapshot(self, lam: np.ndarray) -> None:
-        """Store ``lam`` itself, not a copy; the caller must not write to it afterwards."""
+        """Store ``lam`` itself, not a copy, and make it read-only."""
         if self.lambda_snapshot is not None:
             raise RuntimeError("lambda snapshot already taken")
+        lam.flags.writeable = False
         self.lambda_snapshot = lam
 
     def take_alpha_beta_snapshot(self, alpha: np.ndarray, beta: np.ndarray) -> None:
-        """Store both arrays themselves, not copies; the caller must not write to them later."""
+        """Store both arrays themselves, not copies, and make them read-only."""
         if self.alpha_snapshot is not None:
             raise RuntimeError("alpha/beta snapshot already taken")
+        alpha.flags.writeable = False
+        beta.flags.writeable = False
         self.alpha_snapshot = alpha
         self.beta_snapshot = beta
 
@@ -366,7 +360,7 @@ def _train_batch(state: TrainerState, t: int, idx: np.ndarray, bound: bool):
     cfg = state.config
     tc = cfg.transform_config
     X = state.dataset.features[idx]
-    O = state.cache.mask[idx]
+    O = state.dataset.mask[idx].astype(np.float64)
     fwd_f = forward_f(state.f, X, tc, O)
     fwd_g = forward_g(state.g, X, tc, O)
     hats = state.cache.refresh(idx, fwd_f.lam, fwd_g.alpha, fwd_g.beta, t)

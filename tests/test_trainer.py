@@ -162,7 +162,10 @@ class TestPriorCacheRules:
         ds = toy_dataset()
         cfg = small_config(epsilon=0.01)
         cache = PriorCache.initialize(ds, cfg)
-        assert np.all(cache.lambda_hat == 1.01)
+        live = np.full((ds.n, ds.c), 7.0)
+        lam_hat, _, _ = cache.refresh(np.arange(ds.n), live, live, live, t=1)
+        assert np.all(lam_hat[~ds.mask] == 1.01)
+        assert np.all(lam_hat[ds.mask] == 7.0)
 
 
 class TestInstrumentedPriorContract:
@@ -224,6 +227,37 @@ class TestInstrumentedPriorContract:
         assert np.array_equal(state.cache.lambda_snapshot, frozen["lam"])
         assert np.array_equal(state.cache.alpha_snapshot, frozen["a"])
         assert np.array_equal(state.cache.beta_snapshot, frozen["b"])
+
+    def test_snapshots_are_read_only(self):
+        ds = toy_dataset(n_per=15)
+        cfg = small_config(epochs=2, r=1, q=2)
+        state = init_state(cfg, ds)
+        train_epoch(state, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            state.cache.lambda_snapshot[0, 0] = 0.0
+        train_epoch(state, 2)
+        for snap in (state.cache.alpha_snapshot, state.cache.beta_snapshot):
+            with pytest.raises(ValueError, match="read-only"):
+                snap[0, 0] = 0.0
+
+    def test_cache_holds_the_snapshots_and_shares_the_mask(self):
+        ds = toy_dataset(n_per=15)
+        cfg = small_config(epochs=3, r=1, q=2)
+        state = init_state(cfg, ds)
+        for t in range(1, cfg.epochs + 1):
+            train_epoch(state, t)
+        cache = state.cache
+        floats = {k for k, v in vars(cache).items()
+                  if isinstance(v, np.ndarray) and v.dtype == np.float64}
+        assert floats == {"lambda_snapshot", "alpha_snapshot", "beta_snapshot"}
+        assert cache.mask is ds.mask
+        before = dict(vars(cache))
+        arrays = {k: v.copy() for k, v in before.items() if isinstance(v, np.ndarray)}
+        live = np.full((ds.n, ds.c), 2.0)
+        cache.refresh(np.arange(ds.n), live, live, live, t=cfg.epochs)
+        assert vars(cache).keys() == before.keys()
+        assert all(vars(cache)[k] is v for k, v in before.items())
+        assert all(np.array_equal(vars(cache)[k], v) for k, v in arrays.items())
 
 
 def _bits(x):
@@ -314,7 +348,7 @@ def _six_forward_batch(state, t, idx):
     """A batch as six forwards: f and g at batch start, then f and g again in each sub-step."""
     cfg = state.config
     tc = cfg.transform_config
-    X, O = state.dataset.features[idx], state.cache.mask[idx]
+    X, O = state.dataset.features[idx], state.dataset.mask[idx].astype(np.float64)
     lam0 = floor_params(lambda_transform(state.f.forward(X)[0], tc))
     alpha0, beta0 = map(floor_params, lambda_transform_pair(state.g.forward(X)[0], tc))
     hats = state.cache.refresh(idx, lam0, alpha0, beta0, t)
