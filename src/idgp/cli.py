@@ -21,7 +21,7 @@ import json
 import os
 import platform
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -52,7 +52,7 @@ _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False}
 
 def parse_config_file(path) -> TrainConfig:
     """Flat key=value file; every key must be a TrainConfig field, given once."""
-    known = {f.name: f.type for f in TrainConfig.__dataclass_fields__.values()}
+    known = {f.name for f in fields(TrainConfig)}
     defaults = TrainConfig()
     values, seen = {}, {}
     for lineno, line in enumerate(read_lines(path), start=1):

@@ -20,15 +20,15 @@ gradient (see :func:`forward_f`).
 
 The prior cache implements the epoch-indexed mixing rules: per instance,
 
-    lambda_hat_j = m * lambda_j^(r) + (1 - m) * lambda_j^(t)   j in S, t >= r
-    lambda_hat_j = lambda_j^(t)                                 j in S, t < r
+    lambda_hat_j = m * lambda_j^(r) + (1 - m) * lambda_j^(t)   j in S, t > r
+    lambda_hat_j = lambda_j^(t)                                 j in S, t <= r
     lambda_hat_j = 1 + epsilon                                  j not in S
 
 and analogously alpha_hat/beta_hat mix epoch-q snapshots with weight d
-(identity before q, all labels).  Snapshots are taken from a full forward
-pass at the end of epochs r and q and are read-only afterwards.  Within
-epoch r itself the snapshot does not exist yet; mixing current values with
-themselves would be the identity, which is exactly what the fallback does.
+(identity for t <= q, all labels).  Snapshots are taken from a full forward
+pass at the end of epochs r and q and are read-only afterwards, so a
+snapshot exists exactly when t > r (t > q): it is the only schedule the
+cache knows.
 
 Each forward's cache lives until its net's update.  A fit's memory peak
 is the epoch-r/q snapshot: one ``(n, hidden)`` activation plus one
@@ -148,37 +148,24 @@ class PriorCache:
     lambda_hat = alpha_hat = beta_hat = None
 
     mask: np.ndarray  # the dataset's read-only bool mask itself, not a copy
-    config: TrainConfig  # epsilon, m, d, r and q of the mixing rules
+    config: TrainConfig  # epsilon, m and d of the mixing rules
     lambda_snapshot: Optional[np.ndarray] = None
     alpha_snapshot: Optional[np.ndarray] = None
     beta_snapshot: Optional[np.ndarray] = None
 
-    @classmethod
-    def initialize(cls, dataset: PLLDataset, config: TrainConfig) -> "PriorCache":
-        return cls(mask=dataset.mask, config=config)
+    def refresh(self, idx, lam, alpha, beta):
+        """The batch's prior constants (lambda_hat, alpha_hat, beta_hat) for the rows idx.
 
-    def lambda_hat_values(self, idx: np.ndarray, live_lam: np.ndarray, t: int) -> np.ndarray:
-        """Frozen lambda constants for the given rows at epoch t."""
+        Each live array mixes with its snapshot once that exists and passes
+        through until then; lambda_hat is 1 + epsilon off the candidate set.
+        """
         cfg = self.config
-        if t >= cfg.r and self.lambda_snapshot is not None:
-            mixed = cfg.m * self.lambda_snapshot[idx] + (1.0 - cfg.m) * live_lam
-        else:
-            mixed = live_lam
-        return np.where(self.mask[idx], mixed, 1.0 + cfg.epsilon)
-
-    def alpha_beta_hat_values(self, idx, live_alpha, live_beta, t: int):
-        """Frozen alpha and beta constants for the rows idx at epoch t; before q, the live ones."""
-        d = self.config.d
-        if t >= self.config.q and self.alpha_snapshot is not None:
-            a_hat = d * self.alpha_snapshot[idx] + (1.0 - d) * live_alpha
-            b_hat = d * self.beta_snapshot[idx] + (1.0 - d) * live_beta
-            return a_hat, b_hat
-        return live_alpha, live_beta
-
-    def refresh(self, idx, live_lam, live_alpha, live_beta, t: int):
-        """Compute and return the prior constants (lambda_hat, alpha_hat, beta_hat) for a batch."""
-        return (self.lambda_hat_values(idx, live_lam, t),
-                *self.alpha_beta_hat_values(idx, live_alpha, live_beta, t))
+        if self.lambda_snapshot is not None:
+            lam = cfg.m * self.lambda_snapshot[idx] + (1.0 - cfg.m) * lam
+        if self.alpha_snapshot is not None:
+            alpha = cfg.d * self.alpha_snapshot[idx] + (1.0 - cfg.d) * alpha
+            beta = cfg.d * self.beta_snapshot[idx] + (1.0 - cfg.d) * beta
+        return np.where(self.mask[idx], lam, 1.0 + cfg.epsilon), alpha, beta
 
     def take_lambda_snapshot(self, lam: np.ndarray) -> None:
         """Store ``lam`` itself, not a copy, and make it read-only."""
@@ -218,7 +205,7 @@ def init_state(config: TrainConfig, dataset: PLLDataset) -> TrainerState:
         g=g,
         opt_f=SGDState(lr=config.lr_f, momentum=config.momentum_f),
         opt_g=SGDState(lr=config.lr_g, momentum=config.momentum_g),
-        cache=PriorCache.initialize(dataset, config),
+        cache=PriorCache(dataset.mask, config),
         dataset=dataset,
     )
 
@@ -344,8 +331,8 @@ def map_step_batch(fwd_f: ForwardF, fwd_g: ForwardG, tc: TransformConfig,
     return MapStep(values, ml_v, reg_v, grads_f)
 
 
-def _train_batch(state: TrainerState, t: int, idx: np.ndarray, bound: bool):
-    """Both alternating sub-steps on the rows ``idx`` of epoch ``t``, in three forwards.
+def _train_batch(state: TrainerState, idx: np.ndarray, bound: bool):
+    """Both alternating sub-steps on the rows ``idx``, in three forwards.
 
     f is fixed until the batch's last update, so its batch-start forward
     (with log theta and the candidate mask) serves the prior refresh, both
@@ -363,7 +350,7 @@ def _train_batch(state: TrainerState, t: int, idx: np.ndarray, bound: bool):
     O = state.dataset.mask[idx].astype(np.float64)
     fwd_f = forward_f(state.f, X, tc, O)
     fwd_g = forward_g(state.g, X, tc, O)
-    hats = state.cache.refresh(idx, fwd_f.lam, fwd_g.alpha, fwd_g.beta, t)
+    hats = state.cache.refresh(idx, fwd_f.lam, fwd_g.alpha, fwd_g.beta)
     priors = {"live_lambda": fwd_f.lam, "live_alpha": fwd_g.alpha, "live_beta": fwd_g.beta,
               "lambda_hat": hats[0], "alpha_hat": hats[1], "beta_hat": hats[2]}
     prior = None if cfg.ml_only else _prior_terms(*hats)
@@ -403,7 +390,7 @@ def train_epoch(state: TrainerState, t: int,
     for k, start in enumerate(range(0, ds.n, cfg.batch_size)):
         idx = order[start:start + cfg.batch_size]
         try:
-            values, ml_v, reg_v, bounds, priors = _train_batch(state, t, idx, bound=k == 0)
+            values, ml_v, reg_v, bounds, priors = _train_batch(state, idx, bound=k == 0)
         except NumericError as exc:
             raise NumericError(f"epoch {t}, batch {k}: {exc}") from exc
         if not np.isfinite(values).all():

@@ -1,6 +1,7 @@
 """Command surface: exit codes, determinism, file artifacts."""
 
 import csv
+import hashlib
 import json
 import os
 import platform
@@ -325,6 +326,20 @@ class TestTrainEval:
                      "--ml-only"]) == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["config"]["ml_only"] is True
+
+    def test_manifest_inputs_are_the_files_sha256(self, tmp_path, corrupted_path, monkeypatch):
+        # a few bytes per read, so each digest takes several blocks
+        monkeypatch.setattr(cli, "READ_BLOCK", 7)
+        out_dir = tmp_path / "run"
+        cfg = tiny_config(tmp_path)
+        assert main(["train", "--data", str(corrupted_path), "--config",
+                     str(cfg), "--seed", "1", "--out-dir", str(out_dir)]) == 0
+        inputs = json.loads((out_dir / "manifest.json").read_text())["inputs"]
+        assert list(inputs) == [str(corrupted_path), str(cfg)]
+        for path, digest in inputs.items():
+            data = Path(path).read_bytes()
+            assert len(data) > 2 * cli.READ_BLOCK
+            assert digest == hashlib.sha256(data).hexdigest()
 
     def test_two_seeds_give_different_histories(self, tmp_path, corrupted_path):
         cfg = tiny_config(tmp_path)

@@ -100,51 +100,54 @@ class TestConfigValidation:
 
 class TestPriorCacheRules:
     def _cache(self, ds, **kw):
-        return PriorCache.initialize(ds, small_config(**kw))
+        return PriorCache(ds.mask, small_config(**kw))
 
     def test_lambda_mixing_hand_value(self):
         ds = toy_dataset()
         cache = self._cache(ds)
         cache.take_lambda_snapshot(np.full((ds.n, ds.c), 2.0))
-        live = np.full(ds.c, 4.0)
-        lam_hat = cache.lambda_hat_values(np.array([0]), live[None], t=2)[0]
+        live = np.full((1, ds.c), 4.0)
+        lam_hat = cache.refresh(np.array([0]), live, live, live)[0][0]
         on_s = list(ds.candidates[0])
         assert np.all(lam_hat[on_s] == 0.5 * 2.0 + 0.5 * 4.0)  # = 3.0
 
     def test_off_candidate_entries_pinned(self):
         ds = toy_dataset()
         cache = self._cache(ds, epsilon=1e-3)
-        live = np.full(ds.c, 7.0)
-        for t in (1, 2, 3):
-            lam_hat = cache.lambda_hat_values(np.array([0]), live[None], t)[0]
-            off = [j for j in range(ds.c) if j not in ds.candidates[0]]
+        live = np.full((1, ds.c), 7.0)
+        off = [j for j in range(ds.c) if j not in ds.candidates[0]]
+        for snapshot in (False, True):  # no lambda snapshot yet, then one
+            if snapshot:
+                cache.take_lambda_snapshot(np.full((ds.n, ds.c), 2.0))
+            lam_hat = cache.refresh(np.array([0]), live, live, live)[0][0]
             assert np.all(lam_hat[off] == 1.0 + 1e-3)
 
     def test_before_r_identity_on_candidates(self):
+        """No lambda snapshot yet: lambda_hat is the live lambda on the candidates."""
         ds = toy_dataset()
         cache = self._cache(ds, r=2, q=2)
-        live = np.linspace(1.0, 2.0, ds.c)
-        lam_hat = cache.lambda_hat_values(np.array([0]), live[None], t=1)[0]
+        live = np.linspace(1.0, 2.0, ds.c)[None]
+        lam_hat = cache.refresh(np.array([0]), live, live, live)[0][0]
         on_s = list(ds.candidates[0])
-        assert np.array_equal(lam_hat[on_s], live[on_s])  # bitwise
+        assert np.array_equal(lam_hat[on_s], live[0, on_s])  # bitwise
 
     def test_alpha_beta_mixing_hand_value(self):
         ds = toy_dataset()
         cache = self._cache(ds, d=0.9)
         cache.take_alpha_beta_snapshot(np.ones((ds.n, ds.c)),
                                        np.full((ds.n, ds.c), 3.0))
-        a_hat, b_hat = cache.alpha_beta_hat_values(
-            np.array([0]), np.full((1, ds.c), 11.0), np.full((1, ds.c), 13.0), t=2)
+        _, a_hat, b_hat = cache.refresh(np.array([0]), np.full((1, ds.c), 5.0),
+                                        np.full((1, ds.c), 11.0), np.full((1, ds.c), 13.0))
         assert np.allclose(a_hat, 2.0, rtol=1e-12)  # 0.9*1 + 0.1*11
         assert np.allclose(b_hat, 0.9 * 3.0 + 0.1 * 13.0, rtol=1e-12)
 
     def test_before_q_identity(self):
+        """No alpha/beta snapshot yet: the hats are the live alpha and beta."""
         ds = toy_dataset()
         cache = self._cache(ds)
         alpha = np.linspace(0.5, 1.5, ds.c)
         beta = np.linspace(2.0, 3.0, ds.c)
-        a_hat, b_hat = cache.alpha_beta_hat_values(np.array([0]), alpha[None],
-                                                   beta[None], t=1)
+        _, a_hat, b_hat = cache.refresh(np.array([0]), alpha[None], alpha[None], beta[None])
         assert np.array_equal(a_hat[0], alpha) and np.array_equal(b_hat[0], beta)
 
     def test_snapshots_taken_once(self):
@@ -161,9 +164,9 @@ class TestPriorCacheRules:
     def test_initial_lambda_hat_off_candidate_fill(self):
         ds = toy_dataset()
         cfg = small_config(epsilon=0.01)
-        cache = PriorCache.initialize(ds, cfg)
+        cache = PriorCache(ds.mask, cfg)
         live = np.full((ds.n, ds.c), 7.0)
-        lam_hat, _, _ = cache.refresh(np.arange(ds.n), live, live, live, t=1)
+        lam_hat, _, _ = cache.refresh(np.arange(ds.n), live, live, live)
         assert np.all(lam_hat[~ds.mask] == 1.01)
         assert np.all(lam_hat[ds.mask] == 7.0)
 
@@ -254,7 +257,7 @@ class TestInstrumentedPriorContract:
         before = dict(vars(cache))
         arrays = {k: v.copy() for k, v in before.items() if isinstance(v, np.ndarray)}
         live = np.full((ds.n, ds.c), 2.0)
-        cache.refresh(np.arange(ds.n), live, live, live, t=cfg.epochs)
+        cache.refresh(np.arange(ds.n), live, live, live)
         assert vars(cache).keys() == before.keys()
         assert all(vars(cache)[k] is v for k, v in before.items())
         assert all(np.array_equal(vars(cache)[k], v) for k, v in arrays.items())
@@ -344,14 +347,14 @@ class TestSnapshotMemory:
 PRIOR_KEYS = ("live_lambda", "live_alpha", "live_beta", "lambda_hat", "alpha_hat", "beta_hat")
 
 
-def _six_forward_batch(state, t, idx):
+def _six_forward_batch(state, idx):
     """A batch as six forwards: f and g at batch start, then f and g again in each sub-step."""
     cfg = state.config
     tc = cfg.transform_config
     X, O = state.dataset.features[idx], state.dataset.mask[idx].astype(np.float64)
     lam0 = floor_params(lambda_transform(state.f.forward(X)[0], tc))
     alpha0, beta0 = map(floor_params, lambda_transform_pair(state.g.forward(X)[0], tc))
-    hats = state.cache.refresh(idx, lam0, alpha0, beta0, t)
+    hats = state.cache.refresh(idx, lam0, alpha0, beta0)
 
     def sub_step():
         sf, cache_f = state.f.forward(X)
@@ -396,8 +399,8 @@ class TestThreeForwards:
         order = substream(cfg.seed, "shuffle", t).permutation(ds.n)
         for start in range(0, ds.n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            *got, got_priors = trainer_mod._train_batch(state, t, idx, bound=True)
-            *want, want_priors = _six_forward_batch(ref, t, idx)
+            *got, got_priors = trainer_mod._train_batch(state, idx, bound=True)
+            *want, want_priors = _six_forward_batch(ref, idx)
             for a, b in zip(got, want):  # values, ml and reg parts, bounds
                 assert np.array_equal(_bits(a), _bits(b))
             assert list(got_priors) == list(PRIOR_KEYS)
@@ -473,7 +476,7 @@ class TestBoundGap:
         for t in range(1, cfg.epochs + 1):
             # the epoch's first batch, rebuilt by the six-forward reference on a twin
             twin = _state_before(cfg, ds, t)
-            values, _, _, bounds, _ = _six_forward_batch(twin, t, _epoch_batches(cfg, ds.n, t)[0])
+            values, _, _, bounds, _ = _six_forward_batch(twin, _epoch_batches(cfg, ds.n, t)[0])
             assert train_epoch(state, t)["bound_gap"].hex() == _gap(values, bounds).hex()
 
     def test_one_batch_epoch_gap_is_the_all_batch_mean(self):
@@ -484,7 +487,7 @@ class TestBoundGap:
             # the gap as a mean over every batch of the epoch, replayed on a twin
             twin = _state_before(cfg, ds, t)
             gaps = [_gap(values, bounds) for values, _, _, bounds, _ in
-                    (trainer_mod._train_batch(twin, t, idx, bound=True)
+                    (trainer_mod._train_batch(twin, idx, bound=True)
                      for idx in _epoch_batches(cfg, ds.n, t))]
             assert len(gaps) == 1
             assert train_epoch(state, t)["bound_gap"].hex() == float(np.mean(gaps)).hex()
