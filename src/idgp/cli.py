@@ -74,10 +74,8 @@ def parse_config_file(path) -> TrainConfig:
                 values[key] = _BOOL_STRINGS[raw.lower()]
             elif isinstance(current, int):
                 values[key] = int(raw)
-            elif isinstance(current, float):
+            else:  # every other field is a float
                 values[key] = float(raw)
-            else:
-                values[key] = raw
         except (ValueError, KeyError):
             raise UsageError(
                 f"{path}:{lineno}: bad value {raw!r} for key {key!r}"
@@ -99,11 +97,12 @@ def _digest(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(path, command: str, config: dict, seed: int, inputs, outputs):
+def write_manifest(path, config: TrainConfig, inputs, outputs):
+    """The ``train`` run's manifest at ``path``: its config, seed, input digests and outputs."""
     manifest = {
-        "command": command,
-        "config": config,
-        "seed": seed,
+        "command": "train",
+        "config": asdict(config),
+        "seed": config.seed,
         "inputs": {str(p): _digest(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
         "created_at": datetime.now(timezone.utc).isoformat(),
@@ -187,8 +186,7 @@ def cmd_train(args) -> int:
         for record in history:
             fh.write(json.dumps(record) + "\n")
     inputs = [args.data] + ([args.config] if args.config else [])
-    write_manifest(out_dir / "manifest.json", "train", asdict(config),
-                   config.seed, inputs, [model_path, history_path])
+    write_manifest(out_dir / "manifest.json", config, inputs, [model_path, history_path])
     final = history[-1] if history else {}
     print(f"trained {config.epochs} epochs; final loss "
           f"{final.get('train_loss', float('nan')):.6f}, "
@@ -262,6 +260,10 @@ def cmd_report(args) -> int:
         for metrics_path in args.merge:
             for row in evaluation.read_report_csv(metrics_path):
                 key = (row["method"], row["dataset"])
+                if row["seed_count"] != "1":  # a merged row's mean is not one sample
+                    raise DataInvariantError(
+                        f"{metrics_path}: {key[0]}/{key[1]} has seed_count "
+                        f"{row['seed_count']}; a merge takes per-seed rows, as eval writes them")
                 groups.setdefault(key, []).append(float(row["mean_acc"]))
         merged = []
         for (method, dataset), values in sorted(groups.items()):

@@ -53,14 +53,11 @@ def accuracy(net_f: DenseNet, dataset: PLLDataset, tc: TransformConfig) -> float
     """Fraction of instances whose predicted label matches the true one."""
     if dataset.true_labels is None:
         raise DataInvariantError("accuracy needs a dataset with true labels")
-    if net_f.out_dim != dataset.c:
-        raise DataInvariantError(
-            f"model predicts {net_f.out_dim} classes, dataset has {dataset.c}"
-        )
-    if net_f.in_dim != dataset.q:
-        raise DataInvariantError(
-            f"model expects {net_f.in_dim} features, dataset has {dataset.q}"
-        )
+    q, *_, c = net_f.layer_sizes
+    if c != dataset.c:
+        raise DataInvariantError(f"model predicts {c} classes, dataset has {dataset.c}")
+    if q != dataset.q:
+        raise DataInvariantError(f"model expects {q} features, dataset has {dataset.q}")
     labels, _ = predict_batch(net_f, dataset.features, tc)
     return float(np.mean(labels == dataset.true_labels))
 

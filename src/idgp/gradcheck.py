@@ -11,7 +11,7 @@ Jacobian of a vector one.  It passes all 2n points x +- h e_i of an
 n-coordinate x to the function in one call, so each coordinate keeps its own
 difference but a check makes one call, not 2n; given flat ``coords`` it moves
 only those.  Each network check runs all its perturbed copies of a net as one
-:meth:`DenseNet.stacked` net.
+:meth:`DenseNet.from_flat` stack.
 
 The checks deliberately call through the module objects (``objective.``,
 ``distributions.``, ``trainer.``) rather than binding functions at import
@@ -161,7 +161,8 @@ def _net_error(net, analytic, coords, loss) -> float:
     ``loss(nets)`` takes K stacked copies of ``net`` with perturbed
     parameters and returns their K loss values; one stack holds every copy.
     """
-    numeric = central_difference(lambda rows: loss(net.stacked(rows)), net.get_flat(), coords)
+    numeric = central_difference(
+        lambda rows: loss(DenseNet.from_flat(net.layer_sizes, net.clamp, rows)), net.flat, coords)
     return rel_error(analytic[coords], numeric)
 
 
@@ -227,9 +228,9 @@ def check_map_end_to_end(rng, c: int | None = None, width: int | None = None,
     fwd_f, fwd_g = trainer.forward_f(net_f, x, tc, mask), trainer.forward_g(net_g, x, tc, mask)
 
     def mean_loss(f_fwd, g_fwd):
-        return trainer.map_step_batch(f_fwd, g_fwd, tc, mask, centred).values.mean(axis=-1)
+        return trainer.map_step_batch(f_fwd, g_fwd, tc, centred).values.mean(axis=-1)
 
-    res = trainer.map_step_batch(fwd_f, fwd_g, tc, mask, centred)
+    res = trainer.map_step_batch(fwd_f, fwd_g, tc, centred)
     reference = [_generation_map_value(fwd_f.theta[i], fwd_g.zl.z[i], s, *(h[i] for h in prior))
                  for i, s in enumerate(cands)]
     err = max(rel_error(res.values, reference),
@@ -238,7 +239,7 @@ def check_map_end_to_end(rng, c: int | None = None, width: int | None = None,
     for net, analytic, loss in (
             (net_f, res.grads_f(),
              lambda nets: mean_loss(trainer.forward_f(nets, x, tc, mask), fwd_g)),
-            (net_g, trainer.aux_gradient(fwd_f, fwd_g, tc, mask, centred),
+            (net_g, trainer.aux_gradient(fwd_f, fwd_g, tc, centred),
              lambda nets: mean_loss(fwd_f, trainer.forward_g(nets, x, tc, mask)))):
         coords = np.arange(analytic.size)
         if analytic.size > max_coords:

@@ -112,13 +112,13 @@ def _check_net_spec(layer_sizes, clamp: float) -> tuple:
 
 
 def param_count(layer_sizes) -> int:
-    """Length of :meth:`DenseNet.get_flat` for a net of these layer sizes."""
+    """Length of :attr:`DenseNet.flat` for a net of these layer sizes."""
     sizes = [int(s) for s in layer_sizes]
     return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
 
 
 def _unflatten(layer_sizes, flat: np.ndarray):
-    """Per-layer weight and bias views of a (P,) or (K, P) :meth:`DenseNet.get_flat` array."""
+    """Per-layer weight and bias views of a (P,) or (K, P) :attr:`DenseNet.flat` array."""
     lead = flat.shape[:-1]
     row = (*lead, 1) if lead else ()  # a stack's biases broadcast over the batch
     weights, biases, pos = [], [], 0
@@ -148,7 +148,7 @@ class DenseNet:
 
     @classmethod
     def from_flat(cls, layer_sizes, clamp: float, flat) -> "DenseNet":
-        """The net whose :meth:`get_flat` vector is ``flat``, under the checks of ``__init__``.
+        """The net whose :attr:`flat` vector is ``flat``, under the checks of ``__init__``.
 
         A (K, P) stack of such vectors gives K nets that :meth:`forward` runs
         at once: layer i then holds weights (K, in, out) and biases (K, 1, out).
@@ -166,19 +166,14 @@ class DenseNet:
         return net
 
     def _bind(self, sizes, clamp: float, flat: np.ndarray) -> None:
-        # ``flat`` is the one parameter store; the layers are views of it
         self.layer_sizes = sizes
         self.clamp = float(clamp)
+        # ``flat`` is the one parameter store, and the one layout of the
+        # parameters, their gradients, the optimizer state and the model file:
+        # layer by layer, W (in, out) in row-major order, then b (out,).  The
+        # layers are views of it.
         self.flat = flat
         self.weights, self.biases = _unflatten(sizes, flat)
-
-    @property
-    def in_dim(self) -> int:
-        return self.layer_sizes[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layer_sizes[-1]
 
     def forward(self, x: np.ndarray):
         """Clamped scores plus the cache needed by :meth:`backward`.
@@ -186,7 +181,7 @@ class DenseNet:
         Accepts a single (q,) vector or a (B, q) batch; the returned scores
         match the input's dimensionality.  The weights may also be a stack of
         K nets, shaped (K, in, out) with biases (K, 1, out) as
-        :meth:`stacked` builds them: a (B, q) batch then gives (K, B, out)
+        :meth:`from_flat` builds them: a (B, q) batch then gives (K, B, out)
         scores, one row block per net.
 
         The cache holds ``"inputs"`` (the batch, then each hidden activation,
@@ -198,8 +193,8 @@ class DenseNet:
             raise NumericError("non-finite network input")
         single = x.ndim == 1
         h = np.atleast_2d(x)
-        if h.shape[-1] != self.in_dim:
-            raise ValueError(f"input width {h.shape[-1]} != expected {self.in_dim}")
+        if h.shape[-1] != self.layer_sizes[0]:
+            raise ValueError(f"input width {h.shape[-1]} != expected {self.layer_sizes[0]}")
         inputs = [h]
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
             h = h @ W
@@ -217,7 +212,7 @@ class DenseNet:
 
         ``grad_scores`` is d(loss)/d(clamped scores); coordinates where the
         clamp was active contribute nothing.  Returns the (P,) gradient in the
-        layout of :meth:`get_flat`; batch contributions are summed.  Only an
+        layout of :attr:`flat`; batch contributions are summed.  Only an
         unstacked net has a backward pass.  The clamp was active where the cached
         |scores| reach it, and a relu was off where its cached output is 0.
         """
@@ -231,23 +226,12 @@ class DenseNet:
         # joined at the end: a (P,) buffer held through the loop made wide nets slower
         return np.concatenate(parts)
 
-    # Flat parameter vectors, the one layout of the parameters, their
-    # gradients, the optimizer state and the model file: layer by layer,
-    # W (in, out) in row-major order, then b (out,).
-
-    def get_flat(self) -> np.ndarray:
-        return self.flat.copy()
-
-    def stacked(self, rows: np.ndarray) -> "DenseNet":
-        """K nets of this spec, one per row of a (K, P) stack of :meth:`get_flat` vectors."""
-        return DenseNet.from_flat(self.layer_sizes, self.clamp, rows)
-
 
 @dataclass
 class SGDState:
     """Classical (non-Nesterov) momentum state for one network.
 
-    ``velocity`` is a (P,) vector in the :meth:`DenseNet.get_flat` layout,
+    ``velocity`` is a (P,) vector in the :attr:`DenseNet.flat` layout,
     ``None`` until the first step.  A zero learning rate is tolerated here (a
     frozen optimizer, useful as a degenerate sanity case); training configs
     require a positive rate.

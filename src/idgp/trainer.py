@@ -277,8 +277,7 @@ def forward_g(g: DenseNet, X: np.ndarray, tc: TransformConfig, mask) -> ForwardG
                     _z_logs(clamp_z(z_raw), mask))
 
 
-def aux_gradient(fwd_f: ForwardF, fwd_g: ForwardG, tc: TransformConfig,
-                 mask, prior) -> np.ndarray:
+def aux_gradient(fwd_f: ForwardF, fwd_g: ForwardG, tc: TransformConfig, prior) -> np.ndarray:
     """Sub-step 1: g's flat (P,) gradient of the batch-mean MAP loss, f fixed.
 
     Only the z side is evaluated: the likelihood weights, d/dz of the loss
@@ -291,7 +290,7 @@ def aux_gradient(fwd_f: ForwardF, fwd_g: ForwardG, tc: TransformConfig,
     _, _, w = _ml_softmax(fwd_f.log_theta, fwd_g.zl, cand)
     z_raw = fwd_g.z_raw
     d_z = np.where((z_raw > Z_EPS) & (z_raw < 1.0 - Z_EPS),
-                   _map_d_z(w, fwd_g.zl, cand, prior), 0.0) / len(mask)
+                   _map_d_z(w, fwd_g.zl, cand, prior), 0.0) / len(cand)
     d_ab = np.concatenate(_chain_alpha_beta(d_z, fwd_g.beta, fwd_g.num, fwd_g.denom), axis=1)
     d_ab *= _transform_grad(fwd_g.e, tc, None)
     return fwd_g.net.backward(fwd_g.cache, d_ab)
@@ -306,14 +305,13 @@ class MapStep(NamedTuple):
     grads_f: Callable[[], np.ndarray]
 
 
-def map_step_batch(fwd_f: ForwardF, fwd_g: ForwardG, tc: TransformConfig,
-                   mask, prior) -> MapStep:
+def map_step_batch(fwd_f: ForwardF, fwd_g: ForwardG, tc: TransformConfig, prior) -> MapStep:
     """Sub-step 2: the MAP loss of two forwards on the same batch, g fixed.
 
     Evaluates the values, their likelihood and prior parts and d/d(theta_hat);
     ``prior`` is as in :func:`aux_gradient`.  ``grads_f()`` gives f's flat
     (P,) parameter gradient of the batch-mean loss, in the
-    :meth:`DenseNet.get_flat` layout that :func:`sgd_step` takes, running the
+    :attr:`DenseNet.flat` layout that :func:`sgd_step` takes, running the
     Dirichlet chain rule on the forward's theta and denominator and f's
     backward on its cache.
     """
@@ -321,10 +319,9 @@ def map_step_batch(fwd_f: ForwardF, fwd_g: ForwardG, tc: TransformConfig,
     shift, total, w = _ml_softmax(fwd_f.log_theta, fwd_g.zl, cand)
     values, ml_v, reg_v, d_theta = _map_values(shift, total, w, fwd_f.theta,
                                                fwd_f.log_theta, fwd_g.zl, cand, prior)
-    rows = len(mask)
 
     def grads_f():
-        d_lam = _chain_lambda(d_theta / rows, fwd_f.theta, fwd_f.denom)
+        d_lam = _chain_lambda(d_theta / len(cand), fwd_f.theta, fwd_f.denom)
         d_lam *= _transform_grad(fwd_f.e, tc, None)
         return fwd_f.net.backward(fwd_f.cache, d_lam)
 
@@ -357,14 +354,13 @@ def _train_batch(state: TrainerState, idx: np.ndarray, bound: bool):
 
     # Sub-step 1: main branch fixed, auxiliary branch updated; nothing of it
     # is kept, so g's batch-start cache is freed before g runs again.
-    sgd_step(state.opt_g, state.g, aux_gradient(fwd_f, fwd_g, tc, O, prior),
-             cfg.weight_decay)
+    sgd_step(state.opt_g, state.g, aux_gradient(fwd_f, fwd_g, tc, prior), cfg.weight_decay)
     del fwd_g
 
     # Sub-step 2: auxiliary branch (just updated) fixed, main branch updated;
     # g's second forward is freed before f's backward.
     fwd_g = forward_g(state.g, X, tc, O)
-    step = map_step_batch(fwd_f, fwd_g, tc, O, prior)
+    step = map_step_batch(fwd_f, fwd_g, tc, prior)
     bounds = _upper_bound(fwd_f.log_theta, fwd_g.zl, fwd_f.lam, fwd_g.alpha, fwd_g.beta,
                           O, fwd_f.cand, cfg.rho).value if bound else None
     del fwd_g

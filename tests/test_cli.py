@@ -379,6 +379,27 @@ class TestTrainEval:
         assert f"{metrics}:2: expected columns" in capsys.readouterr().err
         assert metrics.read_text() == "method,dataset\nidgp,toy\n"
 
+    def test_eval_method_labels_its_rows_and_merge_groups_by_method(self, tmp_path, clean_path):
+        metrics = tmp_path / "metrics.csv"
+        accs = {}
+        for seed, method in enumerate(["full", "ml_only", "full", "ml_only"]):
+            model = tmp_path / f"m{seed}.bin"
+            save_model(model, DenseNet([2, 4, 3], clamp=20.0, rng=np.random.default_rng(seed)),
+                       TransformConfig())
+            assert main(["eval", "--model", str(model), "--data", str(clean_path),
+                         "--out", str(metrics), "--method", method]) == 0
+            accs.setdefault(method, []).append(float(read_report_csv(metrics)[-1]["mean_acc"]))
+        rows = read_report_csv(metrics)
+        assert [row["method"] for row in rows] == ["full", "ml_only", "full", "ml_only"]
+        assert {row["dataset"] for row in rows} == {"clean"}
+        merged = tmp_path / "merged.csv"
+        assert main(["report", "--merge", str(metrics), "--out", str(merged)]) == 0
+        groups = read_report_csv(merged)
+        assert [(g["method"], g["dataset"], g["seed_count"]) for g in groups] == [
+            ("full", "clean", "2"), ("ml_only", "clean", "2")]
+        for group in groups:
+            assert float(group["mean_acc"]) == pytest.approx(np.mean(accs[group["method"]]))
+
     def test_failed_allocation_exits_3(self, tmp_path, corrupted_path, capsys,
                                        monkeypatch):
         def no_memory(*args, **kwargs):
@@ -810,6 +831,26 @@ class TestReport:
         out = tmp_path / "merged.csv"
         assert main(["report", "--merge", str(src), "--out", str(out)]) == EXIT_INVARIANT
         assert "idgp/toy" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_merge_refuses_a_merged_row(self, tmp_path, capsys):
+        # a merged row's mean_acc is a mean of seed_count runs, not one sample:
+        # folding it in as one would weigh 3 seeds like 1
+        from idgp.evaluation import write_report_csv
+        seeds = tmp_path / "seeds.csv"
+        write_report_csv(seeds, [{"method": "idgp", "dataset": "toy", "seed_count": 1,
+                                  "mean_acc": acc, "std_acc": 0.0} for acc in (0.8, 0.9, 0.7)])
+        merged = tmp_path / "merged.csv"
+        assert main(["report", "--merge", str(seeds), "--out", str(merged)]) == 0
+        one = tmp_path / "one.csv"
+        write_report_csv(one, [{"method": "idgp", "dataset": "toy", "seed_count": 1,
+                                "mean_acc": 0.6, "std_acc": 0.0}])
+        out = tmp_path / "again.csv"
+        assert main(["report", "--merge", str(merged), str(one),
+                     "--out", str(out)]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert f"{merged}: idgp/toy has seed_count 3" in err
+        assert "a merge takes per-seed rows" in err
         assert not out.exists()
 
     def test_sweep_outside_config_domain_is_usage_error(self, tmp_path, corrupted_path):

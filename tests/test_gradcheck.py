@@ -53,11 +53,11 @@ def test_central_difference_on_coords_equals_full_difference_there():
     x, v = rng.normal(size=(2, 3)), rng.normal(size=4)
 
     def loss(rows):
-        return (net.stacked(rows).forward(x)[0] @ v).sum(axis=-1)
+        return (DenseNet.from_flat(net.layer_sizes, net.clamp, rows).forward(x)[0] @ v).sum(axis=-1)
 
     coords = rng.choice(net.flat.size, size=17, replace=False)
-    full = central_difference(loss, net.get_flat())
-    assert np.array_equal(central_difference(loss, net.get_flat(), coords), full[coords])
+    full = central_difference(loss, net.flat)
+    assert np.array_equal(central_difference(loss, net.flat, coords), full[coords])
 
 
 @pytest.mark.parametrize("check, stacks", [
@@ -65,13 +65,13 @@ def test_central_difference_on_coords_equals_full_difference_there():
     (lambda rng: check_map_end_to_end(rng, c=5, width=16), 2),  # f and g: 133+ coordinates
 ], ids=["forward", "map_loss"])
 def test_each_checked_net_is_differenced_in_one_stacked_net(monkeypatch, check, stacks):
-    real, built = DenseNet.stacked, []
+    real, built = DenseNet.from_flat, []
 
-    def spy(self, rows):
+    def spy(cls, layer_sizes, clamp, rows):
         built.append(len(rows))
-        return real(self, rows)
+        return real(layer_sizes, clamp, rows)
 
-    monkeypatch.setattr(DenseNet, "stacked", spy)
+    monkeypatch.setattr(DenseNet, "from_flat", classmethod(spy))
     assert check(np.random.default_rng(5)) <= TOLERANCE
     assert len(built) == stacks
 
@@ -138,11 +138,11 @@ def test_rows_past_the_z_clamp_get_no_g_gradient(ml_only):
     assert (fwd_g.z_raw[:3] > 1.0 - Z_EPS).all() and (fwd_g.z_raw[3:] < 0.99).all()
 
     def mean_loss(nets):
-        return map_step_batch(fwd_f, forward_g(nets, x, tc, mask), tc, mask,
-                              prior).values.mean(axis=-1)
+        return map_step_batch(fwd_f, forward_g(nets, x, tc, mask), tc, prior).values.mean(axis=-1)
 
-    analytic = aux_gradient(fwd_f, fwd_g, tc, mask, prior)
-    numeric = central_difference(lambda flat: mean_loss(g.stacked(flat)), g.get_flat())
+    analytic = aux_gradient(fwd_f, fwd_g, tc, prior)
+    numeric = central_difference(
+        lambda flat: mean_loss(DenseNet.from_flat(g.layer_sizes, g.clamp, flat)), g.flat)
     # W[0] (the first 2c entries) reaches the clamped rows only: both derivatives are 0
     assert np.all(analytic[:2 * c] == 0.0) and np.all(numeric[:2 * c] == 0.0)
     assert rel_error(analytic, numeric) <= TOLERANCE
@@ -150,5 +150,4 @@ def test_rows_past_the_z_clamp_get_no_g_gradient(ml_only):
     # with only the clamped rows in the batch, g's whole applied gradient is 0
     fwd_g = forward_g(g, x[:3], tc, mask[:3])
     part = None if ml_only else tuple(p[:3] for p in prior)
-    assert np.all(aux_gradient(forward_f(f, x[:3], tc, mask[:3]), fwd_g, tc, mask[:3],
-                               part) == 0.0)
+    assert np.all(aux_gradient(forward_f(f, x[:3], tc, mask[:3]), fwd_g, tc, part) == 0.0)

@@ -61,7 +61,7 @@ class TestForward:
     def test_stacked_forward_matches_each_member_bitwise(self):
         rng = np.random.default_rng(7)
         nets = [DenseNet([4, 6, 3], clamp=20.0, rng=rng) for _ in range(5)]
-        stack = nets[0].stacked(np.stack([net.get_flat() for net in nets]))
+        stack = DenseNet.from_flat(nets[0].layer_sizes, 20.0, np.stack([net.flat for net in nets]))
         X = rng.normal(size=(7, 4))
         scores, _ = stack.forward(X)
         assert scores.shape == (5, 7, 3)
@@ -70,11 +70,11 @@ class TestForward:
 
     def test_stacked_inverts_get_flat(self):
         net = DenseNet([3, 5, 2], clamp=20.0, rng=np.random.default_rng(8))
-        one = net.stacked(net.get_flat()[None])
+        one = DenseNet.from_flat(net.layer_sizes, net.clamp, net.flat[None])
         for W, b, W1, b1 in zip(net.weights, net.biases, one.weights, one.biases):
             assert np.array_equal(W1[0], W) and np.array_equal(b1[0, 0], b)
         with pytest.raises(ValueError, match="expected 32"):
-            net.stacked(np.zeros((2, 31)))
+            DenseNet.from_flat(net.layer_sizes, net.clamp, np.zeros((2, 31)))
 
     def test_unallocatable_layer_is_memory_error(self):
         # refused by the spec check, before any weight is drawn
@@ -94,7 +94,7 @@ class TestForward:
 
     def test_from_flat_rebuilds_net_bitwise(self):
         net = DenseNet([3, 5, 2], clamp=4.0, rng=np.random.default_rng(9))
-        again = DenseNet.from_flat(net.layer_sizes, 4.0, net.get_flat())
+        again = DenseNet.from_flat(net.layer_sizes, 4.0, net.flat)
         assert again.layer_sizes == net.layer_sizes and again.clamp == 4.0
         for a, b in zip(net.weights + net.biases, again.weights + again.biases):
             assert a.shape == b.shape and np.array_equal(a, b)
@@ -287,7 +287,8 @@ class TestTextbookParity:
     def test_stacked_forward(self, sizes):
         rng = np.random.default_rng(22)
         net = DenseNet(sizes, clamp=0.6, rng=rng)
-        stack = net.stacked(net.get_flat() + rng.normal(scale=0.3, size=(4, net.flat.size)))
+        stack = DenseNet.from_flat(sizes, net.clamp,
+                                   net.flat + rng.normal(scale=0.3, size=(4, net.flat.size)))
         X = rng.normal(size=(6, sizes[0])) * 2.0
         scores, cache = stack.forward(X)
         expected, inputs, _, _ = _textbook_forward(stack, X)
@@ -444,13 +445,12 @@ class TestSGD:
     def test_step_updates_layers_through_flat(self):
         rng = np.random.default_rng(13)
         net = DenseNet([3, 4, 2], clamp=20.0, rng=rng)
-        before = net.get_flat()
+        before = net.flat.copy()
         grad = rng.normal(size=before.size)
         sgd_step(SGDState(lr=0.1, momentum=0.9), net, grad)
         for p in net.weights + net.biases:
             assert np.shares_memory(p, net.flat)
-        assert np.array_equal(net.get_flat(), before - 0.1 * grad)
-        assert not np.shares_memory(net.get_flat(), net.flat)
+        assert np.array_equal(net.flat, before - 0.1 * grad)
 
     def test_invalid_state(self):
         with pytest.raises(ValueError):

@@ -505,8 +505,8 @@ class TestBoundGap:
 
         monkeypatch.setattr(trainer_mod, "_upper_bound", nan_bound)
         f2, g2, h2 = fit(cfg, ds)
-        assert np.array_equal(_bits(f1.get_flat()), _bits(f2.get_flat()))
-        assert np.array_equal(_bits(g1.get_flat()), _bits(g2.get_flat()))
+        assert np.array_equal(_bits(f1.flat), _bits(f2.flat))
+        assert np.array_equal(_bits(g1.flat), _bits(g2.flat))
         assert len(h1) == len(h2) == cfg.epochs
         for a, b in zip(h1, h2):
             assert np.isnan(b.pop("bound_gap")) and np.isfinite(a.pop("bound_gap"))
@@ -520,8 +520,8 @@ class TestTrainingLoop:
         f1, g1, h1 = fit(cfg, ds)
         f2, g2, h2 = fit(cfg, ds)
         assert h1 == h2
-        assert np.array_equal(f1.get_flat(), f2.get_flat())
-        assert np.array_equal(g1.get_flat(), g2.get_flat())
+        assert np.array_equal(f1.flat, f2.flat)
+        assert np.array_equal(g1.flat, g2.flat)
 
     def test_different_seeds_differ(self):
         ds = toy_dataset()
@@ -535,8 +535,8 @@ class TestTrainingLoop:
         f, g, history = fit(cfg, ds)
         assert history == []
         fresh = init_state(cfg, ds)
-        assert np.array_equal(f.get_flat(), fresh.f.get_flat())
-        assert np.array_equal(g.get_flat(), fresh.g.get_flat())
+        assert np.array_equal(f.flat, fresh.f.flat)
+        assert np.array_equal(g.flat, fresh.g.flat)
 
     def test_ml_only_ignores_prior_constants(self):
         ds = toy_dataset()
@@ -562,12 +562,12 @@ class TestTrainingLoop:
 
         def spy(state, net, grads, weight_decay=0.0):
             other = holder["f"] if net is holder["g"] else holder["g"]
-            other_before = other.get_flat()
-            before = net.get_flat()
+            other_before = other.flat.copy()
+            before = net.flat.copy()
             real_step(state, net, grads, weight_decay)
             touched.append((id(net),
-                            not np.array_equal(before, net.get_flat()),
-                            np.array_equal(other_before, other.get_flat())))
+                            not np.array_equal(before, net.flat),
+                            np.array_equal(other_before, other.flat)))
 
         monkeypatch.setattr(trainer_mod, "sgd_step", spy)
         state = init_state(cfg, ds)
@@ -661,7 +661,7 @@ class TestTrainingLoop:
         for args in ((ds,), (train, val)):
             records = []
             f, g, history = fit(cfg, *args, batch_hook=records.append)
-            runs.append((f.get_flat(), g.get_flat(), history, records))
+            runs.append((f.flat, g.flat, history, records))
         (f1, g1, h1, r1), (f2, g2, h2, r2) = runs
         assert np.array_equal(_bits(f1), _bits(f2)) and np.array_equal(_bits(g1), _bits(g2))
         assert h1 == h2 and h1[-1]["val_acc"] is not None
